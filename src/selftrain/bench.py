@@ -414,8 +414,11 @@ def run(config: ExperimentConfig, workers: int = 1,
         with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
             futures = [pool.submit(_pool_worker, config.raw, seed, method)
                        for seed, method in tasks]
-            for fut in futures:
-                method, seed, traj, error = fut.result()
+            for (seed, method), fut in zip(tasks, futures):
+                try:
+                    _, _, traj, error = fut.result()
+                except Exception as exc:  # noqa: BLE001 - a dead worker fails its cell only
+                    traj, error = None, f"worker failed: {type(exc).__name__}: {exc}"
                 results[(method, seed)] = (traj, error)
     else:
         for seed, method in tasks:

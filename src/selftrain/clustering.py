@@ -44,15 +44,21 @@ class ClusterModel:
         return self.centroids.shape[0]
 
     def validate(self, X: np.ndarray | None = None) -> None:
-        """Check the structural invariants; raises AssertionError on violation."""
-        assert self.assignments is not None and self.distances is not None
-        assert self.assignments.min() >= 0 and self.assignments.max() < self.k
-        assert self.inertia >= 0
+        """Check the structural invariants; raises ValueError on violation."""
+        if self.assignments is None or self.distances is None:
+            raise ValueError("cluster model carries no assignments or distances")
+        if self.assignments.min() < 0 or self.assignments.max() >= self.k:
+            raise ValueError(f"assignments fall outside [0, {self.k})")
+        if not self.inertia >= 0:
+            raise ValueError(f"negative inertia {self.inertia}")
         recomputed = float(np.sum(self.distances * self.distances))
-        assert abs(recomputed - self.inertia) <= 1e-6 * max(recomputed, 1e-300)
+        if not abs(recomputed - self.inertia) <= 1e-6 * max(recomputed, 1e-300):
+            raise ValueError(f"inertia {self.inertia} does not match the "
+                             f"squared distances' sum {recomputed}")
         if X is not None:
             ref = np.sqrt(((X - self.centroids[self.assignments]) ** 2).sum(-1))
-            assert np.max(np.abs(ref - self.distances)) <= 1e-9
+            if not np.max(np.abs(ref - self.distances)) <= 1e-9:
+                raise ValueError("distances do not match the assigned centroids")
 
     def to_json(self) -> str:
         doc = {

@@ -10,6 +10,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -27,33 +28,59 @@ class CertaintyEntry:
     certainty: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class QueryList:
-    entries: tuple[CertaintyEntry, ...]
+    """Unlabeled samples in query order, most certain first, as parallel arrays.
+
+    Position ``i`` of ``ids``, ``clusters``, ``distances`` and ``certainties``
+    describes the ``i``-th sample to query; treat the arrays as read-only.
+    ``entries`` materializes one :class:`CertaintyEntry` per sample on first
+    access, for inspection only.
+    """
+
+    ids: np.ndarray
+    clusters: np.ndarray
+    distances: np.ndarray
+    certainties: np.ndarray
     built_from: str
 
     def __len__(self) -> int:
-        return len(self.entries)
+        return len(self.ids)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, QueryList):
+            return NotImplemented
+        return self.built_from == other.built_from and all(
+            np.array_equal(a, b) for a, b in
+            ((self.ids, other.ids), (self.clusters, other.clusters),
+             (self.distances, other.distances), (self.certainties, other.certainties)))
+
+    @cached_property
+    def entries(self) -> tuple[CertaintyEntry, ...]:
+        return tuple(map(CertaintyEntry, self.ids.tolist(), self.clusters.tolist(),
+                         self.distances.tolist(), self.certainties.tolist()))
 
     def sample_ids(self) -> list[int]:
-        return [e.sample_id for e in self.entries]
+        return self.ids.tolist()
 
     def to_csv(self, path: str) -> None:
         with open(path, "w", newline="", encoding="utf-8") as fh:
             writer = csv.writer(fh)
             writer.writerow(["sample_id", "cluster", "distance"])
-            for e in self.entries:
-                writer.writerow([e.sample_id, e.cluster, repr(e.distance)])
+            writer.writerows((i, c, repr(d)) for i, c, d in zip(
+                self.ids.tolist(), self.clusters.tolist(), self.distances.tolist()))
 
 
 def read_query_list_csv(path: str, built_from: str = "unknown") -> QueryList:
-    entries = []
+    ids, clusters, distances = [], [], []
     with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        for row in reader:
-            d = float(row["distance"])
-            entries.append(CertaintyEntry(int(row["sample_id"]), int(row["cluster"]), d, -d))
-    return QueryList(tuple(entries), built_from)
+        for row in csv.DictReader(fh):
+            ids.append(int(row["sample_id"]))
+            clusters.append(int(row["cluster"]))
+            distances.append(float(row["distance"]))
+    distances = np.array(distances, dtype=np.float64)
+    return QueryList(np.array(ids, dtype=np.int64), np.array(clusters, dtype=np.int64),
+                     distances, -distances, built_from)
 
 
 @dataclass(frozen=True)
@@ -93,7 +120,7 @@ def build_query_list(model: ClusterModel, unlabeled: UnlabeledSet,
         )
 
     ids = unlabeled.ids
-    clusters = np.asarray(model.assignments)
+    clusters = np.asarray(model.assignments, dtype=np.int64)
     distances = np.asarray(model.distances, dtype=np.float64)
 
     if certainty_norm == "global":
@@ -108,11 +135,8 @@ def build_query_list(model: ClusterModel, unlabeled: UnlabeledSet,
             certainty[members] = -ranks / len(members)
 
     order = np.lexsort((ids, -certainty))
-    entries = tuple(
-        CertaintyEntry(int(ids[i]), int(clusters[i]), float(distances[i]), float(certainty[i]))
-        for i in order
-    )
-    return QueryList(entries, model.method)
+    return QueryList(ids[order], clusters[order], distances[order],
+                     certainty[order], model.method)
 
 
 def _round_half_up(x: float) -> int:
@@ -120,12 +144,15 @@ def _round_half_up(x: float) -> int:
 
 
 def partition_batches(qlist: QueryList, schedule: BatchSchedule) -> list[list[int]]:
-    """Cut the list into T+1 contiguous batches; rounding leftovers land on the last one."""
+    """Cut the list into T+1 contiguous batches; rounding leftovers land on the last one.
+
+    Each batch is a list of sample ids sliced from ``qlist.ids``: a list, not
+    an array, so batches test truth and compare equal the way sequences do.
+    """
     n = len(qlist)
-    ids = qlist.sample_ids()
     t_rounds = schedule.rounds
     if t_rounds == 0:
-        return [ids]
+        return [qlist.sample_ids()]
 
     first = min(_round_half_up(schedule.initial_fraction * n), n)
     remaining = n - first
@@ -142,12 +169,8 @@ def partition_batches(qlist: QueryList, schedule: BatchSchedule) -> list[list[in
         used += s
     sizes.append(remaining - used)
 
-    batches = []
-    cursor = 0
-    for s in sizes:
-        batches.append(ids[cursor:cursor + s])
-        cursor += s
-    return batches
+    cuts = np.cumsum(sizes)[:-1]
+    return [batch.tolist() for batch in np.split(qlist.ids, cuts)]
 
 
 def pool_at(batches: list[list[int]], t: int) -> set[int]:

@@ -13,7 +13,7 @@ from __future__ import annotations
 import csv
 import io
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -75,29 +75,51 @@ class SelfTrainConfig:
 
 
 class PseudoPool:
-    """Monotonically growing set of unlabeled ids eligible for pseudo-labeling."""
+    """Monotonically growing set of unlabeled rows eligible for pseudo-labeling.
 
-    def __init__(self):
-        self._admitted_round: dict[int, int] = {}
-        self.labels: dict[int, int] = {}
-        self.confidence: dict[int, float] = {}
+    State is kept per unlabeled row, in the row order of the ids the pool was
+    built over: ``admitted`` holds the round a row joined (-1 while outside),
+    ``labels`` its current pseudo-label (-1 before the first prediction) and
+    ``confidence`` the matching confidence (NaN before it). Sample ids map to
+    rows through one sorted copy of the ids, built here once.
+    """
+
+    def __init__(self, unlabeled_ids):
+        self.ids = np.asarray(unlabeled_ids, dtype=np.int64)
+        self._by_id = np.argsort(self.ids, kind="stable")
+        self._sorted_ids = self.ids[self._by_id]
+        n = len(self.ids)
+        self.admitted = np.full(n, -1, dtype=np.int64)
+        self.labels = np.full(n, -1, dtype=np.int64)
+        self.confidence = np.full(n, np.nan)
+        self._size = 0
 
     def __len__(self) -> int:
-        return len(self._admitted_round)
+        return self._size
+
+    def rows_of(self, ids) -> np.ndarray:
+        """Unlabeled rows holding ``ids``; raises on an id the pool does not cover."""
+        ids = np.asarray(ids, dtype=np.int64)
+        at = np.searchsorted(self._sorted_ids, ids)
+        hit = at < len(self._sorted_ids)
+        hit[hit] = self._sorted_ids[at[hit]] == ids[hit]
+        if not hit.all():
+            raise ValueError(f"pool member {int(ids[~hit][0])} is not an unlabeled id")
+        return self._by_id[at]
 
     def admit(self, ids, round_index: int) -> None:
-        for i in ids:
-            i = int(i)
-            if i in self._admitted_round:
-                raise ValueError(f"sample {i} already admitted")
-            self._admitted_round[i] = round_index
+        rows = self.rows_of(ids)
+        repeat = np.ones(len(rows), dtype=bool)
+        repeat[np.unique(rows, return_index=True)[1]] = False
+        repeat |= self.admitted[rows] >= 0
+        if repeat.any():
+            raise ValueError(f"sample {int(self.ids[rows[repeat][0]])} already admitted")
+        self.admitted[rows] = round_index
+        self._size += len(rows)
 
-    def member_ids_sorted(self) -> np.ndarray:
-        return np.fromiter(sorted(self._admitted_round), dtype=np.int64,
-                           count=len(self._admitted_round))
-
-    def admitted_round(self, sample_id: int) -> int:
-        return self._admitted_round[sample_id]
+    def member_rows(self) -> np.ndarray:
+        """Rows of the admitted samples, in ascending sample-id order."""
+        return self._by_id[self.admitted[self._by_id] >= 0]
 
 
 @dataclass
@@ -207,31 +229,24 @@ def pseudo_label_pool(model: ClassifierModel, pool: PseudoPool, unlabeled: Unlab
     below the threshold. Returns ids in ascending order so downstream
     training sees a canonical row order.
     """
-    if len(pool) == 0:
+    if len(pool.ids) != unlabeled.n_u or (
+            pool.ids is not unlabeled.ids and not np.array_equal(pool.ids, unlabeled.ids)):
+        raise ValueError("pool was built over different unlabeled ids")
+    members = pool.member_rows()
+    if len(members) == 0:
         return (np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64),
                 np.empty(0, dtype=np.float64))
-    ids = pool.member_ids_sorted()
-    pos = {int(v): i for i, v in enumerate(unlabeled.ids)}
-    try:
-        rows = np.fromiter((pos[int(i)] for i in ids), dtype=np.int64, count=len(ids))
-    except KeyError as exc:
-        raise ValueError(f"pool member {exc.args[0]} is not an unlabeled id") from None
 
-    proba = model.predict_proba(unlabeled.features[rows])
-    conf = proba.max(axis=1)
-    labels = proba.argmax(axis=1)
-    for i, sample_id in enumerate(ids):
-        sid = int(sample_id)
-        if freeze_labels and sid in pool.labels:
-            continue
-        pool.labels[sid] = int(labels[i])
-        pool.confidence[sid] = float(conf[i])
+    proba = model.predict_proba(unlabeled.features[members])
+    rows, conf, labels = members, proba.max(axis=1), proba.argmax(axis=1)
+    if freeze_labels:
+        fresh = pool.labels[members] < 0
+        rows, conf, labels = members[fresh], conf[fresh], labels[fresh]
+    pool.labels[rows] = labels
+    pool.confidence[rows] = conf
 
-    stored_conf = np.array([pool.confidence[int(i)] for i in ids])
-    stored_labels = np.array([pool.labels[int(i)] for i in ids], dtype=np.int64)
-    keep = stored_conf >= confidence_threshold
-    selected = ids[keep]
-    return (selected, stored_labels[keep],
+    selected = members[pool.confidence[members] >= confidence_threshold]
+    return (pool.ids[selected], pool.labels[selected],
             np.full(len(selected), pseudo_weight, dtype=np.float64))
 
 
@@ -245,19 +260,20 @@ def evaluate(model: ClassifierModel, test: Dataset) -> float:
 
 
 def pseudo_error_rate(pool: PseudoPool, confidence_threshold: float,
-                      truth_by_id: dict[int, int] | None) -> float | None:
+                      truth: np.ndarray | None) -> float | None:
     """Share of selected pseudo-labels disagreeing with hidden ground truth.
 
-    Diagnostic only. Returns None when truth is unavailable or nothing is
-    selected, to keep 'no data' distinct from 'no errors'.
+    ``truth`` holds the true label of each unlabeled row, in the pool's row
+    order. Diagnostic only. Returns None when truth is unavailable or nothing
+    is selected, to keep 'no data' distinct from 'no errors'.
     """
-    if truth_by_id is None:
+    if truth is None:
         return None
-    selected = [i for i in sorted(pool.labels) if pool.confidence[i] >= confidence_threshold]
-    if not selected:
+    selected = pool.confidence >= confidence_threshold  # NaN: never labeled
+    n_selected = int(np.count_nonzero(selected))
+    if n_selected == 0:
         return None
-    wrong = sum(1 for i in selected if pool.labels[i] != truth_by_id[i])
-    return wrong / len(selected)
+    return int(np.count_nonzero(pool.labels[selected] != truth[selected])) / n_selected
 
 
 def _config_echo(cfg: SelfTrainConfig) -> dict:
@@ -286,11 +302,8 @@ def _run_rounds(labeled: LabeledSet, unlabeled: UnlabeledSet, test: Dataset,
     traj = TrainingTrajectory(mode=cfg.mode, seed=cfg.seed)
     traj.cluster_seconds = cluster_seconds
     traj.config_echo = _config_echo(cfg)
-    eval_labels = unlabeled.eval_labels()
-    truth = None if eval_labels is None else \
-        {int(i): int(l) for i, l in zip(unlabeled.ids, eval_labels)}
+    truth = unlabeled.eval_labels()
     n_l = labeled.n_l
-    pos = {int(v): i for i, v in enumerate(unlabeled.ids)}
     start = time.perf_counter()
 
     def record(acc: float, used: int, err: float | None):
@@ -314,9 +327,7 @@ def _run_rounds(labeled: LabeledSet, unlabeled: UnlabeledSet, test: Dataset,
         sel_ids, sel_labels, sel_weights = pseudo_label_pool(
             backbone, pool, unlabeled, cfg.confidence_threshold,
             cfg.pseudo_weight, cfg.freeze_labels)
-        rows = np.fromiter((pos[int(i)] for i in sel_ids), dtype=np.int64,
-                           count=len(sel_ids))
-        X = np.vstack([labeled.features, unlabeled.features[rows]])
+        X = np.vstack([labeled.features, unlabeled.features[pool.rows_of(sel_ids)]])
         y = np.concatenate([labeled.labels, sel_labels])
         w = np.concatenate([np.ones(n_l), sel_weights])
         try:
@@ -336,8 +347,8 @@ def st_train(labeled: LabeledSet, unlabeled: UnlabeledSet, test: Dataset,
     """Classical self-training: the whole unlabeled set is the pool from the start."""
     if cfg.mode != "st":
         raise ValueError("st_train requires cfg.mode == 'st'")
-    pool = PseudoPool()
-    pool.admit(sorted(int(i) for i in unlabeled.ids), 0)
+    pool = PseudoPool(unlabeled.ids)
+    pool.admit(unlabeled.ids, 0)
     return _run_rounds(labeled, unlabeled, test, backbone, cfg, pool, None, 0.0)
 
 
@@ -358,17 +369,15 @@ def ist_train(labeled: LabeledSet, unlabeled: UnlabeledSet, test: Dataset,
     scaled, _ = standardize(unlabeled.features)
     cluster_cfg = cfg.cluster_config
     if cluster_cfg is not None:
-        # cluster counts left unset default to the class count
-        if getattr(cluster_cfg, "k", "absent") is None:
-            cluster_cfg.k = labeled.class_count
-        if getattr(cluster_cfg, "global_k", "absent") is None:
-            cluster_cfg.global_k = labeled.class_count
+        # cluster counts left unset default to the class count, on a copy
+        unset = [f for f in ("k", "global_k") if getattr(cluster_cfg, f, "absent") is None]
+        cluster_cfg = replace(cluster_cfg, **dict.fromkeys(unset, labeled.class_count))
     model = fit_cluster(cfg.cluster_method, scaled, cluster_cfg,
                         k=labeled.class_count, seed=cfg.seed)
     qlist = build_query_list(model, unlabeled, cfg.certainty_norm)
     batches = partition_batches(qlist, cfg.schedule)
 
-    pool = PseudoPool()
+    pool = PseudoPool(unlabeled.ids)
     pool.admit(batches[0], 0)
     return _run_rounds(labeled, unlabeled, test, backbone, cfg, pool, batches,
                        model.fit_seconds)

@@ -1,10 +1,12 @@
+import concurrent.futures
 import json
 import struct
+from concurrent.futures.process import BrokenProcessPool
 
 import numpy as np
 import pytest
 
-from selftrain.bench import (ConfigError, build_dataset, cluster_timing, load_config,
+from selftrain.bench import (EXIT_PARTIAL, ConfigError, build_dataset, cluster_timing, load_config,
                              preset_config, read_report_csv, report_deterministic_view,
                              run, sweep_labeled_budget, validate_config)
 from selftrain.cli import main
@@ -127,6 +129,39 @@ class TestRun:
         assert code == 3
         assert all(c["status"] == "failed" for c in report["cells"])
         assert all("learning_rate" in c["error"] for c in report["cells"])
+
+    def test_dead_worker_fails_its_cell_only(self, tmp_path, monkeypatch):
+        class DyingExecutor:
+            """Runs tasks in-process; the second task's worker 'dies'."""
+
+            def __init__(self, max_workers):
+                self.submitted = 0
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def submit(self, fn, *args):
+                fut = concurrent.futures.Future()
+                self.submitted += 1
+                if self.submitted == 2:
+                    fut.set_exception(BrokenProcessPool("worker process died"))
+                else:
+                    fut.set_result(fn(*args))
+                return fut
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", DyingExecutor)
+        cfg = validate_config(tiny_doc(tmp_path / "out", seeds=(1,)))
+        code, report = run(cfg, workers=2)
+        assert code == EXIT_PARTIAL
+        by_method = {c["method"]: c for c in report["cells"]}
+        assert by_method["st"]["status"] == "ok"
+        assert by_method["ist-kmeans"]["status"] == "failed"
+        assert "BrokenProcessPool" in by_method["ist-kmeans"]["error"]
+        written = json.loads((tmp_path / "out" / "report.json").read_text())
+        assert [c["status"] for c in written["cells"]] == ["ok", "failed"]
 
 
 class TestSweep:

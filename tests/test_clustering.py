@@ -336,6 +336,20 @@ class TestClusterModel:
         a, _ = assign(loaded, X)
         assert np.array_equal(a, model.assignments)
 
+    def test_corrupted_model_raises_value_error(self):
+        X = np.random.default_rng(1).normal(size=(20, 2))
+        model = kmeans_fit(X, KMeansConfig(k=2, seed=0))
+        model.validate(X)
+        out_of_range = ClusterModel(model.method, model.centroids,
+                                    np.where(model.assignments == 0, 2, 1),
+                                    model.distances, model.inertia, 0.0)
+        with pytest.raises(ValueError, match="assignments"):
+            out_of_range.validate()
+        wrong_inertia = ClusterModel(model.method, model.centroids, model.assignments,
+                                     model.distances, model.inertia * 1.5 + 1.0, 0.0)
+        with pytest.raises(ValueError, match="inertia"):
+            wrong_inertia.validate()
+
     def test_doc_has_expected_fields(self):
         X = np.random.default_rng(0).normal(size=(10, 2))
         doc = json.loads(kmeans_fit(X, KMeansConfig(k=2, seed=0)).to_json())

@@ -1,8 +1,11 @@
+import copy
+
 import numpy as np
 import pytest
 
 from selftrain import clustering
 from selftrain.classifiers import ClassifierModel, RandomFeatureRidge, SoftmaxSGD
+from selftrain.clustering import BirchConfig, KMeansConfig
 from selftrain.data import Dataset, UnlabeledSet, make_blobs, split_ssl
 from selftrain.querylist import BatchSchedule
 from selftrain.training import (PseudoPool, SelfTrainConfig, TrainingRoundError,
@@ -34,7 +37,7 @@ def blob_problem(seed=0, spread=0.5, per_class=60):
 
 class TestPseudoLabelPool:
     def make_pool(self, ids):
-        pool = PseudoPool()
+        pool = PseudoPool(ids)
         pool.admit(ids, 0)
         return pool
 
@@ -81,23 +84,136 @@ class TestPseudoLabelPool:
         first = TableClassifier([[0.9, 0.1], [0.2, 0.8]])
         second = TableClassifier([[0.1, 0.9], [0.8, 0.2]])
         pseudo_label_pool(first, pool, unlabeled, 0.5, freeze_labels=True)
-        frozen = dict(pool.labels)
+        frozen = pool.labels.copy()
         pseudo_label_pool(second, pool, unlabeled, 0.5, freeze_labels=True)
-        assert pool.labels == frozen
+        assert np.array_equal(pool.labels, frozen)
         pseudo_label_pool(second, pool, unlabeled, 0.5, freeze_labels=False)
-        assert pool.labels != frozen
+        assert not np.array_equal(pool.labels, frozen)
 
     def test_empty_pool_is_empty_selection(self):
         unlabeled = UnlabeledSet(np.zeros((1, 1)), np.array([0]))
         ids, labels, weights = pseudo_label_pool(TableClassifier([[1.0, 0.0]]),
-                                                 PseudoPool(), unlabeled, 0.5)
+                                                 PseudoPool(unlabeled.ids), unlabeled,
+                                                 0.5)
         assert len(ids) == len(labels) == len(weights) == 0
 
     def test_pool_rejects_readmission(self):
-        pool = PseudoPool()
+        pool = PseudoPool([3, 4])
         pool.admit([3], 0)
         with pytest.raises(ValueError, match="already admitted"):
             pool.admit([3], 1)
+
+    def test_pool_rejects_duplicates_within_one_admission(self):
+        pool = PseudoPool([3, 4, 5])
+        with pytest.raises(ValueError, match="sample 4 already admitted"):
+            pool.admit([5, 4, 4], 0)
+        assert len(pool) == 0
+
+    def test_pool_rejects_unknown_id(self):
+        pool = PseudoPool([3, 4, 5])
+        for ids in ([9], [2], [4, 6]):
+            with pytest.raises(ValueError, match="is not an unlabeled id"):
+                pool.admit(ids, 0)
+
+    def test_pool_over_other_unlabeled_ids_rejected(self):
+        unlabeled = UnlabeledSet(np.arange(2, dtype=float)[:, None], np.array([0, 1]))
+        pool = PseudoPool([0, 2])
+        pool.admit([0], 0)
+        with pytest.raises(ValueError, match="different unlabeled ids"):
+            pseudo_label_pool(TableClassifier([[1.0, 0.0]] * 2), pool, unlabeled, 0.5)
+
+
+class DictPool:
+    """The per-sample, id-keyed pool the array-backed PseudoPool replaced."""
+
+    def __init__(self):
+        self.admitted_round = {}
+        self.labels = {}
+        self.confidence = {}
+
+    def admit(self, ids, round_index):
+        for i in ids:
+            assert int(i) not in self.admitted_round
+            self.admitted_round[int(i)] = round_index
+
+
+def reference_pseudo_label_pool(model, pool, unlabeled, confidence_threshold,
+                                pseudo_weight=1.0, freeze_labels=False):
+    if not pool.admitted_round:
+        return (np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64),
+                np.empty(0, dtype=np.float64))
+    ids = np.array(sorted(pool.admitted_round), dtype=np.int64)
+    pos = {int(v): i for i, v in enumerate(unlabeled.ids)}
+    rows = np.array([pos[int(i)] for i in ids], dtype=np.int64)
+    proba = model.predict_proba(unlabeled.features[rows])
+    conf = proba.max(axis=1)
+    labels = proba.argmax(axis=1)
+    for i, sample_id in enumerate(ids):
+        sid = int(sample_id)
+        if freeze_labels and sid in pool.labels:
+            continue
+        pool.labels[sid] = int(labels[i])
+        pool.confidence[sid] = float(conf[i])
+    stored_conf = np.array([pool.confidence[int(i)] for i in ids])
+    stored_labels = np.array([pool.labels[int(i)] for i in ids], dtype=np.int64)
+    keep = stored_conf >= confidence_threshold
+    selected = ids[keep]
+    return (selected, stored_labels[keep],
+            np.full(len(selected), pseudo_weight, dtype=np.float64))
+
+
+def reference_pseudo_error_rate(pool, confidence_threshold, truth_by_id):
+    if truth_by_id is None:
+        return None
+    selected = [i for i in sorted(pool.labels) if pool.confidence[i] >= confidence_threshold]
+    if not selected:
+        return None
+    return sum(1 for i in selected if pool.labels[i] != truth_by_id[i]) / len(selected)
+
+
+class TestArrayPoolMatchesDictReference:
+    """The array pool against the dict version it replaced, on random pools."""
+
+    def random_table(self, rng, n, classes):
+        table = rng.dirichlet(np.ones(classes), size=n)
+        certain = rng.random(n) < 0.3
+        table[certain] = np.eye(classes)[rng.integers(0, classes, int(certain.sum()))]
+        return table
+
+    def test_random_pools_over_rounds(self):
+        rng = np.random.default_rng(42)
+        for trial in range(200):
+            n = int(rng.integers(1, 60))
+            classes = int(rng.integers(2, 5))
+            ids = rng.permutation(1000)[:n]  # unsorted unlabeled ids
+            truth = rng.integers(0, classes, n)
+            unlabeled = UnlabeledSet(np.arange(n, dtype=float)[:, None], ids, truth)
+            truth_by_id = {int(i): int(t) for i, t in zip(ids, truth)}
+            threshold = [0.0, 1.0, float(rng.uniform(0.3, 0.99))][trial % 3]
+            freeze = bool(trial % 2)
+            weight = float(rng.uniform(0.1, 1.0))
+            pool, ref = PseudoPool(unlabeled.ids), DictPool()
+            waiting = list(rng.permutation(ids))
+            for t in range(int(rng.integers(1, 6))):
+                batch = [waiting.pop() for _ in range(int(rng.integers(0, len(waiting) + 1)))]
+                pool.admit(batch, t)
+                ref.admit(batch, t)
+                model = TableClassifier(self.random_table(rng, n, classes))
+                got = pseudo_label_pool(model, pool, unlabeled, threshold, weight, freeze)
+                want = reference_pseudo_label_pool(model, ref, unlabeled, threshold,
+                                                   weight, freeze)
+                for g, w in zip(got, want):
+                    assert g.dtype == w.dtype
+                    assert np.array_equal(g, w)
+                assert len(pool) == len(ref.admitted_round)
+                for sid, label in ref.labels.items():
+                    row = int(np.flatnonzero(ids == sid)[0])
+                    assert pool.labels[row] == label
+                    assert pool.confidence[row] == ref.confidence[sid]
+                assert np.count_nonzero(pool.labels >= 0) == len(ref.labels)
+                for truth_arg, truth_ref in ((truth, truth_by_id), (None, None)):
+                    assert pseudo_error_rate(pool, threshold, truth_arg) == \
+                        reference_pseudo_error_rate(ref, threshold, truth_ref)
 
 
 class TestEvaluate:
@@ -130,8 +246,8 @@ class TestEvaluate:
 
 class TestPseudoErrorRate:
     def filled_pool(self, labels, confs):
-        pool = PseudoPool()
-        pool.admit(range(len(labels)), 0)
+        pool = PseudoPool(np.arange(len(labels)))
+        pool.admit(np.arange(len(labels)), 0)
         for i, (lab, conf) in enumerate(zip(labels, confs)):
             pool.labels[i] = lab
             pool.confidence[i] = conf
@@ -139,16 +255,16 @@ class TestPseudoErrorRate:
 
     def test_all_correct(self):
         pool = self.filled_pool([0, 1, 1], [0.99, 0.99, 0.99])
-        assert pseudo_error_rate(pool, 0.5, {0: 0, 1: 1, 2: 1}) == 0.0
+        assert pseudo_error_rate(pool, 0.5, np.array([0, 1, 1])) == 0.0
 
     def test_empty_selection_is_none_not_zero(self):
         pool = self.filled_pool([0, 1], [0.3, 0.2])
-        assert pseudo_error_rate(pool, 0.9, {0: 0, 1: 1}) is None
+        assert pseudo_error_rate(pool, 0.9, np.array([0, 1])) is None
         assert pseudo_error_rate(pool, 0.1, None) is None
 
     def test_two_of_five_wrong(self):
         pool = self.filled_pool([0, 0, 1, 1, 1], [0.99] * 5)
-        truth = {0: 0, 1: 1, 2: 0, 3: 1, 4: 1}
+        truth = np.array([0, 1, 0, 1, 1])
         assert pseudo_error_rate(pool, 0.5, truth) == pytest.approx(0.4)
 
 
@@ -301,6 +417,19 @@ class TestIstTrain:
             backbone = SoftmaxSGD(4, 2, epochs=5, seed=9)
             return ist_train(labeled, unlabeled, test, backbone, cfg)[1]
         assert run().deterministic_fields() == run().deterministic_fields()
+
+    def test_caller_cluster_config_left_unchanged(self):
+        labeled, unlabeled, test = blob_problem(seed=12)
+        for method, cluster_cfg in (("kmeans", KMeansConfig(seed=12)),
+                                    ("birch", BirchConfig(seed=12))):
+            before = copy.deepcopy(cluster_cfg)
+            cfg = SelfTrainConfig(mode="ist", rounds=4, schedule=BatchSchedule(0.3, 3),
+                                  cluster_method=method, cluster_config=cluster_cfg,
+                                  seed=12)
+            backbone = RandomFeatureRidge(4, 2, hidden_width=64, seed=12)
+            ist_train(labeled, unlabeled, test, backbone, cfg)
+            assert cfg.cluster_config is cluster_cfg
+            assert cluster_cfg == before
 
     def test_every_clustering_method_drives_the_loop(self):
         labeled, unlabeled, test = blob_problem(seed=11, spread=0.6, per_class=100)
