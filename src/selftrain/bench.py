@@ -522,12 +522,8 @@ def cluster_timing(config: ExperimentConfig,
         scaled, _ = standardize(unlabeled.features)
         for method in config.methods:
             cfg = _cluster_config(method, config.cluster_options.get(method, {}), seed)
-            if getattr(cfg, "k", "absent") is None:
-                cfg.k = labeled.class_count
-            if getattr(cfg, "global_k", "absent") is None:
-                cfg.global_k = labeled.class_count
             try:
-                model = clustering.fit_cluster(method, scaled, cfg)
+                model = clustering.fit_cluster(method, scaled, cfg, k=labeled.class_count)
                 per_method[method].append(model.fit_seconds)
             except Exception as exc:  # noqa: BLE001 - mark the row, keep timing others
                 failures[method] = str(exc)

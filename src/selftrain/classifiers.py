@@ -27,7 +27,23 @@ def one_hot(y: np.ndarray, class_count: int) -> np.ndarray:
 
 
 class ClassifierModel(ABC):
-    """Contract every backbone satisfies: weighted fit + probability prediction."""
+    """Contract every backbone satisfies: weighted fit + probability prediction.
+
+    ``fit(X, y, w)`` and ``predict_proba(X)`` take raw feature rows. Training
+    loops instead embed their rows once per run and then work on the cached
+    matrix through three methods:
+
+    - ``embed(X)``: the backbone's frozen per-row features. The default is
+      the identity (as float64).
+    - ``fit_embedded(H, y, w, rows)``: fit on rows ``rows`` of an embedded
+      matrix (all rows when ``rows`` is None). The default gathers
+      ``H[rows]`` and calls ``fit``.
+    - ``predict_proba_embedded(H, rows)``: probabilities for those rows. The
+      default gathers ``H[rows]`` and calls ``predict_proba``.
+
+    ``fit_embedded(embed(X), ...)`` is ``fit(X, ...)`` and
+    ``predict_proba_embedded(embed(X))`` is ``predict_proba(X)``.
+    """
 
     backbone: str
     class_count: int
@@ -41,6 +57,18 @@ class ClassifierModel(ABC):
     def predict_proba(self, X: np.ndarray) -> np.ndarray:
         ...
 
+    def embed(self, X: np.ndarray) -> np.ndarray:
+        return np.asarray(X, dtype=np.float64)
+
+    def fit_embedded(self, H: np.ndarray, y: np.ndarray,
+                     sample_weight: np.ndarray | None = None,
+                     rows: np.ndarray | None = None) -> "ClassifierModel":
+        return self.fit(H if rows is None else H[rows], y, sample_weight)
+
+    def predict_proba_embedded(self, H: np.ndarray,
+                               rows: np.ndarray | None = None) -> np.ndarray:
+        return self.predict_proba(H if rows is None else H[rows])
+
     def predict(self, X: np.ndarray) -> np.ndarray:
         return np.argmax(self.predict_proba(X), axis=1)
 
@@ -51,12 +79,17 @@ class ClassifierModel(ABC):
 class RandomFeatureRidge(ClassifierModel):
     """Ridge regression on a frozen random tanh feature map, solved in closed form.
 
-    Refitting re-solves the normal equations from scratch; only the ridge
-    weights change. Scores pass through a temperature-scaled softmax to
-    produce calibrated-enough probabilities for confidence thresholding.
+    ``embed`` is the map ``tanh(X @ projection + bias)``; it never changes
+    after construction, so callers embed their rows once and refit on the
+    cached features. Refitting re-solves the normal equations from scratch;
+    only the ridge weights change. The fit accumulates the gram and target
+    over blocks of ``block_rows`` rows, so it never holds a weighted copy of
+    all rows. Scores pass through a temperature-scaled softmax to produce
+    calibrated-enough probabilities for confidence thresholding.
     """
 
     backbone = "noniterative"
+    block_rows = 4096
 
     def __init__(self, class_count: int, input_dim: int, hidden_width: int = 512,
                  ridge_lambda: float = 1e-2, temperature: float = 0.2, seed: int = 0):
@@ -77,39 +110,85 @@ class RandomFeatureRidge(ClassifierModel):
         self.bias = rng.uniform(-1.0, 1.0, hidden_width)
         self.weights: np.ndarray | None = None
 
-    def _hidden(self, X: np.ndarray) -> np.ndarray:
+    def embed(self, X: np.ndarray) -> np.ndarray:
         X = np.asarray(X, dtype=np.float64)
         if X.ndim != 2 or X.shape[1] != self.input_dim:
             raise ValueError(f"expected {self.input_dim} input features, got "
                              f"{X.shape[1] if X.ndim == 2 else '?'}")
-        return np.tanh(X @ self.projection + self.bias)
+        H = X @ self.projection
+        H += self.bias
+        return np.tanh(H, out=H)
+
+    def _blocks(self, H: np.ndarray, rows: np.ndarray | None):
+        """Yield ``(start, stop, H_block)`` over the chosen rows of ``H``.
+
+        Without ``rows`` the blocks are views; otherwise they are gathered
+        into one reused block-sized buffer, valid until the next block.
+        """
+        H = np.asarray(H, dtype=np.float64)
+        if H.ndim != 2 or H.shape[1] != self.hidden_width:
+            raise ValueError(f"expected {self.hidden_width} embedded features, got "
+                             f"{H.shape[1] if H.ndim == 2 else '?'}")
+        if rows is not None:
+            rows = np.asarray(rows, dtype=np.intp)
+            if len(rows) and (rows.min() < 0 or rows.max() >= len(H)):
+                raise IndexError(f"row index out of range for {len(H)} embedded rows")
+        n = len(H) if rows is None else len(rows)
+        step = self.block_rows
+        buf = None if rows is None else np.empty((min(step, n), self.hidden_width))
+        for start in range(0, n, step):
+            stop = min(start + step, n)
+            if rows is None:
+                yield start, stop, H[start:stop]
+            else:
+                # mode="clip" writes straight into buf; "raise" would buffer a copy
+                out = buf[:stop - start]
+                np.take(H, rows[start:stop], axis=0, out=out, mode="clip")
+                yield start, stop, out
 
     def fit(self, X, y, sample_weight=None):
-        H = self._hidden(X)
-        y = np.asarray(y, dtype=np.int64)
-        if len(y) != len(H):
-            raise ValueError("label length does not match row count")
-        w = np.ones(len(H)) if sample_weight is None else np.asarray(sample_weight, dtype=np.float64)
-        if len(w) != len(H):
-            raise ValueError("sample_weight length does not match row count")
-        Y = one_hot(y, self.class_count)
-        Hw = H * w[:, None]
-        gram = H.T @ Hw + self.ridge_lambda * np.eye(self.hidden_width)
-        target = Hw.T @ Y
-        self.weights = np.linalg.solve(gram, target)
+        return self.fit_embedded(self.embed(X), y, sample_weight)
+
+    def fit_embedded(self, H, y, sample_weight=None, rows=None):
+        self.weights = np.linalg.solve(*self._normal_equations(H, y, sample_weight, rows))
         return self
 
-    def predict_proba(self, X):
+    def _normal_equations(self, H, y, sample_weight, rows):
+        """The ridge gram ``H'WH + lambda*I`` and target ``H'WY`` over the chosen rows."""
+        n = len(H) if rows is None else len(rows)
+        y = np.asarray(y, dtype=np.int64)
+        if len(y) != n:
+            raise ValueError("label length does not match row count")
+        w = np.ones(n) if sample_weight is None else np.asarray(sample_weight, dtype=np.float64)
+        if len(w) != n:
+            raise ValueError("sample_weight length does not match row count")
+        gram = np.zeros((self.hidden_width, self.hidden_width))
+        target = np.zeros((self.hidden_width, self.class_count))
+        weighted = np.empty((min(self.block_rows, n), self.hidden_width))
+        for start, stop, Hb in self._blocks(H, rows):
+            Hw = np.multiply(Hb, w[start:stop, None], out=weighted[:stop - start])
+            gram += Hb.T @ Hw
+            target += Hw.T @ one_hot(y[start:stop], self.class_count)
+        gram += self.ridge_lambda * np.eye(self.hidden_width)
+        return gram, target
+
+    def _scores(self, H, rows=None) -> np.ndarray:
         if self.weights is None:
             raise ValueError("model is not fitted")
-        scores = self._hidden(X) @ self.weights
-        return softmax(scores / self.temperature)
+        scores = np.empty((len(H) if rows is None else len(rows), self.class_count))
+        for start, stop, Hb in self._blocks(H, rows):
+            np.matmul(Hb, self.weights, out=scores[start:stop])
+        return scores
+
+    def predict_proba(self, X):
+        return self.predict_proba_embedded(self.embed(X))
+
+    def predict_proba_embedded(self, H, rows=None):
+        return softmax(self._scores(H, rows) / self.temperature)
 
     def decision_scores(self, X: np.ndarray) -> np.ndarray:
         """Raw ridge outputs (one column per class) before calibration."""
-        if self.weights is None:
-            raise ValueError("model is not fitted")
-        return self._hidden(X) @ self.weights
+        return self._scores(self.embed(X))
 
     def to_json(self) -> str:
         doc = {

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -549,11 +549,19 @@ def default_config(method: str, k: int | None = None, seed: int = 0):
 
 def fit_cluster(method: str, X: np.ndarray, cfg=None, k: int | None = None,
                 seed: int = 0) -> ClusterModel:
-    """Dispatch a fit by method tag. Every call is counted for instrumentation."""
+    """Dispatch a fit by method tag. Every call is counted for instrumentation.
+
+    Without ``cfg`` the method's defaults are used. ``k`` fills the cluster
+    counts (``k``, ``global_k``) the config leaves unset, on a copy: this is
+    the one place those defaults are resolved.
+    """
     global _FIT_CALLS
     _FIT_CALLS += 1
     if cfg is None:
-        cfg = default_config(method, k=k, seed=seed)
+        cfg = default_config(method, seed=seed)
+    if k is not None:
+        unset = [f for f in ("k", "global_k") if getattr(cfg, f, "absent") is None]
+        cfg = replace(cfg, **dict.fromkeys(unset, k))
     if method == "kmeans":
         return kmeans_fit(X, cfg)
     if method == "minibatch_kmeans":

@@ -4,8 +4,10 @@ variant that feeds certainty-ordered batches into a growing pseudo-label pool.
 Both loops share one round structure. Round 0 fits on the labeled data only;
 every later round predicts over the current pool, keeps members whose
 confidence clears the threshold, refits on labeled + selected pseudo-labeled
-rows, and evaluates. The incremental loop clusters the unlabeled data exactly
-once up front to build its query list.
+rows, and evaluates. The backbone embeds the labeled and unlabeled rows once,
+at the start of the timed loop; rounds fit and score on that cache. The
+incremental loop clusters the unlabeled data exactly once up front to build
+its query list.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from __future__ import annotations
 import csv
 import io
 import time
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -126,7 +128,7 @@ class PseudoPool:
 class TrainingTrajectory:
     """Per-round record of one training run plus totals.
 
-    ``cum_seconds`` accumulates loop time (fit + predict + evaluate);
+    ``cum_seconds`` accumulates loop time (embed + fit + predict + evaluate);
     clustering time is kept apart in ``cluster_seconds`` so reports can
     isolate it the way the benchmark tables do.
     """
@@ -221,13 +223,15 @@ def read_trajectory_csv(path: str) -> TrainingTrajectory:
 
 def pseudo_label_pool(model: ClassifierModel, pool: PseudoPool, unlabeled: UnlabeledSet,
                       confidence_threshold: float, pseudo_weight: float = 1.0,
-                      freeze_labels: bool = False):
+                      freeze_labels: bool = False, embedded: np.ndarray | None = None):
     """Predict over the pool and keep members clearing the confidence threshold.
 
     Pool labels and confidences are refreshed from the current model on every
     call (unless frozen at first sight), including for members that fall
-    below the threshold. Returns ids in ascending order so downstream
-    training sees a canonical row order.
+    below the threshold. Members are scored from ``embedded``, which is
+    ``model.embed(unlabeled.features)`` and is computed here when not given.
+    Returns ids in ascending order so downstream training sees a canonical
+    row order.
     """
     if len(pool.ids) != unlabeled.n_u or (
             pool.ids is not unlabeled.ids and not np.array_equal(pool.ids, unlabeled.ids)):
@@ -237,7 +241,9 @@ def pseudo_label_pool(model: ClassifierModel, pool: PseudoPool, unlabeled: Unlab
         return (np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64),
                 np.empty(0, dtype=np.float64))
 
-    proba = model.predict_proba(unlabeled.features[members])
+    if embedded is None:
+        embedded = model.embed(unlabeled.features)
+    proba = model.predict_proba_embedded(embedded, members)
     rows, conf, labels = members, proba.max(axis=1), proba.argmax(axis=1)
     if freeze_labels:
         fresh = pool.labels[members] < 0
@@ -315,7 +321,9 @@ def _run_rounds(labeled: LabeledSet, unlabeled: UnlabeledSet, test: Dataset,
         traj.cum_seconds.append(time.perf_counter() - start)
 
     try:
-        backbone.fit(labeled.features, labeled.labels, np.ones(n_l))
+        # the frozen per-row features, once per run: rounds index into them
+        H = backbone.embed(np.vstack([labeled.features, unlabeled.features]))
+        backbone.fit_embedded(H[:n_l], labeled.labels, np.ones(n_l))
     except ValueError as exc:
         traj.failed_round, traj.failure_message = 0, str(exc)
         raise TrainingRoundError(0, traj, str(exc)) from exc
@@ -326,12 +334,12 @@ def _run_rounds(labeled: LabeledSet, unlabeled: UnlabeledSet, test: Dataset,
             pool.admit(batches[t], t)
         sel_ids, sel_labels, sel_weights = pseudo_label_pool(
             backbone, pool, unlabeled, cfg.confidence_threshold,
-            cfg.pseudo_weight, cfg.freeze_labels)
-        X = np.vstack([labeled.features, unlabeled.features[pool.rows_of(sel_ids)]])
+            cfg.pseudo_weight, cfg.freeze_labels, embedded=H[n_l:])
+        rows = np.concatenate([np.arange(n_l), n_l + pool.rows_of(sel_ids)])
         y = np.concatenate([labeled.labels, sel_labels])
         w = np.concatenate([np.ones(n_l), sel_weights])
         try:
-            backbone.fit(X, y, w)
+            backbone.fit_embedded(H, y, w, rows)
         except ValueError as exc:
             traj.failed_round, traj.failure_message = t, str(exc)
             raise TrainingRoundError(t, traj, str(exc)) from exc
@@ -367,12 +375,7 @@ def ist_train(labeled: LabeledSet, unlabeled: UnlabeledSet, test: Dataset,
     cfg.resolved_rounds()
 
     scaled, _ = standardize(unlabeled.features)
-    cluster_cfg = cfg.cluster_config
-    if cluster_cfg is not None:
-        # cluster counts left unset default to the class count, on a copy
-        unset = [f for f in ("k", "global_k") if getattr(cluster_cfg, f, "absent") is None]
-        cluster_cfg = replace(cluster_cfg, **dict.fromkeys(unset, labeled.class_count))
-    model = fit_cluster(cfg.cluster_method, scaled, cluster_cfg,
+    model = fit_cluster(cfg.cluster_method, scaled, cfg.cluster_config,
                         k=labeled.class_count, seed=cfg.seed)
     qlist = build_query_list(model, unlabeled, cfg.certainty_norm)
     batches = partition_batches(qlist, cfg.schedule)

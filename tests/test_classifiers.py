@@ -271,3 +271,64 @@ class TestProbabilityRows:
         model = SoftmaxSGD(3, 3, epochs=2, seed=1).fit(X, y)
         np.testing.assert_array_equal(model.confidence(X),
                                       model.predict_proba(X).max(axis=1))
+
+
+def _backbone_pair(kind):
+    """Two identically built backbones, so stateful fits can be compared."""
+    if kind == "ridge":
+        return [RandomFeatureRidge(3, 4, hidden_width=16, seed=2) for _ in range(2)]
+    return [SoftmaxSGD(3, 4, epochs=3, hidden_width=None if kind == "sgd" else 8, seed=2)
+            for _ in range(2)]
+
+
+class TestEmbeddedContract:
+    @pytest.mark.parametrize("kind", ["ridge", "sgd", "sgd-hidden"])
+    def test_raw_entry_points_equal_embedded_ones(self, kind):
+        rng = np.random.default_rng(11)
+        X = rng.normal(size=(40, 4))
+        y = rng.integers(0, 3, 40)
+        w = rng.uniform(0.2, 1.0, 40)
+        raw, cached = _backbone_pair(kind)
+        raw.fit(X, y, w)
+        cached.fit_embedded(cached.embed(X), y, w)
+        assert np.array_equal(raw.weights, cached.weights)
+        assert np.array_equal(raw.predict_proba(X),
+                              cached.predict_proba_embedded(cached.embed(X)))
+
+    @pytest.mark.parametrize("kind", ["ridge", "sgd"])
+    def test_rows_equal_gathered_rows(self, kind):
+        rng = np.random.default_rng(12)
+        by_rows, gathered = _backbone_pair(kind)
+        H = by_rows.embed(rng.normal(size=(30, 4)))
+        rows = rng.integers(0, 30, 45)
+        y = rng.integers(0, 3, 45)
+        w = rng.uniform(0.2, 1.0, 45)
+        by_rows.fit_embedded(H, y, w, rows)
+        gathered.fit_embedded(H[rows], y, w)
+        assert np.array_equal(by_rows.weights, gathered.weights)
+        assert np.array_equal(by_rows.predict_proba_embedded(H, rows),
+                              gathered.predict_proba_embedded(H[rows]))
+
+    def test_ridge_embed_is_the_tanh_map(self):
+        model = RandomFeatureRidge(2, 3, hidden_width=8, seed=4)
+        X = np.random.default_rng(13).normal(size=(10, 3))
+        assert np.array_equal(model.embed(X), np.tanh(X @ model.projection + model.bias))
+
+    @pytest.mark.parametrize("kind", ["ridge", "sgd"])
+    def test_wrong_embedded_width_rejected(self, kind):
+        model = _backbone_pair(kind)[0]
+        width = model.hidden_width if kind == "ridge" else model.input_dim
+        good = model.embed(np.zeros((5, 4)))
+        model.fit_embedded(good, np.array([0, 1, 2, 0, 1]))
+        for bad in (np.zeros((5, width + 1)), np.zeros((5, width - 1))):
+            with pytest.raises(ValueError, match="features"):
+                model.fit_embedded(bad, np.array([0, 1, 2, 0, 1]))
+            with pytest.raises(ValueError, match="features"):
+                model.predict_proba_embedded(bad, np.array([0, 2]))
+
+    def test_ridge_rows_out_of_range_rejected(self):
+        model = RandomFeatureRidge(2, 3, hidden_width=8, seed=4)
+        H = model.embed(np.zeros((4, 3)))
+        for rows in ([0, 4], [-1, 0]):
+            with pytest.raises(IndexError):
+                model.fit_embedded(H, [0, 1], None, np.array(rows))

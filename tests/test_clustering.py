@@ -367,3 +367,12 @@ class TestDispatch:
     def test_unknown_method_rejected(self):
         with pytest.raises(ValueError, match="unknown clustering method"):
             fit_cluster("fuzzy_cmeans", np.ones((5, 2)))
+
+    def test_k_fills_only_unset_counts_on_a_copy(self):
+        X = np.random.default_rng(1).normal(size=(60, 2))
+        for method, cfg in (("kmeans", KMeansConfig(seed=0)),
+                            ("minibatch_kmeans", MiniBatchKMeansConfig(seed=0)),
+                            ("birch", BirchConfig(seed=0))):
+            assert fit_cluster(method, X, cfg, k=3).k == 3
+            assert getattr(cfg, "k", None) is None and getattr(cfg, "global_k", None) is None
+        assert fit_cluster("kmeans", X, KMeansConfig(k=2, seed=0), k=3).k == 2

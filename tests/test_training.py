@@ -1,4 +1,6 @@
 import copy
+import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -470,3 +472,88 @@ class TestTrajectoryIO:
         assert doc["total_processed"] == sum(traj.processed)
         assert doc["rounds"] == 3
         assert doc["config"] == {"note": "test"}
+
+
+class CountingBackbone(ClassifierModel):
+    """Stub with the default identity ``embed``, recording every call to it.
+
+    Each embed call is logged as (rows embedded, fits made before it). The
+    stub's own predict_proba never embeds, so the log shows the loop's calls
+    only. ``delay`` seconds are slept inside each embed.
+    """
+
+    backbone = "stub"
+
+    def __init__(self, class_count, delay=0.0):
+        self.class_count = class_count
+        self.delay = delay
+        self.embed_calls = []
+        self.fits = 0
+
+    def embed(self, X):
+        time.sleep(self.delay)
+        self.embed_calls.append((len(X), self.fits))
+        return super().embed(X)
+
+    def fit(self, X, y, sample_weight=None):
+        self.fits += 1
+        return self
+
+    def predict_proba(self, X):
+        proba = np.zeros((len(X), self.class_count))
+        proba[:, 0] = 1.0
+        return proba
+
+
+class TestEmbedOncePerRun:
+    def run(self, mode, backbone, seed=0):
+        labeled, unlabeled, test = blob_problem(seed=seed)
+        if mode == "st":
+            _, traj = st_train(labeled, unlabeled, test, backbone,
+                               SelfTrainConfig(mode="st", rounds=5, seed=seed))
+        else:
+            cfg = SelfTrainConfig(mode="ist", rounds=5, schedule=BatchSchedule(0.25, 3),
+                                  seed=seed)
+            _, traj = ist_train(labeled, unlabeled, test, backbone, cfg)
+        return labeled, unlabeled, test, traj
+
+    @pytest.mark.parametrize("mode", ["st", "ist"])
+    def test_embed_called_once_before_the_rounds(self, mode):
+        backbone = CountingBackbone(4)
+        labeled, unlabeled, _, traj = self.run(mode, backbone)
+        assert backbone.embed_calls == [(labeled.n_l + unlabeled.n_u, 0)]
+        assert backbone.fits == traj.rounds_completed == 5
+
+    @pytest.mark.parametrize("mode", ["st", "ist"])
+    def test_ridge_embeds_only_test_rows_after_the_first_call(self, mode):
+        calls = []
+
+        class Ridge(RandomFeatureRidge):
+            def embed(self, X):
+                calls.append(len(X))
+                return super().embed(X)
+
+        labeled, unlabeled, test, traj = self.run(mode, Ridge(4, 2, hidden_width=16))
+        assert calls == [labeled.n_l + unlabeled.n_u] + [test.n] * traj.rounds_completed
+
+    def test_embedding_time_lands_in_round_zero(self):
+        _, _, _, traj = self.run("st", CountingBackbone(4, delay=0.3))
+        assert traj.cum_seconds[0] >= 0.3
+
+    def test_rounds_allocate_no_pool_sized_copy(self):
+        ds = make_blobs(4, 2500, 2, 0.8, 7)
+        labeled, unlabeled, test = split_ssl(ds, 4, 0.02, 7)
+        width = 256
+        cached = (labeled.n_l + unlabeled.n_u) * width * 8
+        backbone = RandomFeatureRidge(4, 2, hidden_width=width, seed=7)
+        backbone.block_rows = 512
+        tracemalloc.start()
+        try:
+            st_train(labeled, unlabeled, test, backbone,
+                     SelfTrainConfig(mode="st", rounds=4, confidence_threshold=0.0, seed=7))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # the cache plus block-sized buffers; one more pool-sized matrix (a
+        # gathered or weighted copy, or the map recomputed) would double it
+        assert peak < 1.5 * cached
