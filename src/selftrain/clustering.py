@@ -28,7 +28,9 @@ class ClusterModel:
     """Fitted clustering: centroids plus per-point assignment and distance.
 
     ``inertia_history`` records the inertia after every assignment pass for
-    iterative fits (k-means); it is diagnostic and not serialized.
+    iterative fits (k-means). ``converged`` says whether an iterative fit
+    stopped on its own criterion (True) or ran out of ``max_iter`` (False);
+    it is None for the other methods. Both are diagnostic and not serialized.
     """
 
     method: str
@@ -38,6 +40,7 @@ class ClusterModel:
     inertia: float
     fit_seconds: float
     inertia_history: list[float] = field(default_factory=list)
+    converged: bool | None = None
 
     @property
     def k(self) -> int:
@@ -146,7 +149,10 @@ def _sq_dists_to(rows: np.ndarray, X: np.ndarray) -> np.ndarray:
     """Squared distances from each row to every point of X, via the gram identity.
 
     Avoids materializing a (rows, n, d) cube; tiny negative round-off is
-    clipped. Good for neighborhood thresholding, not for exact tie-breaking.
+    clipped. Each value carries round-off up to about ``d * eps`` times
+    ``|row|^2 + |x|^2``, which is fine for neighborhood thresholding. Where
+    the exact argmin matters, :func:`_nearest` certifies the gram identity's
+    answer against that bound and rechecks the rows it cannot certify.
     """
     d2 = (rows * rows).sum(1)[:, None] + (X * X).sum(1)[None, :] - 2.0 * (rows @ X.T)
     np.maximum(d2, 0.0, out=d2)
@@ -154,16 +160,70 @@ def _sq_dists_to(rows: np.ndarray, X: np.ndarray) -> np.ndarray:
 
 
 def _nearest(X: np.ndarray, centroids: np.ndarray, chunk: int = 2048):
-    """Nearest centroid per row, ties to the lowest centroid index."""
-    n = X.shape[0]
+    """Nearest centroid per row, ties to the lowest centroid index.
+
+    Exactness contract: assignments and distances are bit-identical to the
+    brute force ``d2 = ((rows[:, None, :] - centroids[None]) ** 2).sum(-1)``,
+    ``a = argmin(d2, 1)``, ``sqrt(d2[i, a[i]])``, ties included.
+
+    Each chunk costs one GEMM. The gram identity gives ``p = |c|^2 - 2 x.c``,
+    the squared distance less the row's own ``|x|^2`` (the same for every
+    centroid), and its argmin ``j``. With ``s = |x|^2 + |c|^2`` and
+    ``u = eps / 2``, in whatever order the BLAS sums:
+
+    - ``|c|^2`` errs by at most ``d u |c|^2`` and ``2 x.c`` by at most
+      ``2 d u |x||c| <= d u s``; the final addition adds ``u |p| <= 2 u s``;
+      so ``p`` is within ``(d + 1) eps s`` of its exact value;
+    - the brute force's squared distance (a rounded difference, squared,
+      summed over ``d`` terms) is within ``(d + 2) u D`` of the exact ``D``,
+      and ``D <= 2 s``, so within ``(d + 2) eps s``.
+
+    Less ``|x|^2``, the brute force's value is within ``2 (d + 2) eps s`` of
+    ``p``. The bound ``e = 8 (d + 2) eps s`` leaves a factor of four for
+    second-order terms, for the computed norms inside ``s`` and for the
+    rounding of the check itself; the smallest normal float added on top
+    covers underflow, where each operation errs by at most half a subnormal
+    instead. A row is certain when every other centroid's ``p - e`` lies
+    strictly above ``p_j + e_j``: then ``j`` is the brute force's unique
+    minimum.
+
+    The rows left (near-ties, duplicate centroids, a large common offset
+    that the identity cancels, NaN) get exact squared distances to every
+    centroid and their argmin. Every row's distance is then recomputed
+    exactly as ``sqrt(((x - c_j) ** 2).sum())``, the brute force's own sum
+    over the contiguous last axis.
+    """
+    n, d = X.shape
     assignments = np.empty(n, dtype=np.int64)
     distances = np.empty(n, dtype=np.float64)
+    c_sq = np.einsum("ij,ij->i", centroids, centroids)
+    minus_2ct = -2.0 * centroids.T
+    slack = 8.0 * (d + 2) * np.finfo(np.float64).eps
+    c_slack = slack * c_sq
+    tiny = np.finfo(np.float64).tiny
+    diff = np.empty((min(chunk, n), d))  # reused: a fresh array per chunk costs page faults
     for start in range(0, n, chunk):
         rows = X[start:start + chunk]
-        d2 = ((rows[:, None, :] - centroids[None, :, :]) ** 2).sum(-1)
-        a = np.argmin(d2, axis=1)
+        r = np.arange(len(rows))
+        p = rows @ minus_2ct
+        p += c_sq
+        a = p.argmin(axis=1)
+        # p_l - e_l > p_j + e_j for l != j, the row's share of both e moved right
+        x_slack = slack * np.einsum("ij,ij->i", rows, rows) + tiny
+        upper = p[r, a] + c_slack[a] + 2.0 * x_slack
+        p -= c_slack
+        p[r, a] = np.inf
+        unsure = np.flatnonzero(~(p[r, p.argmin(axis=1)] > upper))
+        if len(unsure):
+            sub = rows[unsure]
+            exact = np.empty((len(unsure), len(centroids)))
+            for j, c in enumerate(centroids):
+                exact[:, j] = ((sub - c) ** 2).sum(1)
+            a[unsure] = exact.argmin(axis=1)
+        sq = np.subtract(rows, centroids[a], out=diff[:len(rows)])
+        np.square(sq, out=sq)
         assignments[start:start + chunk] = a
-        distances[start:start + chunk] = np.sqrt(d2[np.arange(len(rows)), a])
+        distances[start:start + chunk] = np.sqrt(sq.sum(1))
     return assignments, distances
 
 
@@ -230,19 +290,20 @@ def kmeans_fit(X: np.ndarray, cfg: KMeansConfig) -> ClusterModel:
     assignments, distances = _nearest(X, centroids)
     inertia = float(np.sum(distances * distances))
     history = [inertia]
+    converged = False
     for _ in range(cfg.max_iter):
         centroids = _mean_update(X, assignments, distances, centroids)
         assignments, distances = _nearest(X, centroids)
         new_inertia = float(np.sum(distances * distances))
         history.append(new_inertia)
         improvement = inertia - new_inertia
-        done = inertia <= 0 or improvement <= cfg.tol * inertia
+        converged = inertia <= 0 or improvement <= cfg.tol * inertia
         inertia = new_inertia
-        if done:
+        if converged:
             break
 
     return ClusterModel("kmeans", centroids, assignments, distances, inertia,
-                        time.perf_counter() - t0, history)
+                        time.perf_counter() - t0, history, converged)
 
 
 def minibatch_kmeans_fit(X: np.ndarray, cfg: MiniBatchKMeansConfig) -> ClusterModel:
@@ -269,6 +330,7 @@ def minibatch_kmeans_fit(X: np.ndarray, cfg: MiniBatchKMeansConfig) -> ClusterMo
     smoothed = None
     best = np.inf
     stale = 0
+    converged = False
     for _ in range(cfg.max_iter):
         idx = rng.choice(n, size=batch, replace=False) if batch < n else np.arange(n)
         rows = X[idx]
@@ -289,12 +351,13 @@ def minibatch_kmeans_fit(X: np.ndarray, cfg: MiniBatchKMeansConfig) -> ClusterMo
         else:
             stale += 1
             if stale >= cfg.max_no_improve:
+                converged = True
                 break
 
     assignments, distances = _nearest(X, centroids)
     inertia = float(np.sum(distances * distances))
     return ClusterModel("minibatch_kmeans", centroids, assignments, distances, inertia,
-                        time.perf_counter() - t0)
+                        time.perf_counter() - t0, converged=converged)
 
 
 def estimate_bandwidth(X: np.ndarray, quantile: float = 0.3, subsample: int = 1000,

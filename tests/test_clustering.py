@@ -114,6 +114,18 @@ class TestKMeans:
         assert np.array_equal(a.centroids, b.centroids)
         assert np.array_equal(a.assignments, b.assignments)
 
+    def test_converged_false_when_max_iter_runs_out(self):
+        X = np.random.default_rng(5).normal(size=(60, 3))
+        model = kmeans_fit(X, KMeansConfig(k=4, seed=2, max_iter=1))
+        assert len(model.inertia_history) == 2
+        assert model.inertia_history[1] < (1 - 1e-4) * model.inertia_history[0]
+        assert model.converged is False
+
+    def test_converged_true_when_tol_stops_lloyd(self):
+        X = np.random.default_rng(5).normal(size=(60, 3))
+        model = kmeans_fit(X, KMeansConfig(k=4, seed=2))
+        assert model.converged is True
+
 
 class TestMiniBatchKMeans:
     def test_full_batch_close_to_lloyd_on_fixture(self):
@@ -144,6 +156,17 @@ class TestMiniBatchKMeans:
         model.validate(X)
         a, _ = brute_force_nearest(X, model.centroids)
         assert np.array_equal(a, model.assignments)
+
+    def test_converged_false_when_max_iter_runs_out(self):
+        X = np.random.default_rng(8).normal(size=(120, 3))
+        model = minibatch_kmeans_fit(X, MiniBatchKMeansConfig(k=4, seed=1, max_iter=1))
+        assert model.converged is False
+
+    def test_converged_true_on_the_no_improvement_stop(self):
+        # batches much smaller than the data make the batch inertia stop improving
+        X = np.random.default_rng(8).normal(size=(1000, 3))
+        model = minibatch_kmeans_fit(X, MiniBatchKMeansConfig(k=4, seed=1, batch_size=50))
+        assert model.converged is True
 
 
 class TestEstimateBandwidth:
@@ -323,6 +346,7 @@ class TestClusterModel:
         for model in fits:
             model.validate(X)
             assert model.fit_seconds >= 0.0
+        assert [m.converged for m in fits[2:]] == [None, None]
 
     def test_json_round_trip_keeps_centroids(self):
         X = np.random.default_rng(0).normal(size=(30, 2))
@@ -352,7 +376,9 @@ class TestClusterModel:
 
     def test_doc_has_expected_fields(self):
         X = np.random.default_rng(0).normal(size=(10, 2))
-        doc = json.loads(kmeans_fit(X, KMeansConfig(k=2, seed=0)).to_json())
+        model = kmeans_fit(X, KMeansConfig(k=2, seed=0))
+        assert model.converged is True
+        doc = json.loads(model.to_json())
         assert set(doc) == {"method", "centroids", "inertia", "fit_seconds"}
 
 
