@@ -11,10 +11,14 @@ from __future__ import annotations
 
 import concurrent.futures
 import csv
+import functools
+import inspect
 import io
 import json
 import os
-from dataclasses import dataclass, field
+import types
+import typing
+from dataclasses import dataclass, field, is_dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -23,7 +27,6 @@ from . import clustering
 from .classifiers import ClassifierModel, RandomFeatureRidge, SoftmaxSGD
 from .data import (Dataset, LabeledSet, UnlabeledSet, apply_standardize, load_csv,
                    load_idx, make_blobs, split_ssl, standardize)
-from .querylist import BatchSchedule
 from .training import (SelfTrainConfig, TrainingRoundError, TrainingTrajectory,
                        ist_train, st_train)
 
@@ -31,7 +34,7 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_PARTIAL = 3
 
-BACKBONE_KINDS = ("random_feature_ridge", "softmax_sgd")
+BACKBONES = {"random_feature_ridge": RandomFeatureRidge, "softmax_sgd": SoftmaxSGD}
 
 
 class ConfigError(ValueError):
@@ -55,14 +58,80 @@ class ExperimentConfig:
     raw: dict = field(repr=False, default_factory=dict)
 
 
+@functools.cache
+def _params(cls) -> dict:
+    """Constructor parameter name -> type annotation, for a class or a dataclass."""
+    hints = typing.get_type_hints(cls if is_dataclass(cls) else cls.__init__)
+    return {name: hints.get(name, object) for name in inspect.signature(cls).parameters}
+
+
+def _typed(value, hint, path: str):
+    """``value`` if it fits annotation ``hint``; a dict for a dataclass is built."""
+    union = typing.get_origin(hint) in (typing.Union, types.UnionType)
+    for t in typing.get_args(hint) if union else (hint,):
+        if is_dataclass(t):
+            if isinstance(value, dict):
+                return from_dict(t, value, path)
+        elif isinstance(value, bool):
+            if t in (bool, object):
+                return value
+        elif isinstance(value, (int, float) if t is float else t):
+            return value
+    name = hint.__name__ if isinstance(hint, type) else str(hint)
+    raise ConfigError(path, f"expected {name}, got {value!r}")
+
+
+def from_dict(cls, doc: dict, path: str, **given):
+    """Build ``cls(**doc, **given)`` from the config section at ``path``.
+
+    Allowed keys and their types come from the constructor's signature, so the
+    defaults are the class's own. Unknown keys and keys the caller fills in
+    (``given``) are rejected; ``bool`` is no number, an ``int`` passes for a
+    ``float``, ``X | None`` admits null, and a dict for a dataclass field is
+    built the same way. The constructor's ``ValueError`` becomes a ConfigError.
+    """
+    params = _params(cls)
+    kwargs = dict(given)
+    for key, value in _object(doc, path).items():
+        if key not in params or key in given:
+            allowed = sorted(params.keys() - given.keys())
+            raise ConfigError(f"{path}.{key}", f"unknown key; {cls.__name__} takes {allowed}")
+        kwargs[key] = _typed(value, params[key], f"{path}.{key}")
+    try:
+        return cls(**kwargs)
+    except ValueError as exc:
+        raise ConfigError(path, str(exc)) from None
+
+
 def _require(doc: dict, key: str, path: str):
     if key not in doc:
         raise ConfigError(f"{path}.{key}", "missing required field")
     return doc[key]
 
 
-def _check_number(value, path: str, *, integer=False, minimum=None, maximum=None,
-                  exclusive_min=None):
+def _object(value, path: str, allowed=None) -> dict:
+    """``value`` if it is a JSON object with no key outside ``allowed`` (if given)."""
+    if not isinstance(value, dict):
+        raise ConfigError(path, f"expected an object, got {value!r}")
+    for key in value:
+        if allowed is not None and key not in allowed:
+            raise ConfigError(f"{path}.{key}", f"unknown key; allowed: {sorted(allowed)}")
+    return value
+
+
+def _list(value, path: str, valid, what: str) -> list:
+    """A copy of ``value`` if it is a non-empty list of distinct ``valid`` items."""
+    if not isinstance(value, list) or not value:
+        raise ConfigError(path, f"expected a non-empty list of {what}")
+    for i, item in enumerate(value):
+        if not valid(item):
+            raise ConfigError(f"{path}[{i}]", f"expected {what}, got {item!r}")
+        if item in value[:i]:
+            raise ConfigError(f"{path}[{i}]", f"duplicate {item!r}")
+    return list(value)
+
+
+def _check_number(value, path: str, *, integer=False, minimum=None, exclusive_min=None):
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(path, f"expected a number, got {value!r}")
     if integer and not isinstance(value, int):
@@ -71,43 +140,47 @@ def _check_number(value, path: str, *, integer=False, minimum=None, maximum=None
         raise ConfigError(path, f"must be >= {minimum}, got {value}")
     if exclusive_min is not None and value <= exclusive_min:
         raise ConfigError(path, f"must be > {exclusive_min}, got {value}")
-    if maximum is not None and value > maximum:
-        raise ConfigError(path, f"must be <= {maximum}, got {value}")
     return value
 
 
-def validate_config(doc: dict) -> ExperimentConfig:
-    """Validate a raw config document; raises ConfigError with a field path."""
-    if not isinstance(doc, dict):
-        raise ConfigError("$", "config must be a JSON object")
+DATASET_KEYS = {"blobs": ("class_count", "per_class", "dims", "spread", "min_separation"),
+                "csv": ("path", "label_column"), "idx": ("images_path", "labels_path")}
+BLOBS_NUMBERS = {"class_count": {"integer": True, "minimum": 2},
+                 "per_class": {"integer": True, "minimum": 1},
+                 "dims": {"integer": True, "minimum": 1}, "spread": {"exclusive_min": 0.0}}
 
-    dataset = _require(doc, "dataset", "$")
+
+def validate_config(doc: dict) -> ExperimentConfig:
+    """Validate a raw config document; raises ConfigError with a field path.
+
+    The backbone and every self-training and cluster section the config names
+    are built once here, by the same code that builds them for each cell.
+    """
+    _object(doc, "$", ("dataset", "split", "backbone", "selftrain", "clustering", "seeds",
+                       "output_dir"))
+    dataset = _object(_require(doc, "dataset", "$"), "$.dataset")
     source = _require(dataset, "source", "$.dataset")
+    if not isinstance(source, str) or source not in DATASET_KEYS:
+        raise ConfigError("$.dataset.source", f"unknown source {source!r}")
+    _object(dataset, "$.dataset", ("source", "max_rows", "standardize") + DATASET_KEYS[source])
+    if dataset.get("max_rows") is not None:
+        _check_number(dataset["max_rows"], "$.dataset.max_rows", integer=True, minimum=1)
+    if not isinstance(dataset.get("standardize", False), bool):
+        raise ConfigError("$.dataset.standardize",
+                          f"expected bool, got {dataset['standardize']!r}")
     if source == "blobs":
-        _check_number(_require(dataset, "class_count", "$.dataset"),
-                      "$.dataset.class_count", integer=True, minimum=2)
-        _check_number(_require(dataset, "per_class", "$.dataset"),
-                      "$.dataset.per_class", integer=True, minimum=1)
-        _check_number(_require(dataset, "dims", "$.dataset"),
-                      "$.dataset.dims", integer=True, minimum=1)
-        _check_number(_require(dataset, "spread", "$.dataset"),
-                      "$.dataset.spread", exclusive_min=0.0)
+        for key, rule in BLOBS_NUMBERS.items():
+            _check_number(_require(dataset, key, "$.dataset"), f"$.dataset.{key}", **rule)
         if dataset.get("min_separation") is not None:
             _check_number(dataset["min_separation"], "$.dataset.min_separation",
                           exclusive_min=0.0)
-    elif source == "csv":
-        path = _require(dataset, "path", "$.dataset")
-        if not Path(path).exists():
-            raise ConfigError("$.dataset.path", f"file does not exist: {path}")
-    elif source == "idx":
-        for key in ("images_path", "labels_path"):
+    else:
+        for key in ("path",) if source == "csv" else ("images_path", "labels_path"):
             path = _require(dataset, key, "$.dataset")
             if not Path(path).exists():
                 raise ConfigError(f"$.dataset.{key}", f"file does not exist: {path}")
-    else:
-        raise ConfigError("$.dataset.source", f"unknown source {source!r}")
 
-    split = _require(doc, "split", "$")
+    split = _object(_require(doc, "split", "$"), "$.split", ("labels_per_class", "test_fraction"))
     _check_number(_require(split, "labels_per_class", "$.split"),
                   "$.split.labels_per_class", integer=True, minimum=1)
     tf = _check_number(_require(split, "test_fraction", "$.split"),
@@ -115,65 +188,28 @@ def validate_config(doc: dict) -> ExperimentConfig:
     if tf >= 1.0:
         raise ConfigError("$.split.test_fraction", f"must be < 1, got {tf}")
 
-    backbone = _require(doc, "backbone", "$")
-    kind = _require(backbone, "kind", "$.backbone")
-    if kind not in BACKBONE_KINDS:
-        raise ConfigError("$.backbone.kind",
-                          f"unknown backbone {kind!r}; implemented: {BACKBONE_KINDS}")
-    if kind == "random_feature_ridge":
-        _check_number(backbone.get("hidden_width", 512), "$.backbone.hidden_width",
-                      integer=True, minimum=1)
-        _check_number(backbone.get("ridge_lambda", 1e-2), "$.backbone.ridge_lambda",
-                      exclusive_min=0.0)
-        _check_number(backbone.get("temperature", 0.2), "$.backbone.temperature",
-                      exclusive_min=0.0)
-    else:
-        _check_number(backbone.get("learning_rate", 0.03), "$.backbone.learning_rate",
-                      exclusive_min=0.0)
-        _check_number(backbone.get("batch_size", 64), "$.backbone.batch_size",
-                      integer=True, minimum=1)
-        _check_number(backbone.get("epochs", 20), "$.backbone.epochs",
-                      integer=True, minimum=0)
+    backbone = _object(_require(doc, "backbone", "$"), "$.backbone")
+    st = _object(_require(doc, "selftrain", "$"), "$.selftrain")
+    cl = _object(_require(doc, "clustering", "$"), "$.clustering",
+                 ("methods",) + clustering.METHODS)
+    methods = _list(_require(cl, "methods", "$.clustering"), "$.clustering.methods",
+                    clustering.METHODS.__contains__, f"methods in {clustering.METHODS}")
+    seeds = _list(_require(doc, "seeds", "$"), "$.seeds",
+                  lambda s: isinstance(s, int) and not isinstance(s, bool), "integers")
 
-    st = _require(doc, "selftrain", "$")
-    schedule = st.get("schedule", {})
-    try:
-        sched = BatchSchedule(schedule.get("initial_fraction", 0.2),
-                              schedule.get("rounds", 8),
-                              schedule.get("growth", "equal"))
-    except ValueError as exc:
-        raise ConfigError("$.selftrain.schedule", str(exc)) from None
-    rounds = st.get("rounds", sched.rounds + 4)
-    _check_number(rounds, "$.selftrain.rounds", integer=True, minimum=sched.rounds + 1)
-    _check_number(st.get("confidence_threshold", 0.95),
-                  "$.selftrain.confidence_threshold", minimum=0.0, maximum=1.0)
-    _check_number(st.get("pseudo_weight", 1.0), "$.selftrain.pseudo_weight",
-                  exclusive_min=0.0, maximum=1.0)
-
-    cl = _require(doc, "clustering", "$")
-    methods = _require(cl, "methods", "$.clustering")
-    if not isinstance(methods, list) or not methods:
-        raise ConfigError("$.clustering.methods", "expected a non-empty list")
-    for i, m in enumerate(methods):
-        if m not in clustering.METHODS:
-            raise ConfigError(f"$.clustering.methods[{i}]",
-                              f"unknown method {m!r}; implemented: {clustering.METHODS}")
-
-    seeds = _require(doc, "seeds", "$")
-    if not isinstance(seeds, list) or not seeds:
-        raise ConfigError("$.seeds", "expected a non-empty list of integers")
-    for i, s in enumerate(seeds):
-        if not isinstance(s, int) or isinstance(s, bool):
-            raise ConfigError(f"$.seeds[{i}]", f"expected an integer, got {s!r}")
-
-    output_dir = doc.get("output_dir", "results")
-    return ExperimentConfig(dataset=dataset, split=split, backbone=backbone,
-                            selftrain=st, methods=list(methods),
-                            cluster_options={m: cl.get(m, {}) for m in clustering.METHODS},
-                            seeds=list(seeds), output_dir=output_dir, raw=doc)
+    config = ExperimentConfig(dataset=dataset, split=split, backbone=backbone, selftrain=st,
+                              methods=methods,
+                              cluster_options={m: cl.get(m, {}) for m in clustering.METHODS},
+                              seeds=seeds, output_dir=doc.get("output_dir", "results"),
+                              raw=doc)
+    make_backbone(backbone, 2, 1, 0)
+    for m in dict.fromkeys(methods + [m for m in clustering.METHODS if m in cl]):
+        make_selftrain_config(config, "ist", m, 0)
+    return config
 
 
-def load_config(path: str) -> ExperimentConfig:
+def read_config(path: str) -> dict:
+    """The JSON object in the file at ``path``, not yet validated."""
     try:
         with open(path, encoding="utf-8") as fh:
             doc = json.load(fh)
@@ -181,7 +217,13 @@ def load_config(path: str) -> ExperimentConfig:
         raise ConfigError("$", f"cannot read config: {exc}") from None
     except json.JSONDecodeError as exc:
         raise ConfigError("$", f"invalid JSON at line {exc.lineno}: {exc.msg}") from None
-    return validate_config(doc)
+    if not isinstance(doc, dict):
+        raise ConfigError("$", "config must be a JSON object")
+    return doc
+
+
+def load_config(path: str) -> ExperimentConfig:
+    return validate_config(read_config(path))
 
 
 def build_dataset(spec: dict, seed: int) -> Dataset:
@@ -200,63 +242,33 @@ def build_dataset(spec: dict, seed: int) -> Dataset:
 
 
 def make_backbone(spec: dict, class_count: int, input_dim: int, seed: int) -> ClassifierModel:
-    if spec["kind"] == "random_feature_ridge":
-        return RandomFeatureRidge(class_count, input_dim,
-                                  hidden_width=spec.get("hidden_width", 512),
-                                  ridge_lambda=spec.get("ridge_lambda", 1e-2),
-                                  temperature=spec.get("temperature", 0.2),
-                                  seed=seed)
-    return SoftmaxSGD(class_count, input_dim,
-                      learning_rate=spec.get("learning_rate", 0.03),
-                      batch_size=spec.get("batch_size", 64),
-                      epochs=spec.get("epochs", 20),
-                      warm_start=spec.get("warm_start", True),
-                      hidden_width=spec.get("hidden_width"),
-                      seed=seed)
-
-
-def _cluster_config(method: str, options: dict, seed: int):
-    opts = dict(options or {})
-    if method == "kmeans":
-        return clustering.KMeansConfig(k=opts.get("k"), max_iter=opts.get("max_iter", 300),
-                                       tol=opts.get("tol", 1e-4),
-                                       init=opts.get("init", "kmeanspp"), seed=seed)
-    if method == "minibatch_kmeans":
-        return clustering.MiniBatchKMeansConfig(
-            k=opts.get("k"), max_iter=opts.get("max_iter", 300),
-            tol=opts.get("tol", 1e-4), init=opts.get("init", "kmeanspp"), seed=seed,
-            batch_size=opts.get("batch_size", 256),
-            max_no_improve=opts.get("max_no_improve", 10))
-    if method == "meanshift":
-        return clustering.MeanShiftConfig(
-            bandwidth=opts.get("bandwidth"), merge_tol=opts.get("merge_tol", 0.5),
-            max_iter=opts.get("max_iter", 300), subsample=opts.get("subsample", 1000),
-            shift_subsample=opts.get("shift_subsample", 1000), seed=seed)
-    return clustering.BirchConfig(branching_factor=opts.get("branching_factor", 50),
-                                  threshold=opts.get("threshold"),
-                                  global_k=opts.get("global_k"), seed=seed)
+    """The backbone ``spec["kind"]`` names; keys only the other kinds take are dropped."""
+    kind = _require(spec, "kind", "$.backbone")
+    if not isinstance(kind, str) or kind not in BACKBONES:
+        raise ConfigError("$.backbone.kind",
+                          f"unknown backbone {kind!r}; implemented: {tuple(BACKBONES)}")
+    cls = BACKBONES[kind]
+    known = {"kind"}.union(*map(_params, BACKBONES.values()))
+    own = {key: value for key, value in spec.items()
+           if key in _params(cls) or key not in known}
+    return from_dict(cls, own, "$.backbone", class_count=class_count, input_dim=input_dim,
+                     seed=seed)
 
 
 def make_selftrain_config(config: ExperimentConfig, mode: str, method: str | None,
                           seed: int) -> SelfTrainConfig:
-    st = config.selftrain
-    schedule = st.get("schedule", {})
-    sched = BatchSchedule(schedule.get("initial_fraction", 0.2),
-                          schedule.get("rounds", 8), schedule.get("growth", "equal"))
-    cluster_cfg = None
+    """One cell's self-training config, with its rounds resolved as for IST.
+
+    An ST cell gets the schedule and rounds an IST cell would get.
+    """
+    cluster = None
     if mode == "ist":
-        cluster_cfg = _cluster_config(method, config.cluster_options.get(method, {}),
-                                      seed)
-    return SelfTrainConfig(mode=mode,
-                           rounds=st.get("rounds", sched.rounds + 4),
-                           confidence_threshold=st.get("confidence_threshold", 0.95),
-                           pseudo_weight=st.get("pseudo_weight", 1.0),
-                           schedule=sched,
-                           cluster_method=method if mode == "ist" else None,
-                           cluster_config=cluster_cfg,
-                           certainty_norm=st.get("certainty_norm", "global"),
-                           freeze_labels=st.get("freeze_labels", False),
-                           seed=seed)
+        cluster = from_dict(clustering.CONFIGS[method], config.cluster_options[method],
+                            f"$.clustering.{method}", seed=seed)
+    cfg = from_dict(SelfTrainConfig, config.selftrain, "$.selftrain", mode="ist",
+                    cluster_method=method, cluster_config=cluster, seed=seed)
+    as_st = {} if mode == "ist" else {"mode": mode, "cluster_method": None}
+    return replace(cfg, rounds=cfg.resolved_rounds(), **as_st)
 
 
 def _prepare_split(config: ExperimentConfig, seed: int):
@@ -348,20 +360,13 @@ class ComparisonReport:
         }
 
     def to_csv_text(self) -> str:
-        buf = io.StringIO()
-        writer = csv.writer(buf)
-        writer.writerow(["method", "seed", "status", "final_accuracy",
-                         "total_processed", "total_seconds", "cluster_seconds", "error"])
-        for c in self.cells:
-            writer.writerow([
-                c.method, c.seed, c.status,
-                "" if c.final_accuracy is None else repr(c.final_accuracy),
-                "" if c.total_processed is None else c.total_processed,
-                "" if c.total_seconds is None else repr(c.total_seconds),
-                "" if c.cluster_seconds is None else repr(c.cluster_seconds),
-                c.error or "",
-            ])
-        return buf.getvalue()
+        return _csv_text(
+            ["method", "seed", "status", "final_accuracy", "total_processed",
+             "total_seconds", "cluster_seconds", "error"],
+            ([c.method, c.seed, c.status, _repr_or_blank(c.final_accuracy),
+              "" if c.total_processed is None else c.total_processed,
+              _repr_or_blank(c.total_seconds), _repr_or_blank(c.cluster_seconds),
+              c.error or ""] for c in self.cells))
 
 
 def read_report_csv(path: str) -> ComparisonReport:
@@ -389,6 +394,18 @@ def report_deterministic_view(doc: dict) -> dict:
         return obj
 
     return strip(doc)
+
+
+def _repr_or_blank(value) -> str:
+    return "" if value is None else repr(value)
+
+
+def _csv_text(header: list[str], rows) -> str:
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    writer.writerow(header)
+    writer.writerows(rows)
+    return buf.getvalue()
 
 
 def _atomic_write(path: Path, text: str) -> None:
@@ -443,28 +460,19 @@ def run(config: ExperimentConfig, workers: int = 1,
             _atomic_write(out / "trajectories" / f"{name}_seed{seed}.summary.json",
                           json.dumps(traj.summary(), indent=2, sort_keys=True))
             for t in range(traj.rounds_completed):
-                acc_rows.append((name, seed, t, traj.accuracy[t]))
+                acc_rows.append((name, seed, t, repr(traj.accuracy[t])))
             if method != "st":
-                cluster_rows.append((name, seed, traj.cluster_seconds))
+                cluster_rows.append((name, seed, repr(traj.cluster_seconds)))
 
     report = ComparisonReport(cells)
     doc = report.to_json_doc(config.raw)
     _atomic_write(out / "report.csv", report.to_csv_text())
     _atomic_write(out / "report.json", json.dumps(doc, indent=2, sort_keys=True))
 
-    buf = io.StringIO()
-    writer = csv.writer(buf)
-    writer.writerow(["method", "seed", "round", "accuracy"])
-    for row in acc_rows:
-        writer.writerow([row[0], row[1], row[2], repr(row[3])])
-    _atomic_write(out / "plotdata" / "accuracy_vs_round.csv", buf.getvalue())
-
-    buf = io.StringIO()
-    writer = csv.writer(buf)
-    writer.writerow(["method", "seed", "cluster_seconds"])
-    for row in cluster_rows:
-        writer.writerow([row[0], row[1], repr(row[2])])
-    _atomic_write(out / "plotdata" / "cluster_time.csv", buf.getvalue())
+    _atomic_write(out / "plotdata" / "accuracy_vs_round.csv",
+                  _csv_text(["method", "seed", "round", "accuracy"], acc_rows))
+    _atomic_write(out / "plotdata" / "cluster_time.csv",
+                  _csv_text(["method", "seed", "cluster_seconds"], cluster_rows))
 
     failed = any(c.status == "failed" for c in cells)
     return (EXIT_PARTIAL if failed else EXIT_OK), doc
@@ -494,14 +502,10 @@ def sweep_labeled_budget(config: ExperimentConfig, budgets: list[int],
         for cell in doc["cells"]:
             if cell["status"] == "ok":
                 merged.append((budget, cell["method"], cell["seed"],
-                               cell["final_accuracy"], cell["total_seconds"]))
+                               repr(cell["final_accuracy"]), repr(cell["total_seconds"])))
 
-    buf = io.StringIO()
-    writer = csv.writer(buf)
-    writer.writerow(["budget", "method", "seed", "final_accuracy", "total_seconds"])
-    for row in merged:
-        writer.writerow([row[0], row[1], row[2], repr(row[3]), repr(row[4])])
-    _atomic_write(out / "sweep_merged.csv", buf.getvalue())
+    _atomic_write(out / "sweep_merged.csv", _csv_text(
+        ["budget", "method", "seed", "final_accuracy", "total_seconds"], merged))
     return worst, {"budgets": {str(b): d for b, d in sub_docs.items()}}
 
 
@@ -521,7 +525,7 @@ def cluster_timing(config: ExperimentConfig,
         labeled, unlabeled, _ = _prepare_split(config, seed)
         scaled, _ = standardize(unlabeled.features)
         for method in config.methods:
-            cfg = _cluster_config(method, config.cluster_options.get(method, {}), seed)
+            cfg = make_selftrain_config(config, "ist", method, seed).cluster_config
             try:
                 model = clustering.fit_cluster(method, scaled, cfg, k=labeled.class_count)
                 per_method[method].append(model.fit_seconds)
@@ -538,16 +542,10 @@ def cluster_timing(config: ExperimentConfig,
             "error": failures.get(method),
         }
 
-    buf = io.StringIO()
-    writer = csv.writer(buf)
-    writer.writerow(["method", "mean_seconds", "median_seconds", "status"])
-    for method in config.methods:
-        row = table[method]
-        writer.writerow([method,
-                         "" if row["mean_seconds"] is None else repr(row["mean_seconds"]),
-                         "" if row["median_seconds"] is None else repr(row["median_seconds"]),
-                         "failed" if row["error"] else "ok"])
-    _atomic_write(out / "cluster_time.csv", buf.getvalue())
+    _atomic_write(out / "cluster_time.csv", _csv_text(
+        ["method", "mean_seconds", "median_seconds", "status"],
+        ([m, _repr_or_blank(row["mean_seconds"]), _repr_or_blank(row["median_seconds"]),
+          "failed" if row["error"] else "ok"] for m, row in table.items())))
     _atomic_write(out / "cluster_time.json", json.dumps(table, indent=2, sort_keys=True))
     return (EXIT_PARTIAL if failures else EXIT_OK), table
 

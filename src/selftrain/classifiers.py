@@ -95,6 +95,8 @@ class RandomFeatureRidge(ClassifierModel):
                  ridge_lambda: float = 1e-2, temperature: float = 0.2, seed: int = 0):
         if class_count < 2:
             raise ValueError("class_count must be >= 2")
+        if hidden_width < 1:
+            raise ValueError("hidden_width must be >= 1")
         if ridge_lambda <= 0:
             raise ValueError("ridge_lambda must be > 0")
         if temperature <= 0:
@@ -263,6 +265,8 @@ class SoftmaxSGD(ClassifierModel):
             raise ValueError("class_count must be >= 2")
         if learning_rate <= 0 or batch_size < 1 or epochs < 0:
             raise ValueError("invalid learning_rate / batch_size / epochs")
+        if hidden_width is not None and hidden_width < 1:
+            raise ValueError("hidden_width must be >= 1 when given")
         self.class_count = class_count
         self.input_dim = input_dim
         self.learning_rate = learning_rate

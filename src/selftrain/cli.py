@@ -10,8 +10,8 @@ import argparse
 import json
 import sys
 
-from .bench import (EXIT_CONFIG, ConfigError, cluster_timing, load_config,
-                    preset_config, run, sweep_labeled_budget, validate_config)
+from .bench import (EXIT_CONFIG, ConfigError, cluster_timing, preset_config, read_config,
+                    run, sweep_labeled_budget, validate_config)
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
@@ -27,27 +27,21 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
 
 
 def _resolve_config(args):
+    """The config document with the command-line overrides written in, validated once."""
     if args.preset:
-        doc = preset_config(args.preset, out_dir=args.out or "results",
-                            mnist_dir=getattr(args, "mnist_dir", None))
-        config = validate_config(doc)
+        doc = preset_config(args.preset, mnist_dir=getattr(args, "mnist_dir", None))
     elif args.config:
-        config = load_config(args.config)
+        doc = read_config(args.config)
     else:
         raise ConfigError("$", "give a config file or --preset")
     if args.seed_override:
         try:
-            seeds = [int(s) for s in args.seed_override.split(",") if s.strip()]
+            doc["seeds"] = [int(s) for s in args.seed_override.split(",") if s.strip()]
         except ValueError:
             raise ConfigError("$.seeds", f"bad --seed-override {args.seed_override!r}") from None
-        if not seeds:
-            raise ConfigError("$.seeds", "empty --seed-override")
-        config.seeds = seeds
-        config.raw["seeds"] = seeds
     if args.out:
-        config.output_dir = args.out
-        config.raw["output_dir"] = args.out
-    return config
+        doc["output_dir"] = args.out
+    return validate_config(doc)
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -18,8 +18,6 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-METHODS = ("kmeans", "minibatch_kmeans", "meanshift", "birch")
-
 _FIT_CALLS = 0  # counts top-level fit_cluster dispatches, for instrumentation
 
 
@@ -129,6 +127,14 @@ class MeanShiftConfig:
     def __post_init__(self):
         if self.bandwidth is not None and self.bandwidth <= 0:
             raise ValueError("bandwidth must be > 0 when given")
+        if self.merge_tol <= 0:
+            raise ValueError("merge_tol must be > 0")
+        if self.max_iter < 1:
+            raise ValueError("max_iter must be >= 1")
+        if self.subsample < 2:
+            raise ValueError("subsample must be >= 2")
+        if self.shift_subsample is not None and self.shift_subsample < 1:
+            raise ValueError("shift_subsample must be >= 1 when given")
 
 
 @dataclass
@@ -143,6 +149,12 @@ class BirchConfig:
             raise ValueError("branching_factor must be >= 2")
         if self.threshold is not None and self.threshold <= 0:
             raise ValueError("threshold must be > 0 once resolved")
+
+
+# Each method's config class; its field defaults are the method's defaults.
+CONFIGS = {"kmeans": KMeansConfig, "minibatch_kmeans": MiniBatchKMeansConfig,
+           "meanshift": MeanShiftConfig, "birch": BirchConfig}
+METHODS = tuple(CONFIGS)
 
 
 def _sq_dists_to(rows: np.ndarray, X: np.ndarray) -> np.ndarray:
@@ -598,18 +610,6 @@ def birch_fit(X: np.ndarray, cfg: BirchConfig) -> ClusterModel:
                         time.perf_counter() - t0)
 
 
-def default_config(method: str, k: int | None = None, seed: int = 0):
-    if method == "kmeans":
-        return KMeansConfig(k=k, seed=seed)
-    if method == "minibatch_kmeans":
-        return MiniBatchKMeansConfig(k=k, seed=seed)
-    if method == "meanshift":
-        return MeanShiftConfig(seed=seed)
-    if method == "birch":
-        return BirchConfig(global_k=k, seed=seed)
-    raise ValueError(f"unknown clustering method {method!r}; implemented: {METHODS}")
-
-
 def fit_cluster(method: str, X: np.ndarray, cfg=None, k: int | None = None,
                 seed: int = 0) -> ClusterModel:
     """Dispatch a fit by method tag. Every call is counted for instrumentation.
@@ -620,20 +620,16 @@ def fit_cluster(method: str, X: np.ndarray, cfg=None, k: int | None = None,
     """
     global _FIT_CALLS
     _FIT_CALLS += 1
+    if method not in CONFIGS:
+        raise ValueError(f"unknown clustering method {method!r}; implemented: {METHODS}")
     if cfg is None:
-        cfg = default_config(method, seed=seed)
+        cfg = CONFIGS[method](seed=seed)
     if k is not None:
         unset = [f for f in ("k", "global_k") if getattr(cfg, f, "absent") is None]
         cfg = replace(cfg, **dict.fromkeys(unset, k))
-    if method == "kmeans":
-        return kmeans_fit(X, cfg)
-    if method == "minibatch_kmeans":
-        return minibatch_kmeans_fit(X, cfg)
-    if method == "meanshift":
-        return meanshift_fit(X, cfg)
-    if method == "birch":
-        return birch_fit(X, cfg)
-    raise ValueError(f"unknown clustering method {method!r}; implemented: {METHODS}")
+    fit = {"kmeans": kmeans_fit, "minibatch_kmeans": minibatch_kmeans_fit,
+           "meanshift": meanshift_fit, "birch": birch_fit}[method]
+    return fit(X, cfg)
 
 
 def fit_call_count() -> int:

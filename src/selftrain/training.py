@@ -22,7 +22,8 @@ import numpy as np
 from .classifiers import ClassifierModel
 from .clustering import fit_cluster
 from .data import Dataset, LabeledSet, UnlabeledSet, standardize
-from .querylist import BatchSchedule, build_query_list, partition_batches
+from .querylist import (CERTAINTY_NORMS, BatchSchedule, build_query_list,
+                        partition_batches)
 
 
 class TrainingRoundError(RuntimeError):
@@ -54,6 +55,9 @@ class SelfTrainConfig:
             raise ValueError("confidence_threshold must be in [0, 1]")
         if not 0.0 < self.pseudo_weight <= 1.0:
             raise ValueError("pseudo_weight must be in (0, 1]")
+        if self.certainty_norm not in CERTAINTY_NORMS:
+            raise ValueError(f"unknown certainty_norm {self.certainty_norm!r}; "
+                             f"implemented: {CERTAINTY_NORMS}")
         if self.mode == "ist":
             if self.schedule is None:
                 self.schedule = BatchSchedule()

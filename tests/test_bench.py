@@ -5,12 +5,18 @@ from concurrent.futures.process import BrokenProcessPool
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from selftrain.bench import (EXIT_PARTIAL, ConfigError, build_dataset, cluster_timing, load_config,
-                             preset_config, read_report_csv, report_deterministic_view,
-                             run, sweep_labeled_budget, validate_config)
+from selftrain.bench import (BACKBONES, EXIT_PARTIAL, ConfigError, build_dataset, cluster_timing,
+                             load_config, make_backbone, make_selftrain_config, preset_config,
+                             read_report_csv, report_deterministic_view, run,
+                             sweep_labeled_budget, validate_config)
+from selftrain.classifiers import SoftmaxSGD
 from selftrain.cli import main
-from selftrain.training import read_trajectory_csv
+from selftrain.clustering import CONFIGS, METHODS
+from selftrain.querylist import CERTAINTY_NORMS, BatchSchedule
+from selftrain.training import SelfTrainConfig, read_trajectory_csv
 
 
 def tiny_doc(out_dir, seeds=(1, 2, 3), methods=("kmeans",)):
@@ -27,7 +33,144 @@ def tiny_doc(out_dir, seeds=(1, 2, 3), methods=("kmeans",)):
     }
 
 
+def _set(*keys, value):
+    """An edit that sets ``doc[keys[0]]...[keys[-1]] = value``."""
+    def edit(doc):
+        for key in keys[:-1]:
+            doc = doc.setdefault(key, {})
+        doc[keys[-1]] = value
+    return edit
+
+
+# (edit to tiny_doc, path the ConfigError must name, text its message must hold)
+MALFORMED = {
+    "selftrain-unknown-key": (_set("selftrain", "threshold", value=0.9),
+                              "$.selftrain.threshold", "unknown key"),
+    "backbone-unknown-key": (_set("backbone", "hidden", value=16),
+                             "$.backbone.hidden", "unknown key"),
+    "kmeans-unknown-key": (_set("clustering", "kmeans", "iters", value=5),
+                           "$.clustering.kmeans.iters", "unknown key"),
+    "top-level-unknown-key": (_set("output", value="x"), "$.output", "unknown key"),
+    "kmeans-init-typo": (_set("clustering", "kmeans", "init", value="kmeans++"),
+                         "$.clustering.kmeans", "init"),
+    "certainty-norm-typo": (_set("selftrain", "certainty_norm", value="globl"),
+                            "$.selftrain", "certainty_norm"),
+    "freeze-labels-string": (_set("selftrain", "freeze_labels", value="no"),
+                             "$.selftrain.freeze_labels", "expected bool"),
+    "schedule-rounds-float": (_set("selftrain", "schedule", "rounds", value=2.0),
+                              "$.selftrain.schedule.rounds", "expected int"),
+    "meanshift-bandwidth-string": (_set("clustering", "meanshift", "bandwidth", value="auto"),
+                                   "$.clustering.meanshift.bandwidth", "expected float | None"),
+    "sgd-hidden-width-zero": (_set("backbone", value={"kind": "softmax_sgd", "hidden_width": 0}),
+                              "$.backbone", "hidden_width"),
+    "duplicate-seeds": (_set("seeds", value=[1, 1]), "$.seeds[1]", "duplicate"),
+    "duplicate-methods": (_set("clustering", "methods", value=["kmeans", "kmeans"]),
+                          "$.clustering.methods[1]", "duplicate"),
+    "max-rows-string": (_set("dataset", "max_rows", value="100"),
+                        "$.dataset.max_rows", "expected a number"),
+    "standardize-string": (_set("dataset", "standardize", value="yes"),
+                           "$.dataset.standardize", "expected bool"),
+    "source-list": (_set("dataset", "source", value=["blobs"]),
+                    "$.dataset.source", "unknown source"),
+    "backbone-kind-list": (_set("backbone", "kind", value=["softmax_sgd"]),
+                           "$.backbone.kind", "unknown backbone"),
+}
+
+RIDGE_KEYS = {"hidden_width": st.integers(1, 48),
+              "ridge_lambda": st.floats(1e-4, 10.0) | st.integers(1, 5),
+              "temperature": st.floats(0.05, 2.0)}
+SGD_KEYS = {"learning_rate": st.floats(1e-3, 1.0), "batch_size": st.integers(1, 128),
+            "epochs": st.integers(0, 30), "warm_start": st.booleans(),
+            "hidden_width": st.none() | st.integers(1, 48)}
+SCHEDULE_KEYS = {"initial_fraction": st.floats(0.05, 1.0), "rounds": st.integers(0, 8),
+                 "growth": st.sampled_from(["equal", "geometric"])}
+SELFTRAIN_KEYS = {"rounds": st.integers(9, 15), "confidence_threshold": st.floats(0.0, 1.0),
+                  "pseudo_weight": st.floats(0.01, 1.0),
+                  "certainty_norm": st.sampled_from(CERTAINTY_NORMS),
+                  "freeze_labels": st.booleans(),
+                  "schedule": st.fixed_dictionaries({}, optional=SCHEDULE_KEYS)}
+KMEANS_KEYS = {"k": st.none() | st.integers(1, 10), "max_iter": st.integers(1, 500),
+               "tol": st.floats(0.0, 1.0), "init": st.sampled_from(["kmeanspp", "random"])}
+CLUSTER_KEYS = {
+    "kmeans": KMEANS_KEYS,
+    "minibatch_kmeans": {**KMEANS_KEYS, "batch_size": st.integers(1, 512),
+                         "max_no_improve": st.integers(1, 20)},
+    "meanshift": {"bandwidth": st.none() | st.floats(0.1, 5.0),
+                  "merge_tol": st.floats(0.01, 2.0), "max_iter": st.integers(1, 500),
+                  "subsample": st.integers(2, 2000),
+                  "shift_subsample": st.none() | st.integers(1, 2000)},
+    "birch": {"branching_factor": st.integers(2, 100),
+              "threshold": st.none() | st.floats(0.1, 5.0),
+              "global_k": st.none() | st.integers(1, 10)},
+}
+
+
+def _state(model) -> dict:
+    """A backbone's attributes in comparable form."""
+    def plain(value):
+        if isinstance(value, np.ndarray):
+            return (value.dtype.str, value.shape, value.tobytes())
+        if isinstance(value, np.random.Generator):
+            return value.bit_generator.state
+        return value
+    return {key: plain(value) for key, value in vars(model).items()}
+
+
 class TestValidation:
+    @pytest.mark.parametrize("case", MALFORMED)
+    def test_malformed_doc_rejected_at_parse_time(self, case):
+        edit, path, needle = MALFORMED[case]
+        doc = tiny_doc("unused")
+        edit(doc)
+        with pytest.raises(ConfigError) as err:
+            validate_config(doc)
+        assert err.value.path == path
+        assert needle in str(err.value)
+
+    def test_backbone_kind_switch_drops_the_other_kinds_keys(self):
+        doc = preset_config("blobs-small")
+        doc["backbone"]["kind"] = "softmax_sgd"  # keeps ridge_lambda and temperature
+        config = validate_config(doc)
+        model = make_backbone(config.backbone, 4, 2, 1)
+        assert _state(model) == _state(SoftmaxSGD(4, 2, hidden_width=512, seed=1))
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(st.data())
+    def test_sections_build_like_their_classes(self, data):
+        """Each section equals its class called with the same keys: no default lives in bench."""
+        kind = data.draw(st.sampled_from(sorted(BACKBONES)))
+        own_keys, other_keys = ((RIDGE_KEYS, SGD_KEYS) if kind == "random_feature_ridge"
+                                else (SGD_KEYS, RIDGE_KEYS))
+        own = data.draw(st.fixed_dictionaries({}, optional=own_keys))
+        other = data.draw(st.fixed_dictionaries(
+            {}, optional={k: v for k, v in other_keys.items() if k not in own_keys}))
+        selftrain = data.draw(st.fixed_dictionaries({}, optional=SELFTRAIN_KEYS))
+        method = data.draw(st.sampled_from(METHODS))
+        options = data.draw(st.fixed_dictionaries({}, optional=CLUSTER_KEYS[method]))
+        class_count, input_dim, seed = (data.draw(st.integers(2, 5)),
+                                        data.draw(st.integers(1, 6)),
+                                        data.draw(st.integers(0, 1000)))
+
+        doc = tiny_doc("unused", methods=(method,))
+        doc["backbone"] = {"kind": kind, **other, **own}
+        doc["selftrain"] = selftrain
+        doc["clustering"][method] = options
+        config = validate_config(doc)
+
+        built = make_backbone(config.backbone, class_count, input_dim, seed)
+        direct = BACKBONES[kind](class_count, input_dim, **own, seed=seed)
+        assert type(built) is type(direct) and _state(built) == _state(direct)
+
+        # Both modes get explicit rounds, the schedule's rounds + 4 unless set.
+        kwargs = dict(selftrain, schedule=BatchSchedule(**selftrain.get("schedule", {})),
+                      seed=seed)
+        kwargs["rounds"] = selftrain.get("rounds", kwargs["schedule"].rounds + 4)
+        assert make_selftrain_config(config, "ist", method, seed) == SelfTrainConfig(
+            mode="ist", cluster_method=method,
+            cluster_config=CONFIGS[method](**options, seed=seed), **kwargs)
+        assert make_selftrain_config(config, "st", None, seed) == \
+            SelfTrainConfig(mode="st", **kwargs)
+
     def test_missing_field_names_path(self):
         with pytest.raises(ConfigError) as err:
             validate_config({"dataset": {"source": "blobs"}})
@@ -327,6 +470,11 @@ class TestCli:
                      "--seed-override", "7,8"]) == 0
         doc = json.loads((tmp_path / "out" / "report.json").read_text())
         assert sorted({c["seed"] for c in doc["cells"]}) == [7, 8]
+
+    def test_seed_override_is_validated(self, tmp_path, capsys):
+        assert main(["validate", self.write_config(tmp_path),
+                     "--seed-override", "4,4"]) == 2
+        assert "$.seeds[1]" in capsys.readouterr().err
 
     def test_out_flag_overrides_directory(self, tmp_path):
         assert main(["run", self.write_config(tmp_path),

@@ -39,6 +39,10 @@ class TestSoftmaxFunction:
 
 
 class TestRandomFeatureRidge:
+    def test_hidden_width_must_be_positive(self):
+        with pytest.raises(ValueError, match="hidden_width"):
+            RandomFeatureRidge(2, 3, hidden_width=0)
+
     def test_huge_lambda_shrinks_to_uniform(self):
         rng = np.random.default_rng(1)
         X = rng.normal(size=(30, 3))
@@ -126,6 +130,10 @@ class TestRandomFeatureRidge:
 
 
 class TestSoftmaxSGD:
+    def test_hidden_width_must_be_positive_when_given(self):
+        with pytest.raises(ValueError, match="hidden_width"):
+            SoftmaxSGD(2, 3, hidden_width=0)
+
     def test_zero_weights_uniform_and_tie_to_class_zero(self):
         model = SoftmaxSGD(2, 3, seed=0)
         X = np.random.default_rng(0).normal(size=(10, 3))

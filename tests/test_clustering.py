@@ -231,6 +231,12 @@ class TestMeanShift:
         with pytest.raises(ValueError, match="identical"):
             meanshift_fit(np.ones((5, 2)), MeanShiftConfig())
 
+    @pytest.mark.parametrize("field, value", [("merge_tol", 0.0), ("max_iter", 0),
+                                              ("subsample", 1), ("shift_subsample", 0)])
+    def test_config_range_checks(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            MeanShiftConfig(**{field: value})
+
 
 class TestBirch:
     def test_full_absorption_single_entry(self):

@@ -283,6 +283,10 @@ class TestSelfTrainConfig:
         with pytest.raises(ValueError, match="rounds"):
             SelfTrainConfig(mode="st").resolved_rounds()
 
+    def test_unknown_certainty_norm_rejected(self):
+        with pytest.raises(ValueError, match="certainty_norm"):
+            SelfTrainConfig(mode="ist", certainty_norm="globl")
+
 
 class TestStTrain:
     def test_single_round_is_supervised_only(self):
