@@ -15,6 +15,7 @@ import functools
 import inspect
 import io
 import json
+import math
 import os
 import types
 import typing
@@ -65,8 +66,15 @@ def _params(cls) -> dict:
     return {name: hints.get(name, object) for name in inspect.signature(cls).parameters}
 
 
+def _finite(value, path: str) -> None:
+    """Reject NaN and infinite floats, such as JSON's ``NaN`` and ``Infinity``."""
+    if isinstance(value, float) and not math.isfinite(value):
+        raise ConfigError(path, f"expected a finite number, got {value!r}")
+
+
 def _typed(value, hint, path: str):
     """``value`` if it fits annotation ``hint``; a dict for a dataclass is built."""
+    _finite(value, path)
     union = typing.get_origin(hint) in (typing.Union, types.UnionType)
     for t in typing.get_args(hint) if union else (hint,):
         if is_dataclass(t):
@@ -136,6 +144,7 @@ def _check_number(value, path: str, *, integer=False, minimum=None, exclusive_mi
         raise ConfigError(path, f"expected a number, got {value!r}")
     if integer and not isinstance(value, int):
         raise ConfigError(path, f"expected an integer, got {value!r}")
+    _finite(value, path)
     if minimum is not None and value < minimum:
         raise ConfigError(path, f"must be >= {minimum}, got {value}")
     if exclusive_min is not None and value <= exclusive_min:
@@ -220,10 +229,6 @@ def read_config(path: str) -> dict:
     if not isinstance(doc, dict):
         raise ConfigError("$", "config must be a JSON object")
     return doc
-
-
-def load_config(path: str) -> ExperimentConfig:
-    return validate_config(read_config(path))
 
 
 def build_dataset(spec: dict, seed: int) -> Dataset:
@@ -367,20 +372,6 @@ class ComparisonReport:
               "" if c.total_processed is None else c.total_processed,
               _repr_or_blank(c.total_seconds), _repr_or_blank(c.cluster_seconds),
               c.error or ""] for c in self.cells))
-
-
-def read_report_csv(path: str) -> ComparisonReport:
-    cells = []
-    with open(path, newline="", encoding="utf-8") as fh:
-        for row in csv.DictReader(fh):
-            cells.append(ReportCell(
-                method=row["method"], seed=int(row["seed"]), status=row["status"],
-                final_accuracy=float(row["final_accuracy"]) if row["final_accuracy"] else None,
-                total_processed=int(row["total_processed"]) if row["total_processed"] else None,
-                total_seconds=float(row["total_seconds"]) if row["total_seconds"] else None,
-                cluster_seconds=float(row["cluster_seconds"]) if row["cluster_seconds"] else None,
-                error=row["error"] or None))
-    return ComparisonReport(cells)
 
 
 def report_deterministic_view(doc: dict) -> dict:

@@ -8,7 +8,6 @@ lowest class index.
 
 from __future__ import annotations
 
-import json
 from abc import ABC, abstractmethod
 
 import numpy as np
@@ -71,9 +70,6 @@ class ClassifierModel(ABC):
 
     def predict(self, X: np.ndarray) -> np.ndarray:
         return np.argmax(self.predict_proba(X), axis=1)
-
-    def confidence(self, X: np.ndarray) -> np.ndarray:
-        return self.predict_proba(X).max(axis=1)
 
 
 class RandomFeatureRidge(ClassifierModel):
@@ -187,38 +183,6 @@ class RandomFeatureRidge(ClassifierModel):
 
     def predict_proba_embedded(self, H, rows=None):
         return softmax(self._scores(H, rows) / self.temperature)
-
-    def decision_scores(self, X: np.ndarray) -> np.ndarray:
-        """Raw ridge outputs (one column per class) before calibration."""
-        return self._scores(self.embed(X))
-
-    def to_json(self) -> str:
-        doc = {
-            "kind": "random_feature_ridge",
-            "class_count": self.class_count,
-            "input_dim": self.input_dim,
-            "hidden_width": self.hidden_width,
-            "ridge_lambda": self.ridge_lambda,
-            "temperature": self.temperature,
-            "seed": self.seed,
-            "projection": self.projection.ravel().tolist(),
-            "bias": self.bias.tolist(),
-            "weights": None if self.weights is None else self.weights.ravel().tolist(),
-        }
-        return json.dumps(doc)
-
-    @classmethod
-    def from_json(cls, text: str) -> "RandomFeatureRidge":
-        doc = json.loads(text)
-        model = cls(doc["class_count"], doc["input_dim"], doc["hidden_width"],
-                    doc["ridge_lambda"], doc["temperature"], doc["seed"])
-        model.projection = np.asarray(doc["projection"]).reshape(doc["input_dim"],
-                                                                 doc["hidden_width"])
-        model.bias = np.asarray(doc["bias"])
-        if doc["weights"] is not None:
-            model.weights = np.asarray(doc["weights"]).reshape(doc["hidden_width"],
-                                                               doc["class_count"])
-        return model
 
 
 def softmax_loss_and_grad(W: np.ndarray, b: np.ndarray, X: np.ndarray, y: np.ndarray,
@@ -347,45 +311,3 @@ class SoftmaxSGD(ClassifierModel):
         if self.hidden_width is None:
             return softmax(X @ self.weights + self.bias)
         return softmax(np.tanh(X @ self.w1 + self.b1) @ self.weights + self.bias)
-
-    def to_json(self) -> str:
-        doc = {
-            "kind": "softmax_sgd",
-            "class_count": self.class_count,
-            "input_dim": self.input_dim,
-            "learning_rate": self.learning_rate,
-            "batch_size": self.batch_size,
-            "epochs": self.epochs,
-            "warm_start": self.warm_start,
-            "hidden_width": self.hidden_width,
-            "seed": self.seed,
-            "weights": self.weights.ravel().tolist(),
-            "bias": self.bias.tolist(),
-        }
-        if self.hidden_width is not None:
-            doc["w1"] = self.w1.ravel().tolist()
-            doc["b1"] = self.b1.tolist()
-        return json.dumps(doc)
-
-    @classmethod
-    def from_json(cls, text: str) -> "SoftmaxSGD":
-        doc = json.loads(text)
-        model = cls(doc["class_count"], doc["input_dim"], doc["learning_rate"],
-                    doc["batch_size"], doc["epochs"], doc["warm_start"],
-                    doc["hidden_width"], doc["seed"])
-        shape0 = doc["input_dim"] if doc["hidden_width"] is None else doc["hidden_width"]
-        model.weights = np.asarray(doc["weights"]).reshape(shape0, doc["class_count"])
-        model.bias = np.asarray(doc["bias"])
-        if doc["hidden_width"] is not None:
-            model.w1 = np.asarray(doc["w1"]).reshape(doc["input_dim"], doc["hidden_width"])
-            model.b1 = np.asarray(doc["b1"])
-        return model
-
-
-def load_model_json(text: str) -> ClassifierModel:
-    kind = json.loads(text).get("kind")
-    if kind == "random_feature_ridge":
-        return RandomFeatureRidge.from_json(text)
-    if kind == "softmax_sgd":
-        return SoftmaxSGD.from_json(text)
-    raise ValueError(f"unknown model kind {kind!r}")

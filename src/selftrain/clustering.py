@@ -1,10 +1,10 @@
 """Centroid-style clustering backends sharing one model interface.
 
-Four methods are implemented: Lloyd k-means, mini-batch k-means, flat-kernel
-mean shift, and a CF-tree BIRCH with a k-means global step. Each fit returns
-a :class:`ClusterModel` whose per-point centroid distances downstream code
-uses as a certainty score. Further methods can be plugged in by producing a
-ClusterModel with synthesized per-cluster centroids.
+Three methods are implemented: Lloyd k-means, mini-batch k-means and
+flat-kernel mean shift. Each fit returns a :class:`ClusterModel` whose
+per-point centroid distances downstream code uses as a certainty score.
+Further methods can be plugged in by producing a ClusterModel with
+synthesized per-cluster centroids.
 
 All distances are plain Euclidean in whatever feature space the caller
 supplies; this module never rescales its input.
@@ -12,7 +12,6 @@ supplies; this module never rescales its input.
 
 from __future__ import annotations
 
-import json
 import time
 from dataclasses import dataclass, field, replace
 
@@ -28,7 +27,7 @@ class ClusterModel:
     ``inertia_history`` records the inertia after every assignment pass for
     iterative fits (k-means). ``converged`` says whether an iterative fit
     stopped on its own criterion (True) or ran out of ``max_iter`` (False);
-    it is None for the other methods. Both are diagnostic and not serialized.
+    it is None for mean shift. Both are diagnostic.
     """
 
     method: str
@@ -61,26 +60,6 @@ class ClusterModel:
             if not np.max(np.abs(ref - self.distances)) <= 1e-9:
                 raise ValueError("distances do not match the assigned centroids")
 
-    def to_json(self) -> str:
-        doc = {
-            "method": self.method,
-            "centroids": self.centroids.tolist(),
-            "inertia": float(self.inertia),
-            "fit_seconds": float(self.fit_seconds),
-        }
-        return json.dumps(doc)
-
-    @classmethod
-    def from_json(cls, text: str) -> "ClusterModel":
-        doc = json.loads(text)
-        return cls(
-            method=doc["method"],
-            centroids=np.asarray(doc["centroids"], dtype=np.float64),
-            assignments=None,
-            distances=None,
-            inertia=float(doc["inertia"]),
-            fit_seconds=float(doc["fit_seconds"]),
-        )
 
 
 @dataclass
@@ -137,23 +116,9 @@ class MeanShiftConfig:
             raise ValueError("shift_subsample must be >= 1 when given")
 
 
-@dataclass
-class BirchConfig:
-    branching_factor: int = 50
-    threshold: float | None = None
-    global_k: int | None = None
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.branching_factor < 2:
-            raise ValueError("branching_factor must be >= 2")
-        if self.threshold is not None and self.threshold <= 0:
-            raise ValueError("threshold must be > 0 once resolved")
-
-
 # Each method's config class; its field defaults are the method's defaults.
 CONFIGS = {"kmeans": KMeansConfig, "minibatch_kmeans": MiniBatchKMeansConfig,
-           "meanshift": MeanShiftConfig, "birch": BirchConfig}
+           "meanshift": MeanShiftConfig}
 METHODS = tuple(CONFIGS)
 
 
@@ -324,7 +289,8 @@ def minibatch_kmeans_fit(X: np.ndarray, cfg: MiniBatchKMeansConfig) -> ClusterMo
     Within one batch the sequential per-sample updates for a center telescope
     to ``(count * center + batch_sum) / (count + batch_members)``, which is
     what gets applied. Stops once the smoothed per-point batch inertia fails
-    to improve for ``max_no_improve`` consecutive batches.
+    to improve for ``max_no_improve`` consecutive batches, or, when a batch is
+    every row (so that inertia keeps falling), once a pass changes no assignment.
     """
     t0 = time.perf_counter()
     X = np.asarray(X, dtype=np.float64)
@@ -343,10 +309,15 @@ def minibatch_kmeans_fit(X: np.ndarray, cfg: MiniBatchKMeansConfig) -> ClusterMo
     best = np.inf
     stale = 0
     converged = False
+    previous = None
     for _ in range(cfg.max_iter):
         idx = rng.choice(n, size=batch, replace=False) if batch < n else np.arange(n)
         rows = X[idx]
         a, d = _nearest(rows, centroids)
+        if batch == n and previous is not None and np.array_equal(a, previous):
+            converged = True
+            break
+        previous = a
         mse = float(np.mean(d * d))
         smoothed = mse if smoothed is None else 0.7 * smoothed + 0.3 * mse
 
@@ -509,7 +480,8 @@ class _CFNode:
 
 
 class CFTree:
-    """Single-pass clustering-feature tree used by :func:`birch_fit`."""
+    """Single-pass BIRCH clustering-feature tree. No fit uses it; it is kept as
+    the structure whose CF sums acceptance criterion 5c checks bit for bit."""
 
     def __init__(self, threshold: float, branching_factor: int, dim: int):
         self.threshold = threshold
@@ -578,45 +550,13 @@ class CFTree:
         return out
 
 
-def birch_fit(X: np.ndarray, cfg: BirchConfig) -> ClusterModel:
-    """BIRCH: CF-tree condensation followed by k-means over leaf-entry centroids."""
-    t0 = time.perf_counter()
-    X = np.asarray(X, dtype=np.float64)
-    n = X.shape[0]
-    if cfg.global_k is None:
-        raise ValueError("global_k is unresolved; set BirchConfig.global_k")
-    global_k = cfg.global_k
-    if n < global_k:
-        raise ValueError(f"need at least global_k={global_k} points, got {n}")
-    threshold = cfg.threshold
-    if threshold is None:
-        threshold = 0.5 * estimate_bandwidth(X, 0.1, 1000, cfg.seed)
-
-    tree = CFTree(threshold, cfg.branching_factor, X.shape[1])
-    for i in range(n):
-        tree.insert(X[i], i)
-    entries = tree.leaf_entries()
-    if len(entries) < global_k:
-        raise ValueError(
-            f"CF tree produced {len(entries)} leaf entries < global_k={global_k}; "
-            f"decrease threshold"
-        )
-    condensed = np.array([e.centroid() for e in entries])
-    global_model = kmeans_fit(condensed, KMeansConfig(k=global_k, seed=cfg.seed))
-
-    assignments, distances = _nearest(X, global_model.centroids)
-    inertia = float(np.sum(distances * distances))
-    return ClusterModel("birch", global_model.centroids, assignments, distances, inertia,
-                        time.perf_counter() - t0)
-
-
 def fit_cluster(method: str, X: np.ndarray, cfg=None, k: int | None = None,
                 seed: int = 0) -> ClusterModel:
     """Dispatch a fit by method tag. Every call is counted for instrumentation.
 
     Without ``cfg`` the method's defaults are used. ``k`` fills the cluster
-    counts (``k``, ``global_k``) the config leaves unset, on a copy: this is
-    the one place those defaults are resolved.
+    count the config leaves unset, on a copy: this is the one place that
+    default is resolved.
     """
     global _FIT_CALLS
     _FIT_CALLS += 1
@@ -624,11 +564,10 @@ def fit_cluster(method: str, X: np.ndarray, cfg=None, k: int | None = None,
         raise ValueError(f"unknown clustering method {method!r}; implemented: {METHODS}")
     if cfg is None:
         cfg = CONFIGS[method](seed=seed)
-    if k is not None:
-        unset = [f for f in ("k", "global_k") if getattr(cfg, f, "absent") is None]
-        cfg = replace(cfg, **dict.fromkeys(unset, k))
+    if k is not None and getattr(cfg, "k", "absent") is None:
+        cfg = replace(cfg, k=k)
     fit = {"kmeans": kmeans_fit, "minibatch_kmeans": minibatch_kmeans_fit,
-           "meanshift": meanshift_fit, "birch": birch_fit}[method]
+           "meanshift": meanshift_fit}[method]
     return fit(X, cfg)
 
 

@@ -116,10 +116,6 @@ class UnlabeledSet:
         """Hidden ground truth for diagnostics only; never feed to training."""
         return self._eval_labels
 
-    def without_eval_labels(self) -> "UnlabeledSet":
-        """Copy with the diagnostic label store removed."""
-        return UnlabeledSet(self.features, self.ids, None)
-
 
 @dataclass(frozen=True)
 class StandardizationStats:

@@ -7,7 +7,6 @@ a centroid) samples.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -62,25 +61,6 @@ class QueryList:
 
     def sample_ids(self) -> list[int]:
         return self.ids.tolist()
-
-    def to_csv(self, path: str) -> None:
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["sample_id", "cluster", "distance"])
-            writer.writerows((i, c, repr(d)) for i, c, d in zip(
-                self.ids.tolist(), self.clusters.tolist(), self.distances.tolist()))
-
-
-def read_query_list_csv(path: str, built_from: str = "unknown") -> QueryList:
-    ids, clusters, distances = [], [], []
-    with open(path, newline="", encoding="utf-8") as fh:
-        for row in csv.DictReader(fh):
-            ids.append(int(row["sample_id"]))
-            clusters.append(int(row["cluster"]))
-            distances.append(float(row["distance"]))
-    distances = np.array(distances, dtype=np.float64)
-    return QueryList(np.array(ids, dtype=np.int64), np.array(clusters, dtype=np.int64),
-                     distances, -distances, built_from)
 
 
 @dataclass(frozen=True)
@@ -171,13 +151,3 @@ def partition_batches(qlist: QueryList, schedule: BatchSchedule) -> list[list[in
 
     cuts = np.cumsum(sizes)[:-1]
     return [batch.tolist() for batch in np.split(qlist.ids, cuts)]
-
-
-def pool_at(batches: list[list[int]], t: int) -> set[int]:
-    """Pool membership after round t: the union of batches 0..t."""
-    if not 0 <= t < len(batches):
-        raise ValueError(f"round {t} out of range [0, {len(batches) - 1}]")
-    out: set[int] = set()
-    for b in batches[:t + 1]:
-        out.update(b)
-    return out

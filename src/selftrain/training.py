@@ -192,10 +192,6 @@ class TrainingTrajectory:
                              self.processed[t], repr(self.cum_seconds[t])])
         return buf.getvalue()
 
-    def to_csv(self, path: str) -> None:
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            fh.write(self.to_csv_text())
-
     def summary(self, config_echo: dict | None = None) -> dict:
         return {
             "mode": self.mode,
@@ -209,20 +205,6 @@ class TrainingTrajectory:
             "failure_message": self.failure_message,
             "config": self.config_echo if config_echo is None else config_echo,
         }
-
-
-def read_trajectory_csv(path: str) -> TrainingTrajectory:
-    traj = TrainingTrajectory(mode="unknown", seed=-1)
-    with open(path, newline="", encoding="utf-8") as fh:
-        for row in csv.DictReader(fh):
-            traj.accuracy.append(float(row["accuracy"]))
-            traj.pool_size.append(int(row["pool_size"]))
-            traj.pseudo_used.append(int(row["pseudo_used"]))
-            traj.pseudo_error.append(None if row["pseudo_error"] == ""
-                                     else float(row["pseudo_error"]))
-            traj.processed.append(int(row["processed"]))
-            traj.cum_seconds.append(float(row["cum_seconds"]))
-    return traj
 
 
 def pseudo_label_pool(model: ClassifierModel, pool: PseudoPool, unlabeled: UnlabeledSet,

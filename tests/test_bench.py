@@ -1,4 +1,5 @@
 import concurrent.futures
+import csv
 import json
 import struct
 from concurrent.futures.process import BrokenProcessPool
@@ -8,15 +9,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from selftrain.bench import (BACKBONES, EXIT_PARTIAL, ConfigError, build_dataset, cluster_timing,
-                             load_config, make_backbone, make_selftrain_config, preset_config,
-                             read_report_csv, report_deterministic_view, run,
-                             sweep_labeled_budget, validate_config)
+import selftrain
+from selftrain.bench import (BACKBONES, EXIT_PARTIAL, ComparisonReport, ConfigError, ReportCell,
+                             build_dataset, cluster_timing, make_backbone,
+                             make_selftrain_config, preset_config, read_config,
+                             report_deterministic_view, run, sweep_labeled_budget,
+                             validate_config)
 from selftrain.classifiers import SoftmaxSGD
 from selftrain.cli import main
 from selftrain.clustering import CONFIGS, METHODS
 from selftrain.querylist import CERTAINTY_NORMS, BatchSchedule
-from selftrain.training import SelfTrainConfig, read_trajectory_csv
+from selftrain.training import SelfTrainConfig
 
 
 def tiny_doc(out_dir, seeds=(1, 2, 3), methods=("kmeans",)):
@@ -31,6 +34,11 @@ def tiny_doc(out_dir, seeds=(1, 2, 3), methods=("kmeans",)):
         "seeds": list(seeds),
         "output_dir": str(out_dir),
     }
+
+
+def read_csv_rows(path) -> list[dict]:
+    with open(path, newline="", encoding="utf-8") as fh:
+        return list(csv.DictReader(fh))
 
 
 def _set(*keys, value):
@@ -74,6 +82,16 @@ MALFORMED = {
                     "$.dataset.source", "unknown source"),
     "backbone-kind-list": (_set("backbone", "kind", value=["softmax_sgd"]),
                            "$.backbone.kind", "unknown backbone"),
+    "ridge-lambda-nan": (_set("backbone", "ridge_lambda", value=float("nan")),
+                         "$.backbone.ridge_lambda", "finite"),
+    "test-fraction-infinity": (_set("split", "test_fraction", value=float("inf")),
+                               "$.split.test_fraction", "finite"),
+    "kmeans-tol-nan": (_set("clustering", "kmeans", "tol", value=float("nan")),
+                       "$.clustering.kmeans.tol", "finite"),
+    "birch-method": (_set("clustering", "methods", value=["kmeans", "birch"]),
+                     "$.clustering.methods[1]", "expected methods in"),
+    "birch-section": (_set("clustering", "birch", value={}),
+                      "$.clustering.birch", "unknown key"),
 }
 
 RIDGE_KEYS = {"hidden_width": st.integers(1, 48),
@@ -99,9 +117,6 @@ CLUSTER_KEYS = {
                   "merge_tol": st.floats(0.01, 2.0), "max_iter": st.integers(1, 500),
                   "subsample": st.integers(2, 2000),
                   "shift_subsample": st.none() | st.integers(1, 2000)},
-    "birch": {"branching_factor": st.integers(2, 100),
-              "threshold": st.none() | st.floats(0.1, 5.0),
-              "global_k": st.none() | st.integers(1, 10)},
 }
 
 
@@ -207,11 +222,22 @@ class TestValidation:
         with pytest.raises(ConfigError, match="seeds"):
             validate_config(doc)
 
+    def test_non_finite_json_literal_rejected(self, tmp_path):
+        doc = tiny_doc("unused")
+        doc["backbone"]["ridge_lambda"] = float("nan")
+        p = tmp_path / "nan.json"
+        p.write_text(json.dumps(doc))
+        assert '"ridge_lambda": NaN' in p.read_text()
+        with pytest.raises(ConfigError) as err:
+            validate_config(read_config(str(p)))
+        assert err.value.path == "$.backbone.ridge_lambda"
+        assert "finite" in str(err.value)
+
     def test_json_error_carries_line(self, tmp_path):
         p = tmp_path / "broken.json"
         p.write_text('{"dataset": }')
         with pytest.raises(ConfigError, match="line 1"):
-            load_config(str(p))
+            read_config(str(p))
 
 
 class TestRun:
@@ -238,8 +264,16 @@ class TestRun:
     def test_report_round_trips_and_aggregates_recompute(self, tmp_path):
         cfg = validate_config(tiny_doc(tmp_path / "out"))
         _, doc = run(cfg)
-        report = read_report_csv(str(tmp_path / "out" / "report.csv"))
-        assert [vars(c) for c in report.cells] == doc["cells"]
+        assert json.loads((tmp_path / "out" / "report.json").read_text()) == doc
+        rows = read_csv_rows(tmp_path / "out" / "report.csv")
+        assert rows == [{
+            "method": c["method"], "seed": str(c["seed"]), "status": c["status"],
+            "final_accuracy": repr(c["final_accuracy"]),
+            "total_processed": str(c["total_processed"]),
+            "total_seconds": repr(c["total_seconds"]),
+            "cluster_seconds": repr(c["cluster_seconds"]), "error": ""}
+            for c in doc["cells"]]
+        report = ComparisonReport([ReportCell(**c) for c in doc["cells"]])
         assert report.aggregates() == doc["aggregates"]
         for method, agg in doc["aggregates"].items():
             accs = [c["final_accuracy"] for c in doc["cells"]
@@ -249,12 +283,13 @@ class TestRun:
     def test_trajectory_files_re_readable(self, tmp_path):
         cfg = validate_config(tiny_doc(tmp_path / "out", seeds=(1,)))
         run(cfg)
-        path = tmp_path / "out" / "trajectories" / "st_seed1.csv"
-        traj = read_trajectory_csv(str(path))
-        assert traj.rounds_completed == 3
+        rows = read_csv_rows(tmp_path / "out" / "trajectories" / "st_seed1.csv")
+        assert [r["round"] for r in rows] == ["0", "1", "2"]
         summary = json.loads(
             (tmp_path / "out" / "trajectories" / "st_seed1.summary.json").read_text())
-        assert summary["final_accuracy"] == traj.accuracy[-1]
+        assert summary["rounds"] == len(rows)
+        assert summary["final_accuracy"] == float(rows[-1]["accuracy"])
+        assert summary["total_processed"] == sum(int(r["processed"]) for r in rows)
 
     def test_worker_pool_matches_sequential(self, tmp_path):
         cfg_seq = validate_config(tiny_doc(tmp_path / "seq", seeds=(1, 2)))
@@ -344,7 +379,7 @@ class TestSweep:
             for seed in (1, 2, 3, 4, 5):
                 path = tmp_path / "out" / f"budget_{budget}" / "trajectories" / \
                     f"st_seed{seed}.csv"
-                accs.append(read_trajectory_csv(str(path)).accuracy[0])
+                accs.append(float(read_csv_rows(path)[0]["accuracy"]))
             medians.append(float(np.median(accs)))
         assert medians[0] <= medians[1] <= medians[2]
 
@@ -363,13 +398,13 @@ class TestClusterTiming:
         assert len(lines) == 3
 
     def test_method_failure_marks_row(self, tmp_path):
-        doc = tiny_doc(tmp_path / "out", seeds=(1,), methods=("kmeans", "birch"))
-        doc["clustering"]["birch"] = {"threshold": 1e9, "global_k": 3}
+        doc = tiny_doc(tmp_path / "out", seeds=(1,), methods=("kmeans", "minibatch_kmeans"))
+        doc["clustering"]["kmeans"] = {"k": 1000}
         cfg = validate_config(doc)
         code, table = cluster_timing(cfg)
         assert code == 3
-        assert table["kmeans"]["error"] is None
-        assert table["birch"]["error"] is not None
+        assert "k=1000" in table["kmeans"]["error"]
+        assert table["minibatch_kmeans"]["error"] is None
 
 
 class TestPresets:
@@ -426,6 +461,12 @@ class TestPresets:
         assert {c["method"] for c in report["cells"]} == {"st", "ist-kmeans"}
         for cell in report["cells"]:
             assert cell["final_accuracy"] >= 0.5
+
+
+def test_star_import_resolves_every_public_name():
+    namespace = {}
+    exec("from selftrain import *", namespace)
+    assert set(selftrain.__all__) <= namespace.keys()
 
 
 class TestBuildDataset:

@@ -1,14 +1,14 @@
+import copy
 import itertools
-import json
 
 import numpy as np
 import pytest
 
-from selftrain.clustering import (BirchConfig, CFTree, ClusterModel, KMeansConfig,
+from selftrain import clustering
+from selftrain.clustering import (CONFIGS, METHODS, CFTree, ClusterModel, KMeansConfig,
                                   MeanShiftConfig, MiniBatchKMeansConfig, assign,
-                                  birch_fit, estimate_bandwidth, fit_call_count,
-                                  fit_cluster, kmeans_fit, meanshift_fit,
-                                  minibatch_kmeans_fit)
+                                  estimate_bandwidth, fit_call_count, fit_cluster,
+                                  kmeans_fit, meanshift_fit, minibatch_kmeans_fit)
 
 FOUR_POINTS = np.array([[0.0, 0.0], [0.0, 1.0], [10.0, 0.0], [10.0, 1.0]])
 
@@ -168,6 +168,23 @@ class TestMiniBatchKMeans:
         model = minibatch_kmeans_fit(X, MiniBatchKMeansConfig(k=4, seed=1, batch_size=50))
         assert model.converged is True
 
+    def test_full_batch_stops_once_assignments_settle(self, monkeypatch):
+        # a batch covering every row keeps the smoothed inertia falling, so the
+        # no-improvement stop never fires; unchanged assignments end the fit
+        passes = []
+        nearest = clustering._nearest
+
+        def counted(rows, centroids):
+            passes.append(len(rows))
+            return nearest(rows, centroids)
+
+        monkeypatch.setattr(clustering, "_nearest", counted)
+        X = np.random.default_rng(8).normal(size=(120, 3))
+        model = minibatch_kmeans_fit(X, MiniBatchKMeansConfig(k=4, seed=1, max_iter=300))
+        assert model.converged is True
+        assert len(passes) < 300
+        model.validate(X)
+
 
 class TestEstimateBandwidth:
     def test_single_pair(self):
@@ -242,16 +259,12 @@ class TestBirch:
     def test_full_absorption_single_entry(self):
         rng = np.random.default_rng(1)
         X = rng.normal(size=(20, 3))
-        model = birch_fit(X, BirchConfig(threshold=100.0, global_k=1))
-        assert model.k == 1
-        np.testing.assert_allclose(model.centroids[0], X.mean(axis=0), rtol=1e-9)
-
-    def test_tiny_threshold_matches_kmeans_partition(self):
-        model_b = birch_fit(FOUR_POINTS, BirchConfig(threshold=1e-6, global_k=2, seed=0))
-        model_k = kmeans_fit(FOUR_POINTS, KMeansConfig(k=2, seed=0))
-        parts_b = {tuple(np.flatnonzero(model_b.assignments == c)) for c in (0, 1)}
-        parts_k = {tuple(np.flatnonzero(model_k.assignments == c)) for c in (0, 1)}
-        assert parts_b == parts_k
+        tree = CFTree(threshold=100.0, branching_factor=4, dim=3)
+        for i in range(len(X)):
+            tree.insert(X[i], i)
+        entries = tree.leaf_entries()
+        assert len(entries) == 1 and entries[0].point_ids == list(range(20))
+        np.testing.assert_allclose(entries[0].centroid(), X.mean(axis=0), rtol=1e-9)
 
     def test_cf_entry_radius_hand_example(self):
         tree = CFTree(threshold=10.0, branching_factor=4, dim=1)
@@ -298,15 +311,6 @@ class TestBirch:
             if not node.is_leaf:
                 stack.extend(e.child for e in node.entries)
 
-    def test_too_few_entries_for_global_k(self):
-        X = np.zeros((10, 2))
-        with pytest.raises(ValueError, match="global_k"):
-            birch_fit(X, BirchConfig(threshold=10.0, global_k=3))
-
-    def test_needs_global_k_points(self):
-        with pytest.raises(ValueError, match="at least"):
-            birch_fit(np.ones((2, 2)), BirchConfig(global_k=5))
-
 
 class TestAssign:
     def test_centroid_maps_to_itself(self):
@@ -347,24 +351,11 @@ class TestClusterModel:
             kmeans_fit(X, KMeansConfig(k=3, seed=0)),
             minibatch_kmeans_fit(X, MiniBatchKMeansConfig(k=3, seed=0)),
             meanshift_fit(X, MeanShiftConfig(seed=0)),
-            birch_fit(X, BirchConfig(global_k=3, seed=0)),
         ]
         for model in fits:
             model.validate(X)
             assert model.fit_seconds >= 0.0
-        assert [m.converged for m in fits[2:]] == [None, None]
-
-    def test_json_round_trip_keeps_centroids(self):
-        X = np.random.default_rng(0).normal(size=(30, 2))
-        model = kmeans_fit(X, KMeansConfig(k=2, seed=0))
-        loaded = ClusterModel.from_json(model.to_json())
-        assert loaded.method == "kmeans"
-        np.testing.assert_array_equal(loaded.centroids, model.centroids)
-        assert loaded.inertia == model.inertia
-        # assignments are recomputable rather than serialized
-        assert loaded.assignments is None
-        a, _ = assign(loaded, X)
-        assert np.array_equal(a, model.assignments)
+        assert fits[2].converged is None
 
     def test_corrupted_model_raises_value_error(self):
         X = np.random.default_rng(1).normal(size=(20, 2))
@@ -380,21 +371,14 @@ class TestClusterModel:
         with pytest.raises(ValueError, match="inertia"):
             wrong_inertia.validate()
 
-    def test_doc_has_expected_fields(self):
-        X = np.random.default_rng(0).normal(size=(10, 2))
-        model = kmeans_fit(X, KMeansConfig(k=2, seed=0))
-        assert model.converged is True
-        doc = json.loads(model.to_json())
-        assert set(doc) == {"method", "centroids", "inertia", "fit_seconds"}
-
 
 class TestDispatch:
     def test_fit_counter_counts_dispatches(self):
         X = np.random.default_rng(0).normal(size=(20, 2))
         before = fit_call_count()
-        fit_cluster("kmeans", X, k=2, seed=0)
-        fit_cluster("birch", X, k=2, seed=0)  # internal kmeans must not count
-        assert fit_call_count() - before == 2
+        for method in METHODS:
+            fit_cluster(method, X, k=2, seed=0)
+        assert fit_call_count() - before == len(METHODS)
 
     def test_unknown_method_rejected(self):
         with pytest.raises(ValueError, match="unknown clustering method"):
@@ -402,9 +386,11 @@ class TestDispatch:
 
     def test_k_fills_only_unset_counts_on_a_copy(self):
         X = np.random.default_rng(1).normal(size=(60, 2))
-        for method, cfg in (("kmeans", KMeansConfig(seed=0)),
-                            ("minibatch_kmeans", MiniBatchKMeansConfig(seed=0)),
-                            ("birch", BirchConfig(seed=0))):
-            assert fit_cluster(method, X, cfg, k=3).k == 3
-            assert getattr(cfg, "k", None) is None and getattr(cfg, "global_k", None) is None
+        for method in METHODS:
+            cfg = CONFIGS[method](seed=0)
+            before = copy.deepcopy(cfg)
+            model = fit_cluster(method, X, cfg, k=3)
+            assert cfg == before
+            if hasattr(cfg, "k"):
+                assert model.k == 3
         assert fit_cluster("kmeans", X, KMeansConfig(k=2, seed=0), k=3).k == 2

@@ -172,7 +172,7 @@ class TestSplitSsl:
         assert not hasattr(unlabeled, "labels")
         hidden = unlabeled.eval_labels()
         assert hidden is not None and len(hidden) == unlabeled.n_u
-        assert unlabeled.without_eval_labels().eval_labels() is None
+        assert UnlabeledSet(unlabeled.features, unlabeled.ids).eval_labels() is None
 
 
 class TestStandardize:

@@ -4,8 +4,8 @@ import pytest
 from selftrain import clustering
 from selftrain.clustering import ClusterModel, assign
 from selftrain.data import UnlabeledSet
-from selftrain.querylist import (BatchSchedule, QueryList, build_query_list,
-                                 partition_batches, pool_at, read_query_list_csv)
+from selftrain.querylist import BatchSchedule, build_query_list, partition_batches
+from selftrain.training import PseudoPool
 
 
 def model_over(features, centroids, method="kmeans"):
@@ -147,30 +147,33 @@ class TestPartitionBatches:
 
 
 class TestPoolAt:
+    """The pseudo-label pool after round t, admitting batch t at round t as IST does."""
+
     def setup_method(self):
         X = np.arange(10, dtype=float).reshape(-1, 1)
         unlabeled = UnlabeledSet(X, np.arange(10))
         qlist = build_query_list(model_over(X, [[0.0]]), unlabeled)
         self.batches = partition_batches(qlist, BatchSchedule(0.2, 4))
+        self.pool = PseudoPool(unlabeled.ids)
+        self.members = []
+        for t, batch in enumerate(self.batches):
+            self.pool.admit(batch, t)
+            self.members.append(set(self.pool.ids[self.pool.member_rows()].tolist()))
 
     def test_base_case(self):
-        assert pool_at(self.batches, 0) == set(self.batches[0])
+        assert self.members[0] == set(self.batches[0])
 
     def test_growth_matches_batch_sizes(self):
         for t in range(1, 5):
-            grown = len(pool_at(self.batches, t)) - len(pool_at(self.batches, t - 1))
-            assert grown == len(self.batches[t])
+            assert len(self.members[t]) - len(self.members[t - 1]) == len(self.batches[t])
 
     def test_final_pool_is_everything(self):
-        assert pool_at(self.batches, 4) == set(range(10))
+        assert self.members[4] == set(range(10))
+        assert len(self.pool) == 10
 
     def test_monotone(self):
         for t in range(1, 5):
-            assert pool_at(self.batches, t - 1) <= pool_at(self.batches, t)
-
-    def test_out_of_range(self):
-        with pytest.raises(ValueError, match="out of range"):
-            pool_at(self.batches, 5)
+            assert self.members[t - 1] <= self.members[t]
 
 
 class TestOrderingProperties:
@@ -215,17 +218,3 @@ class TestOrderingProperties:
             schedule = BatchSchedule(0.3, 3)
             assert partition_batches(qlist, schedule) == \
                 partition_batches(qlist_scaled, schedule)
-
-
-class TestCsvRoundTrip:
-    def test_written_list_reads_back(self, tmp_path):
-        rng = np.random.default_rng(7)
-        model, unlabeled = random_case(rng)
-        qlist = build_query_list(model, unlabeled)
-        path = tmp_path / "qlist.csv"
-        qlist.to_csv(str(path))
-        loaded = read_query_list_csv(str(path), built_from=qlist.built_from)
-        assert isinstance(loaded, QueryList)
-        assert loaded.sample_ids() == qlist.sample_ids()
-        assert [e.distance for e in loaded.entries] == \
-            [e.distance for e in qlist.entries]

@@ -1,4 +1,6 @@
 import copy
+import csv
+import io
 import time
 import tracemalloc
 
@@ -7,12 +9,11 @@ import pytest
 
 from selftrain import clustering
 from selftrain.classifiers import ClassifierModel, RandomFeatureRidge, SoftmaxSGD
-from selftrain.clustering import BirchConfig, KMeansConfig
 from selftrain.data import Dataset, UnlabeledSet, make_blobs, split_ssl
 from selftrain.querylist import BatchSchedule
 from selftrain.training import (PseudoPool, SelfTrainConfig, TrainingRoundError,
                                 evaluate, ist_train, pseudo_error_rate,
-                                pseudo_label_pool, read_trajectory_csv, st_train)
+                                pseudo_label_pool, st_train)
 
 
 class TableClassifier(ClassifierModel):
@@ -408,7 +409,7 @@ class TestIstTrain:
         _, traj_a = ist_train(labeled, unlabeled, test, with_truth,
                               SelfTrainConfig(**cfg))
         without_truth = RandomFeatureRidge(4, 2, hidden_width=64, seed=8)
-        _, traj_b = ist_train(labeled, unlabeled.without_eval_labels(), test,
+        _, traj_b = ist_train(labeled, UnlabeledSet(unlabeled.features, unlabeled.ids), test,
                               without_truth, SelfTrainConfig(**cfg))
         assert np.array_equal(with_truth.weights, without_truth.weights)
         assert traj_a.accuracy == traj_b.accuracy
@@ -426,8 +427,8 @@ class TestIstTrain:
 
     def test_caller_cluster_config_left_unchanged(self):
         labeled, unlabeled, test = blob_problem(seed=12)
-        for method, cluster_cfg in (("kmeans", KMeansConfig(seed=12)),
-                                    ("birch", BirchConfig(seed=12))):
+        for method in clustering.METHODS:
+            cluster_cfg = clustering.CONFIGS[method](seed=12)
             before = copy.deepcopy(cluster_cfg)
             cfg = SelfTrainConfig(mode="ist", rounds=4, schedule=BatchSchedule(0.3, 3),
                                   cluster_method=method, cluster_config=cluster_cfg,
@@ -439,7 +440,7 @@ class TestIstTrain:
 
     def test_every_clustering_method_drives_the_loop(self):
         labeled, unlabeled, test = blob_problem(seed=11, spread=0.6, per_class=100)
-        for method in ("kmeans", "minibatch_kmeans", "meanshift", "birch"):
+        for method in clustering.METHODS:
             cfg = SelfTrainConfig(mode="ist", rounds=5,
                                   schedule=BatchSchedule(0.3, 3),
                                   cluster_method=method, seed=11)
@@ -451,20 +452,20 @@ class TestIstTrain:
 
 
 class TestTrajectoryIO:
-    def test_csv_round_trip(self, tmp_path):
+    def test_csv_round_trip(self):
         labeled, unlabeled, test = blob_problem(seed=10)
         backbone = RandomFeatureRidge(4, 2, hidden_width=64, seed=10)
         _, traj = st_train(labeled, unlabeled, test, backbone,
                            SelfTrainConfig(mode="st", rounds=3, seed=10))
-        path = tmp_path / "traj.csv"
-        traj.to_csv(str(path))
-        loaded = read_trajectory_csv(str(path))
-        assert loaded.accuracy == traj.accuracy
-        assert loaded.pool_size == traj.pool_size
-        assert loaded.pseudo_used == traj.pseudo_used
-        assert loaded.pseudo_error == traj.pseudo_error
-        assert loaded.processed == traj.processed
-        assert loaded.cum_seconds == traj.cum_seconds
+        rows = list(csv.DictReader(io.StringIO(traj.to_csv_text())))
+        assert [int(r["round"]) for r in rows] == list(range(traj.rounds_completed))
+        assert [float(r["accuracy"]) for r in rows] == traj.accuracy
+        assert [int(r["pool_size"]) for r in rows] == traj.pool_size
+        assert [int(r["pseudo_used"]) for r in rows] == traj.pseudo_used
+        assert [None if r["pseudo_error"] == "" else float(r["pseudo_error"])
+                for r in rows] == traj.pseudo_error
+        assert [int(r["processed"]) for r in rows] == traj.processed
+        assert [float(r["cum_seconds"]) for r in rows] == traj.cum_seconds
 
     def test_summary_totals(self):
         labeled, unlabeled, test = blob_problem(seed=11)
