@@ -8,15 +8,18 @@ lowest class index.
 
 from __future__ import annotations
 
+import weakref
 from abc import ABC, abstractmethod
+from dataclasses import dataclass
 
 import numpy as np
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:
     z = logits - logits.max(axis=1, keepdims=True)
-    e = np.exp(z)
-    return e / e.sum(axis=1, keepdims=True)
+    np.exp(z, out=z)
+    z /= z.sum(axis=1, keepdims=True)
+    return z
 
 
 def one_hot(y: np.ndarray, class_count: int) -> np.ndarray:
@@ -72,16 +75,38 @@ class ClassifierModel(ABC):
         return np.argmax(self.predict_proba(X), axis=1)
 
 
+@dataclass
+class _HeldSums:
+    """A ridge fit's unregularised gram and target, and the rows they cover.
+
+    ``label`` and ``weight`` hold one entry per row of the embedded matrix:
+    the label and weight that row was fitted with, or -1 and 0 when it was
+    not fitted. The matrix itself is held weakly, so a model never keeps a
+    run's cache alive.
+    """
+
+    source: weakref.ref
+    shape: tuple
+    label: np.ndarray
+    weight: np.ndarray
+    gram: np.ndarray
+    target: np.ndarray
+
+
 class RandomFeatureRidge(ClassifierModel):
     """Ridge regression on a frozen random tanh feature map, solved in closed form.
 
     ``embed`` is the map ``tanh(X @ projection + bias)``; it never changes
     after construction, so callers embed their rows once and refit on the
-    cached features. Refitting re-solves the normal equations from scratch;
-    only the ridge weights change. The fit accumulates the gram and target
-    over blocks of ``block_rows`` rows, so it never holds a weighted copy of
-    all rows. Scores pass through a temperature-scaled softmax to produce
-    calibrated-enough probabilities for confidence thresholding.
+    cached features. The fit accumulates the gram and target over blocks of
+    ``block_rows`` rows, so it never holds a weighted copy of all rows, and
+    keeps both for the next fit. A refit on the same embedded matrix (the same
+    object, not modified in place) adds the rows that entered or changed label
+    or weight and subtracts the rows that left or changed, then re-solves.
+    It sums every chosen row afresh instead when the matrix is another one,
+    when ``rows`` repeats a row, or when the changed rows are at least as
+    many as the chosen ones. Scores pass through a temperature-scaled softmax
+    to produce calibrated-enough probabilities for confidence thresholding.
     """
 
     backbone = "noniterative"
@@ -107,6 +132,11 @@ class RandomFeatureRidge(ClassifierModel):
         self.projection = rng.standard_normal((input_dim, hidden_width)) / np.sqrt(input_dim)
         self.bias = rng.uniform(-1.0, 1.0, hidden_width)
         self.weights: np.ndarray | None = None
+        self._held: _HeldSums | None = None
+
+    def __getstate__(self):
+        # the held sums belong to one matrix in this process; a copy refits afresh
+        return {**self.__dict__, "_held": None}
 
     def embed(self, X: np.ndarray) -> np.ndarray:
         X = np.asarray(X, dtype=np.float64)
@@ -117,12 +147,8 @@ class RandomFeatureRidge(ClassifierModel):
         H += self.bias
         return np.tanh(H, out=H)
 
-    def _blocks(self, H: np.ndarray, rows: np.ndarray | None):
-        """Yield ``(start, stop, H_block)`` over the chosen rows of ``H``.
-
-        Without ``rows`` the blocks are views; otherwise they are gathered
-        into one reused block-sized buffer, valid until the next block.
-        """
+    def _checked(self, H: np.ndarray, rows: np.ndarray | None):
+        """``H`` as float64 and ``rows`` as indices, after checking both."""
         H = np.asarray(H, dtype=np.float64)
         if H.ndim != 2 or H.shape[1] != self.hidden_width:
             raise ValueError(f"expected {self.hidden_width} embedded features, got "
@@ -131,6 +157,14 @@ class RandomFeatureRidge(ClassifierModel):
             rows = np.asarray(rows, dtype=np.intp)
             if len(rows) and (rows.min() < 0 or rows.max() >= len(H)):
                 raise IndexError(f"row index out of range for {len(H)} embedded rows")
+        return H, rows
+
+    def _blocks(self, H: np.ndarray, rows: np.ndarray | None):
+        """Yield ``(start, stop, H_block)`` over the chosen rows of a checked ``H``.
+
+        Without ``rows`` the blocks are views; otherwise they are gathered
+        into one reused block-sized buffer, valid until the next block.
+        """
         n = len(H) if rows is None else len(rows)
         step = self.block_rows
         buf = None if rows is None else np.empty((min(step, n), self.hidden_width))
@@ -152,27 +186,60 @@ class RandomFeatureRidge(ClassifierModel):
         return self
 
     def _normal_equations(self, H, y, sample_weight, rows):
-        """The ridge gram ``H'WH + lambda*I`` and target ``H'WY`` over the chosen rows."""
+        """The ridge gram ``H'WH + lambda*I`` and target ``H'WY`` over the chosen rows.
+
+        Updates the sums held from the previous call where that costs fewer
+        rows than summing the chosen ones afresh, and holds the result.
+        """
+        H, rows = self._checked(H, rows)
         n = len(H) if rows is None else len(rows)
         y = np.asarray(y, dtype=np.int64)
         if len(y) != n:
             raise ValueError("label length does not match row count")
+        if n and (y.min() < 0 or y.max() >= self.class_count):
+            raise ValueError(f"labels must lie in [0, {self.class_count})")
         w = np.ones(n) if sample_weight is None else np.asarray(sample_weight, dtype=np.float64)
         if len(w) != n:
             raise ValueError("sample_weight length does not match row count")
-        gram = np.zeros((self.hidden_width, self.hidden_width))
-        target = np.zeros((self.hidden_width, self.class_count))
+
+        label = np.full(len(H), -1, dtype=np.int64)
+        weight = np.zeros(len(H))
+        chosen = slice(None) if rows is None else rows
+        label[chosen] = y
+        weight[chosen] = w
+        # a repeated row cannot be held: the per-row record has one entry each
+        distinct = np.count_nonzero(label >= 0) == n
+        held, self._held = self._held, None
+        gram = target = None
+        if distinct and held is not None and held.source() is H and held.shape == H.shape:
+            changed = (label != held.label) | (weight != held.weight)
+            leave = np.flatnonzero(changed & (held.label >= 0))
+            enter = np.flatnonzero(changed & (label >= 0))
+            if len(leave) + len(enter) < n:
+                gram, target = held.gram, held.target
+                self._accumulate(gram, target, H, held.label[leave], -held.weight[leave], leave)
+                self._accumulate(gram, target, H, label[enter], weight[enter], enter)
+        if gram is None:
+            gram = np.zeros((self.hidden_width, self.hidden_width))
+            target = np.zeros((self.hidden_width, self.class_count))
+            self._accumulate(gram, target, H, y, w, rows)
+        if distinct:
+            self._held = _HeldSums(weakref.ref(H), H.shape, label, weight, gram, target)
+        return gram + self.ridge_lambda * np.eye(self.hidden_width), target.copy()
+
+    def _accumulate(self, gram, target, H, y, w, rows):
+        """Add the chosen rows' ``H'WH`` to ``gram`` and ``H'WY`` to ``target``."""
+        n = len(H) if rows is None else len(rows)
         weighted = np.empty((min(self.block_rows, n), self.hidden_width))
         for start, stop, Hb in self._blocks(H, rows):
             Hw = np.multiply(Hb, w[start:stop, None], out=weighted[:stop - start])
             gram += Hb.T @ Hw
             target += Hw.T @ one_hot(y[start:stop], self.class_count)
-        gram += self.ridge_lambda * np.eye(self.hidden_width)
-        return gram, target
 
     def _scores(self, H, rows=None) -> np.ndarray:
         if self.weights is None:
             raise ValueError("model is not fitted")
+        H, rows = self._checked(H, rows)
         scores = np.empty((len(H) if rows is None else len(rows), self.class_count))
         for start, stop, Hb in self._blocks(H, rows):
             np.matmul(Hb, self.weights, out=scores[start:stop])
@@ -182,7 +249,9 @@ class RandomFeatureRidge(ClassifierModel):
         return self.predict_proba_embedded(self.embed(X))
 
     def predict_proba_embedded(self, H, rows=None):
-        return softmax(self._scores(H, rows) / self.temperature)
+        scores = self._scores(H, rows)
+        scores /= self.temperature
+        return softmax(scores)
 
 
 def softmax_loss_and_grad(W: np.ndarray, b: np.ndarray, X: np.ndarray, y: np.ndarray,

@@ -290,7 +290,8 @@ def minibatch_kmeans_fit(X: np.ndarray, cfg: MiniBatchKMeansConfig) -> ClusterMo
     to ``(count * center + batch_sum) / (count + batch_members)``, which is
     what gets applied. Stops once the smoothed per-point batch inertia fails
     to improve for ``max_no_improve`` consecutive batches, or, when a batch is
-    every row (so that inertia keeps falling), once a pass changes no assignment.
+    every row (so that inertia keeps falling), once a pass changes no assignment;
+    that fit then ends, as Lloyd's does, at the means of its clusters' members.
     """
     t0 = time.perf_counter()
     X = np.asarray(X, dtype=np.float64)
@@ -337,6 +338,18 @@ def minibatch_kmeans_fit(X: np.ndarray, cfg: MiniBatchKMeansConfig) -> ClusterMo
                 converged = True
                 break
 
+    if batch == n and converged:
+        # the running averages have settled every row's assignment; mean
+        # steps move each centroid to the mean of its members, until no row
+        # changes cluster (one step alone can still move rows)
+        for _ in range(cfg.max_iter):
+            centroids = _mean_update(X, a, d, centroids)
+            moved = a
+            a, d = _nearest(X, centroids)
+            if np.array_equal(a, moved):
+                break
+        else:
+            converged = False
     assignments, distances = _nearest(X, centroids)
     inertia = float(np.sum(distances * distances))
     return ClusterModel("minibatch_kmeans", centroids, assignments, distances, inertia,

@@ -46,14 +46,6 @@ class QueryList:
     def __len__(self) -> int:
         return len(self.ids)
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, QueryList):
-            return NotImplemented
-        return self.built_from == other.built_from and all(
-            np.array_equal(a, b) for a, b in
-            ((self.ids, other.ids), (self.clusters, other.clusters),
-             (self.distances, other.distances), (self.certainties, other.certainties)))
-
     @cached_property
     def entries(self) -> tuple[CertaintyEntry, ...]:
         return tuple(map(CertaintyEntry, self.ids.tolist(), self.clusters.tolist(),

@@ -4,10 +4,13 @@ variant that feeds certainty-ordered batches into a growing pseudo-label pool.
 Both loops share one round structure. Round 0 fits on the labeled data only;
 every later round predicts over the current pool, keeps members whose
 confidence clears the threshold, refits on labeled + selected pseudo-labeled
-rows, and evaluates. The backbone embeds the labeled and unlabeled rows once,
-at the start of the timed loop; rounds fit and score on that cache. The
-incremental loop clusters the unlabeled data exactly once up front to build
-its query list.
+rows, and evaluates. The backbone embeds the labeled and unlabeled rows, and
+the test rows, once, at the start of the timed loop; rounds fit, score and
+evaluate on those caches, so a backbone that updates its fit from the last
+one (the ridge) pays per round for the rows that changed. Once every
+unlabeled row is in the pool, the pool is scored as a whole rather than
+gathered. The incremental loop clusters the unlabeled data exactly once up
+front to build its query list.
 """
 
 from __future__ import annotations
@@ -128,13 +131,24 @@ class PseudoPool:
         return self._by_id[self.admitted[self._by_id] >= 0]
 
 
+STAGES = ("fit_s", "predict_s", "select_s", "eval_s")
+
+
 @dataclass
 class TrainingTrajectory:
     """Per-round record of one training run plus totals.
 
     ``cum_seconds`` accumulates loop time (embed + fit + predict + evaluate);
     clustering time is kept apart in ``cluster_seconds`` so reports can
-    isolate it the way the benchmark tables do.
+    isolate it the way the benchmark tables do. Each round's loop time is
+    split into four stages, which together cover it:
+
+    - ``fit_s``: refitting the backbone (in round 0 also embedding the
+      labeled, unlabeled and test rows);
+    - ``predict_s``: scoring the pool and refreshing its pseudo-labels;
+    - ``select_s``: admitting the round's batch and gathering the selected
+      rows, labels and weights;
+    - ``eval_s``: the pseudo-label error and the test accuracy.
     """
 
     mode: str
@@ -145,6 +159,10 @@ class TrainingTrajectory:
     pseudo_error: list[float | None] = field(default_factory=list)
     processed: list[int] = field(default_factory=list)
     cum_seconds: list[float] = field(default_factory=list)
+    fit_s: list[float] = field(default_factory=list)
+    predict_s: list[float] = field(default_factory=list)
+    select_s: list[float] = field(default_factory=list)
+    eval_s: list[float] = field(default_factory=list)
     cluster_seconds: float = 0.0
     failed_round: int | None = None
     failure_message: str | None = None
@@ -184,12 +202,13 @@ class TrainingTrajectory:
         buf = io.StringIO()
         writer = csv.writer(buf)
         writer.writerow(["round", "accuracy", "pool_size", "pseudo_used",
-                         "pseudo_error", "processed", "cum_seconds"])
+                         "pseudo_error", "processed", "cum_seconds", *STAGES])
         for t in range(self.rounds_completed):
             err = self.pseudo_error[t]
             writer.writerow([t, repr(self.accuracy[t]), self.pool_size[t],
                              self.pseudo_used[t], "" if err is None else repr(err),
-                             self.processed[t], repr(self.cum_seconds[t])])
+                             self.processed[t], repr(self.cum_seconds[t]),
+                             *(repr(getattr(self, stage)[t]) for stage in STAGES)])
         return buf.getvalue()
 
     def summary(self, config_echo: dict | None = None) -> dict:
@@ -201,6 +220,7 @@ class TrainingTrajectory:
             "total_processed": self.total_processed,
             "total_seconds": self.total_seconds,
             "cluster_seconds": self.cluster_seconds,
+            "stage_seconds": {stage: sum(getattr(self, stage)) for stage in STAGES},
             "failed_round": self.failed_round,
             "failure_message": self.failure_message,
             "config": self.config_echo if config_echo is None else config_echo,
@@ -215,7 +235,8 @@ def pseudo_label_pool(model: ClassifierModel, pool: PseudoPool, unlabeled: Unlab
     Pool labels and confidences are refreshed from the current model on every
     call (unless frozen at first sight), including for members that fall
     below the threshold. Members are scored from ``embedded``, which is
-    ``model.embed(unlabeled.features)`` and is computed here when not given.
+    ``model.embed(unlabeled.features)`` and is computed here when not given;
+    when every row is a member, the whole of it is scored, without gathering.
     Returns ids in ascending order so downstream training sees a canonical
     row order.
     """
@@ -229,11 +250,14 @@ def pseudo_label_pool(model: ClassifierModel, pool: PseudoPool, unlabeled: Unlab
 
     if embedded is None:
         embedded = model.embed(unlabeled.features)
-    proba = model.predict_proba_embedded(embedded, members)
-    rows, conf, labels = members, proba.max(axis=1), proba.argmax(axis=1)
+    if len(members) == len(pool.ids):
+        rows, proba = np.arange(len(members)), model.predict_proba_embedded(embedded)
+    else:
+        rows, proba = members, model.predict_proba_embedded(embedded, members)
+    conf, labels = proba.max(axis=1), proba.argmax(axis=1)
     if freeze_labels:
-        fresh = pool.labels[members] < 0
-        rows, conf, labels = members[fresh], conf[fresh], labels[fresh]
+        fresh = pool.labels[rows] < 0
+        rows, conf, labels = rows[fresh], conf[fresh], labels[fresh]
     pool.labels[rows] = labels
     pool.confidence[rows] = conf
 
@@ -242,13 +266,21 @@ def pseudo_label_pool(model: ClassifierModel, pool: PseudoPool, unlabeled: Unlab
             np.full(len(selected), pseudo_weight, dtype=np.float64))
 
 
-def evaluate(model: ClassifierModel, test: Dataset) -> float:
-    """Fraction of argmax predictions matching ground truth."""
+def evaluate(model: ClassifierModel, test: Dataset,
+             embedded: np.ndarray | None = None) -> float:
+    """Fraction of argmax predictions matching ground truth.
+
+    Rows are scored from ``embedded``, which is ``model.embed(test.features)``
+    and is computed here when not given.
+    """
     if test.n == 0:
         raise ValueError("test set is empty")
     if test.labels is None:
         raise ValueError("test set has no labels")
-    return float(np.mean(model.predict(test.features) == test.labels))
+    if embedded is None:
+        embedded = model.embed(test.features)
+    predicted = np.argmax(model.predict_proba_embedded(embedded), axis=1)
+    return float(np.mean(predicted == test.labels))
 
 
 def pseudo_error_rate(pool: PseudoPool, confidence_threshold: float,
@@ -296,41 +328,59 @@ def _run_rounds(labeled: LabeledSet, unlabeled: UnlabeledSet, test: Dataset,
     traj.config_echo = _config_echo(cfg)
     truth = unlabeled.eval_labels()
     n_l = labeled.n_l
-    start = time.perf_counter()
+    start = clock = time.perf_counter()
+    laps = dict.fromkeys(STAGES, 0.0)
+
+    def lap(stage: str):
+        """Charge the time since the previous lap to ``stage``."""
+        nonlocal clock
+        now = time.perf_counter()
+        laps[stage] += now - clock
+        clock = now
 
     def record(acc: float, used: int, err: float | None):
+        lap("eval_s")
         traj.accuracy.append(acc)
         traj.pool_size.append(len(pool))
         traj.pseudo_used.append(used)
         traj.pseudo_error.append(err)
         traj.processed.append(n_l + used)
-        traj.cum_seconds.append(time.perf_counter() - start)
+        traj.cum_seconds.append(clock - start)
+        for stage in STAGES:
+            getattr(traj, stage).append(laps[stage])
+            laps[stage] = 0.0
 
     try:
         # the frozen per-row features, once per run: rounds index into them
         H = backbone.embed(np.vstack([labeled.features, unlabeled.features]))
-        backbone.fit_embedded(H[:n_l], labeled.labels, np.ones(n_l))
+        H_test = backbone.embed(test.features)
+        backbone.fit(labeled.features, labeled.labels, np.ones(n_l))
     except ValueError as exc:
         traj.failed_round, traj.failure_message = 0, str(exc)
         raise TrainingRoundError(0, traj, str(exc)) from exc
-    record(evaluate(backbone, test), 0, None)
+    lap("fit_s")
+    record(evaluate(backbone, test, H_test), 0, None)
 
     for t in range(1, rounds):
         if batches is not None and t < len(batches):
             pool.admit(batches[t], t)
+        lap("select_s")
         sel_ids, sel_labels, sel_weights = pseudo_label_pool(
             backbone, pool, unlabeled, cfg.confidence_threshold,
             cfg.pseudo_weight, cfg.freeze_labels, embedded=H[n_l:])
+        lap("predict_s")
         rows = np.concatenate([np.arange(n_l), n_l + pool.rows_of(sel_ids)])
         y = np.concatenate([labeled.labels, sel_labels])
         w = np.concatenate([np.ones(n_l), sel_weights])
+        lap("select_s")
         try:
             backbone.fit_embedded(H, y, w, rows)
         except ValueError as exc:
             traj.failed_round, traj.failure_message = t, str(exc)
             raise TrainingRoundError(t, traj, str(exc)) from exc
+        lap("fit_s")
         err = pseudo_error_rate(pool, cfg.confidence_threshold, truth)
-        record(evaluate(backbone, test), len(sel_ids), err)
+        record(evaluate(backbone, test, H_test), len(sel_ids), err)
 
     return backbone, traj
 

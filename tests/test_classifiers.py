@@ -1,3 +1,5 @@
+import pickle
+
 import numpy as np
 import pytest
 
@@ -40,6 +42,25 @@ class TestSoftmaxFunction:
 
 
 class TestRandomFeatureRidge:
+    def test_pickled_copy_predicts_the_same_and_refits_afresh(self):
+        model = RandomFeatureRidge(3, 2, hidden_width=8, seed=1)
+        X = np.random.default_rng(1).normal(size=(30, 2))
+        H = model.embed(X)
+        y = np.arange(30) % 3
+        model.fit_embedded(H, y[:20], rows=np.arange(20))
+        copy = pickle.loads(pickle.dumps(model))
+        np.testing.assert_array_equal(copy.predict_proba(X), model.predict_proba(X))
+        copy.fit_embedded(H, y)
+        model.fit_embedded(H, y)
+        np.testing.assert_allclose(copy.weights, model.weights, rtol=1e-10, atol=1e-12)
+
+    def test_labels_outside_the_classes_rejected(self):
+        model = RandomFeatureRidge(3, 2, hidden_width=8)
+        X = np.zeros((4, 2))
+        for bad in (-1, 3):
+            with pytest.raises(ValueError, match="labels must lie in"):
+                model.fit(X, np.array([0, 1, 2, bad]))
+
     def test_hidden_width_must_be_positive(self):
         with pytest.raises(ValueError, match="hidden_width"):
             RandomFeatureRidge(2, 3, hidden_width=0)

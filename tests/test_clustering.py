@@ -185,6 +185,18 @@ class TestMiniBatchKMeans:
         assert len(passes) < 300
         model.validate(X)
 
+    @pytest.mark.parametrize("seed, inertia_at_300_passes",
+                             [(0, 165.69), (1, 151.69), (2, 167.75)])
+    def test_full_batch_ends_at_member_means(self, seed, inertia_at_300_passes):
+        # the running averages stop short of the means; the mean steps after
+        # the settled pass reach them, below what 300 averaging passes gave
+        X = np.random.default_rng(seed).normal(size=(120, 3))
+        model = minibatch_kmeans_fit(X, MiniBatchKMeansConfig(k=4, seed=seed, max_iter=300))
+        means = np.array([X[model.assignments == j].mean(axis=0) for j in range(4)])
+        np.testing.assert_array_equal(model.centroids, means)
+        assert model.converged is True
+        assert model.inertia <= inertia_at_300_passes
+
 
 class TestEstimateBandwidth:
     def test_single_pair(self):

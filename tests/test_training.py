@@ -93,6 +93,31 @@ class TestPseudoLabelPool:
         pseudo_label_pool(second, pool, unlabeled, 0.5, freeze_labels=False)
         assert not np.array_equal(pool.labels, frozen)
 
+    def test_full_pool_scored_whole_in_row_order_of_ids(self):
+        scored = []
+
+        class Ridge(RandomFeatureRidge):
+            def predict_proba_embedded(self, H, rows=None):
+                scored.append(rows)
+                return super().predict_proba_embedded(H, rows)
+
+        rng = np.random.default_rng(5)
+        X = rng.normal(size=(40, 2))
+        ids = rng.permutation(100)[:40]  # row order is not id order
+        model = Ridge(3, 2, hidden_width=8, seed=5).fit(X, rng.integers(0, 3, 40))
+        unlabeled = UnlabeledSet(X, ids)
+        H = model.embed(X)
+        proba = RandomFeatureRidge.predict_proba_embedded(model, H)
+        for admitted in (ids[:25], ids):
+            pool = PseudoPool(ids)
+            pool.admit(admitted, 0)
+            sel_ids, labels, _ = pseudo_label_pool(model, pool, unlabeled, 0.0, embedded=H)
+            rows = pool.rows_of(sel_ids)
+            assert np.array_equal(sel_ids, np.sort(admitted))
+            assert np.array_equal(labels, proba[rows].argmax(axis=1))
+            assert np.array_equal(pool.confidence[rows], proba[rows].max(axis=1))
+        assert scored[0] is not None and scored[1] is None
+
     def test_empty_pool_is_empty_selection(self):
         unlabeled = UnlabeledSet(np.zeros((1, 1)), np.array([0]))
         ids, labels, weights = pseudo_label_pool(TableClassifier([[1.0, 0.0]]),
@@ -240,6 +265,15 @@ class TestEvaluate:
         test = Dataset(np.arange(10, dtype=float)[:, None],
                        np.array(truth), 2, np.arange(10))
         assert evaluate(TableClassifier(table), test) == pytest.approx(0.7)
+
+    def test_cached_embedding_scores_like_raw_rows(self):
+        labeled, _, test = blob_problem(seed=4, spread=1.5)
+        model = RandomFeatureRidge(4, 2, hidden_width=16, seed=4).fit(
+            labeled.features, labeled.labels)
+        acc = float(np.mean(model.predict(test.features) == test.labels))
+        assert acc < 1.0
+        assert evaluate(model, test) == acc
+        assert evaluate(model, test, model.embed(test.features)) == acc
 
     def test_empty_test_rejected(self):
         model = TableClassifier([[1.0, 0.0]])
@@ -467,6 +501,32 @@ class TestTrajectoryIO:
         assert [int(r["processed"]) for r in rows] == traj.processed
         assert [float(r["cum_seconds"]) for r in rows] == traj.cum_seconds
 
+    @pytest.mark.parametrize("mode", ["st", "ist"])
+    def test_stage_timings_cover_each_round(self, mode):
+        labeled, unlabeled, test = blob_problem(seed=12)
+        backbone = RandomFeatureRidge(4, 2, hidden_width=64, seed=12)
+        if mode == "st":
+            _, traj = st_train(labeled, unlabeled, test, backbone,
+                               SelfTrainConfig(mode="st", rounds=4, seed=12))
+        else:
+            _, traj = ist_train(labeled, unlabeled, test, backbone,
+                                SelfTrainConfig(mode="ist", rounds=4,
+                                                schedule=BatchSchedule(0.4, 2), seed=12))
+        stages = ("fit_s", "predict_s", "select_s", "eval_s")
+        per_round = np.array([getattr(traj, stage) for stage in stages]).T
+        assert per_round.shape == (4, 4) and (per_round >= 0).all()
+        assert per_round[0, 1] == per_round[0, 2] == 0.0  # round 0 fits and evaluates
+        assert (per_round[1:, :] > 0).all()
+        np.testing.assert_allclose(per_round.sum(axis=1),
+                                   np.diff(traj.cum_seconds, prepend=0.0), atol=1e-3)
+
+        rows = list(csv.DictReader(io.StringIO(traj.to_csv_text())))
+        for stage in stages:
+            assert [float(r[stage]) for r in rows] == getattr(traj, stage)
+        assert traj.summary()["stage_seconds"] == {
+            stage: sum(getattr(traj, stage)) for stage in stages}
+        assert not set(stages) & set(traj.deterministic_fields())
+
     def test_summary_totals(self):
         labeled, unlabeled, test = blob_problem(seed=11)
         backbone = RandomFeatureRidge(4, 2, hidden_width=64, seed=11)
@@ -525,8 +585,9 @@ class TestEmbedOncePerRun:
     @pytest.mark.parametrize("mode", ["st", "ist"])
     def test_embed_called_once_before_the_rounds(self, mode):
         backbone = CountingBackbone(4)
-        labeled, unlabeled, _, traj = self.run(mode, backbone)
-        assert backbone.embed_calls == [(labeled.n_l + unlabeled.n_u, 0)]
+        labeled, unlabeled, test, traj = self.run(mode, backbone)
+        # the training rows, then the test rows, both before the first fit
+        assert backbone.embed_calls == [(labeled.n_l + unlabeled.n_u, 0), (test.n, 0)]
         assert backbone.fits == traj.rounds_completed == 5
 
     @pytest.mark.parametrize("mode", ["st", "ist"])
@@ -539,7 +600,10 @@ class TestEmbedOncePerRun:
                 return super().embed(X)
 
         labeled, unlabeled, test, traj = self.run(mode, Ridge(4, 2, hidden_width=16))
-        assert calls == [labeled.n_l + unlabeled.n_u] + [test.n] * traj.rounds_completed
+        assert traj.rounds_completed == 5
+        # the training rows, then the test rows, before any fit; round 0's fit
+        # on the labeled rows alone embeds them; no later round embeds
+        assert calls == [labeled.n_l + unlabeled.n_u, test.n, labeled.n_l]
 
     def test_embedding_time_lands_in_round_zero(self):
         _, _, _, traj = self.run("st", CountingBackbone(4, delay=0.3))
