@@ -4,6 +4,11 @@ a warm-startable mini-batch softmax classifier.
 Both accept per-sample weights (the hook used to down-weight pseudo-labels)
 and emit row-stochastic probability matrices. Argmax ties resolve to the
 lowest class index.
+
+Work along the class axis (the row max of ``softmax``, the top class of a
+probability row) is done as whole-array passes over the class columns, one
+per class, rather than as a reduction per row: rows are many and classes
+few. Each pass gives the row-wise reduction's result bit for bit.
 """
 
 from __future__ import annotations
@@ -15,11 +20,46 @@ from dataclasses import dataclass
 import numpy as np
 
 
-def softmax(logits: np.ndarray) -> np.ndarray:
-    z = logits - logits.max(axis=1, keepdims=True)
+def _row_max(a: np.ndarray) -> np.ndarray:
+    """``a.max(axis=1)`` as a fold of ``np.maximum`` over the columns."""
+    top = a[:, 0].copy()
+    for j in range(1, a.shape[1]):
+        np.maximum(top, a[:, j], out=top)
+    return top
+
+
+def _softmax_into(z: np.ndarray) -> np.ndarray:
+    """Softmax of the rows of float64 ``z``, computed in ``z`` itself."""
+    z -= _row_max(z)[:, None]
     np.exp(z, out=z)
+    # numpy's own row sum: it adds 8 or more columns pairwise, which a column
+    # fold would not reproduce bit for bit
     z /= z.sum(axis=1, keepdims=True)
     return z
+
+
+def softmax(logits: np.ndarray) -> np.ndarray:
+    """Row-wise softmax of ``logits``, which is left unchanged.
+
+    Bit-identical to ``z = logits - logits.max(1)``, ``exp(z)``,
+    ``z / z.sum(1)``; the row max is taken by column passes.
+    """
+    return _softmax_into(np.array(logits, dtype=np.float64))
+
+
+def top_class(proba: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each row's largest entry and the first column holding it.
+
+    Equals ``(proba.max(axis=1), proba.argmax(axis=1))`` on rows without NaN,
+    ties going to the lowest class index, but takes both by column passes.
+    """
+    conf = proba[:, 0].copy()
+    label = np.zeros(len(proba), dtype=np.intp)
+    for j in range(1, proba.shape[1]):
+        # strictly greater, so an equal later column never takes the label
+        np.copyto(label, j, where=proba[:, j] > conf)
+        np.maximum(conf, proba[:, j], out=conf)
+    return conf, label
 
 
 def one_hot(y: np.ndarray, class_count: int) -> np.ndarray:
@@ -72,7 +112,7 @@ class ClassifierModel(ABC):
         return self.predict_proba(H if rows is None else H[rows])
 
     def predict(self, X: np.ndarray) -> np.ndarray:
-        return np.argmax(self.predict_proba(X), axis=1)
+        return top_class(self.predict_proba(X))[1]
 
 
 @dataclass
@@ -251,7 +291,7 @@ class RandomFeatureRidge(ClassifierModel):
     def predict_proba_embedded(self, H, rows=None):
         scores = self._scores(H, rows)
         scores /= self.temperature
-        return softmax(scores)
+        return _softmax_into(scores)
 
 
 def softmax_loss_and_grad(W: np.ndarray, b: np.ndarray, X: np.ndarray, y: np.ndarray,
@@ -378,5 +418,5 @@ class SoftmaxSGD(ClassifierModel):
     def predict_proba(self, X):
         X = self._check(X)
         if self.hidden_width is None:
-            return softmax(X @ self.weights + self.bias)
-        return softmax(np.tanh(X @ self.w1 + self.b1) @ self.weights + self.bias)
+            return _softmax_into(X @ self.weights + self.bias)
+        return _softmax_into(np.tanh(X @ self.w1 + self.b1) @ self.weights + self.bias)

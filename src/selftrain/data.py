@@ -38,7 +38,8 @@ class Dataset:
             raise ValueError("features contain non-finite values")
         if len(ids) != len(feats):
             raise ValueError("ids length does not match row count")
-        if len(np.unique(ids)) != len(ids):
+        ordered = np.sort(ids)
+        if np.any(ordered[1:] == ordered[:-1]):
             raise ValueError("ids must be unique")
         object.__setattr__(self, "features", feats)
         object.__setattr__(self, "ids", ids)

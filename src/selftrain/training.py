@@ -9,8 +9,9 @@ the test rows, once, at the start of the timed loop; rounds fit, score and
 evaluate on those caches, so a backbone that updates its fit from the last
 one (the ridge) pays per round for the rows that changed. Once every
 unlabeled row is in the pool, the pool is scored as a whole rather than
-gathered. The incremental loop clusters the unlabeled data exactly once up
-front to build its query list.
+gathered. The rows a round selects reach the fit as row indices, without a
+round trip through their sample ids. The incremental loop clusters the
+unlabeled data exactly once up front to build its query list.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .classifiers import ClassifierModel
+from .classifiers import ClassifierModel, top_class
 from .clustering import fit_cluster
 from .data import Dataset, LabeledSet, UnlabeledSet, standardize
 from .querylist import (CERTAINTY_NORMS, BatchSchedule, build_query_list,
@@ -89,8 +90,10 @@ class PseudoPool:
     State is kept per unlabeled row, in the row order of the ids the pool was
     built over: ``admitted`` holds the round a row joined (-1 while outside),
     ``labels`` its current pseudo-label (-1 before the first prediction) and
-    ``confidence`` the matching confidence (NaN before it). Sample ids map to
-    rows through one sorted copy of the ids, built here once.
+    ``confidence`` the matching confidence (NaN before it). ``selected``
+    holds the rows that cleared the threshold at the last pseudo-labeling,
+    in ascending sample-id order (none before it). Sample ids map to rows
+    through one sorted copy of the ids, built here once.
     """
 
     def __init__(self, unlabeled_ids):
@@ -101,6 +104,7 @@ class PseudoPool:
         self.admitted = np.full(n, -1, dtype=np.int64)
         self.labels = np.full(n, -1, dtype=np.int64)
         self.confidence = np.full(n, np.nan)
+        self.selected = np.empty(0, dtype=np.intp)
         self._size = 0
 
     def __len__(self) -> int:
@@ -234,34 +238,34 @@ def pseudo_label_pool(model: ClassifierModel, pool: PseudoPool, unlabeled: Unlab
 
     Pool labels and confidences are refreshed from the current model on every
     call (unless frozen at first sight), including for members that fall
-    below the threshold. Members are scored from ``embedded``, which is
+    below the threshold. A member's label is its top class, ties going to
+    the lowest class index, and its confidence that class's probability.
+    Members are scored from ``embedded``, which is
     ``model.embed(unlabeled.features)`` and is computed here when not given;
     when every row is a member, the whole of it is scored, without gathering.
     Returns ids in ascending order so downstream training sees a canonical
-    row order.
+    row order. The rows holding them are left in ``pool.selected``, where
+    the training loops take them without mapping the ids back to rows.
     """
     if len(pool.ids) != unlabeled.n_u or (
             pool.ids is not unlabeled.ids and not np.array_equal(pool.ids, unlabeled.ids)):
         raise ValueError("pool was built over different unlabeled ids")
     members = pool.member_rows()
-    if len(members) == 0:
-        return (np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64),
-                np.empty(0, dtype=np.float64))
+    if len(members):
+        if embedded is None:
+            embedded = model.embed(unlabeled.features)
+        if len(members) == len(pool.ids):
+            rows, proba = np.arange(len(members)), model.predict_proba_embedded(embedded)
+        else:
+            rows, proba = members, model.predict_proba_embedded(embedded, members)
+        conf, labels = top_class(proba)
+        if freeze_labels:
+            fresh = pool.labels[rows] < 0
+            rows, conf, labels = rows[fresh], conf[fresh], labels[fresh]
+        pool.labels[rows] = labels
+        pool.confidence[rows] = conf
 
-    if embedded is None:
-        embedded = model.embed(unlabeled.features)
-    if len(members) == len(pool.ids):
-        rows, proba = np.arange(len(members)), model.predict_proba_embedded(embedded)
-    else:
-        rows, proba = members, model.predict_proba_embedded(embedded, members)
-    conf, labels = proba.max(axis=1), proba.argmax(axis=1)
-    if freeze_labels:
-        fresh = pool.labels[rows] < 0
-        rows, conf, labels = rows[fresh], conf[fresh], labels[fresh]
-    pool.labels[rows] = labels
-    pool.confidence[rows] = conf
-
-    selected = members[pool.confidence[members] >= confidence_threshold]
+    selected = pool.selected = members[pool.confidence[members] >= confidence_threshold]
     return (pool.ids[selected], pool.labels[selected],
             np.full(len(selected), pseudo_weight, dtype=np.float64))
 
@@ -279,7 +283,7 @@ def evaluate(model: ClassifierModel, test: Dataset,
         raise ValueError("test set has no labels")
     if embedded is None:
         embedded = model.embed(test.features)
-    predicted = np.argmax(model.predict_proba_embedded(embedded), axis=1)
+    predicted = top_class(model.predict_proba_embedded(embedded))[1]
     return float(np.mean(predicted == test.labels))
 
 
@@ -369,7 +373,7 @@ def _run_rounds(labeled: LabeledSet, unlabeled: UnlabeledSet, test: Dataset,
             backbone, pool, unlabeled, cfg.confidence_threshold,
             cfg.pseudo_weight, cfg.freeze_labels, embedded=H[n_l:])
         lap("predict_s")
-        rows = np.concatenate([np.arange(n_l), n_l + pool.rows_of(sel_ids)])
+        rows = np.concatenate([np.arange(n_l), n_l + pool.selected])
         y = np.concatenate([labeled.labels, sel_labels])
         w = np.concatenate([np.ones(n_l), sel_weights])
         lap("select_s")

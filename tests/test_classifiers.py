@@ -2,9 +2,11 @@ import pickle
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from selftrain.classifiers import (RandomFeatureRidge, SoftmaxSGD, mlp_loss_and_grad,
-                                   one_hot, softmax, softmax_loss_and_grad)
+                                   one_hot, softmax, softmax_loss_and_grad, top_class)
 from selftrain.data import UnlabeledSet
 from selftrain.training import PseudoPool, pseudo_label_pool
 
@@ -39,6 +41,74 @@ class TestSoftmaxFunction:
         probs = softmax(logits)
         assert np.all(probs >= 0)
         np.testing.assert_allclose(probs.sum(axis=1), 1.0, atol=1e-6)
+
+
+def reference_softmax_top(s):
+    """Row-wise numpy softmax, then each row's max and first argmax."""
+    z = s - s.max(axis=1, keepdims=True)
+    np.exp(z, out=z)
+    z /= z.sum(axis=1, keepdims=True)
+    return z, z.max(axis=1), z.argmax(axis=1)
+
+
+@st.composite
+def class_score_matrices(draw):
+    """Score matrices with exact column ties, one-ulp neighbours and extreme scales.
+
+    Class counts run past 8, where numpy's row sum turns pairwise. Row
+    scales run from 1e-300 (exp rounds to 1 on every entry) to 800 (exp
+    underflows to 0 away from the row max).
+    """
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n, c = draw(st.integers(1, 60)), draw(st.integers(2, 33))
+    lo = draw(st.floats(-300, 2.9))
+    hi = draw(st.floats(lo, 2.9))
+    s = rng.standard_normal((n, c)) * 10.0 ** rng.uniform(lo, hi, (n, 1))
+    for _ in range(draw(st.integers(0, 4))):
+        i, j = rng.choice(c, 2, replace=False)
+        picked = rng.random(n) < 0.5
+        s[picked, j] = s[picked, i]  # an exact tie
+        if draw(st.booleans()):
+            # and one ulp above or below another column
+            k = rng.integers(c)
+            s[~picked, k] = np.nextafter(s[~picked, j],
+                                         np.inf if draw(st.booleans()) else -np.inf)
+    return s
+
+
+def bits(a):
+    return np.ascontiguousarray(a).view(np.uint8)
+
+
+class TestClassColumnPasses:
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(class_score_matrices())
+    def test_softmax_and_top_class_match_row_wise_numpy(self, s):
+        before = s.copy()
+        proba, conf, label = reference_softmax_top(s)
+        got = softmax(s)
+        assert np.array_equal(bits(s), bits(before))  # the argument is left alone
+        assert got.dtype == np.float64 and np.array_equal(bits(got), bits(proba))
+        got_conf, got_label = top_class(got)
+        assert np.array_equal(bits(got_conf), bits(conf))
+        assert np.array_equal(got_label, label)
+        raw_conf, raw_label = top_class(s)
+        assert np.array_equal(bits(raw_conf), bits(s.max(axis=1)))
+        assert np.array_equal(raw_label, s.argmax(axis=1))
+
+    def test_ties_go_to_the_lowest_class(self):
+        conf, label = top_class(np.array([[0.25, 0.25, 0.25, 0.25],
+                                          [0.1, 0.45, 0.45, 0.0],
+                                          [0.2, 0.2, 0.1, 0.5]]))
+        assert label.tolist() == [0, 1, 3]
+        assert conf.tolist() == [0.25, 0.45, 0.5]
+
+    @pytest.mark.parametrize("model", [RandomFeatureRidge(10, 3, hidden_width=16, seed=2),
+                                       SoftmaxSGD(10, 3, epochs=2, seed=2)])
+    def test_predict_is_the_first_argmax(self, model):
+        X = np.random.default_rng(2).normal(size=(200, 3))
+        model.fit(X, np.arange(200) % 10)
+        assert np.array_equal(model.predict(X), model.predict_proba(X).argmax(axis=1))
 
 
 class TestRandomFeatureRidge:

@@ -237,6 +237,22 @@ class TestDatasetInvariants:
         with pytest.raises(ValueError, match="unique"):
             Dataset(np.ones((2, 2)), None, None, np.array([1, 1]))
 
+    @pytest.mark.parametrize("ids", [
+        [7, 7, 3, 5, 9],           # at the first position
+        [3, 5, 9, 2, 9],           # at the last position
+        [9, 1, 4, 1, 8],           # unsorted, apart from each other
+        [-3, 0, -7, 2, -3],        # negative
+        [-1, 5, 0, 2, 1],          # negative and unique: accepted
+        [4, 3, 2, 1, 0],           # unsorted and unique: accepted
+    ])
+    def test_duplicates_found_anywhere_in_any_order(self, ids):
+        features = np.ones((len(ids), 2))
+        if len(set(ids)) == len(ids):
+            assert Dataset(features, None, None, np.array(ids)).ids.tolist() == ids
+        else:
+            with pytest.raises(ValueError, match="ids must be unique"):
+                Dataset(features, None, None, np.array(ids))
+
     def test_features_are_immutable(self):
         ds = make_blobs(2, 4, 2, 0.5, 0)
         with pytest.raises(ValueError):

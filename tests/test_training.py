@@ -7,8 +7,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from selftrain import clustering
-from selftrain.classifiers import ClassifierModel, RandomFeatureRidge, SoftmaxSGD
+from selftrain import clustering, training
+from selftrain.classifiers import ClassifierModel, RandomFeatureRidge, SoftmaxSGD, softmax
 from selftrain.data import Dataset, UnlabeledSet, make_blobs, split_ssl
 from selftrain.querylist import BatchSchedule
 from selftrain.training import (PseudoPool, SelfTrainConfig, TrainingRoundError,
@@ -568,6 +568,77 @@ class CountingBackbone(ClassifierModel):
         proba = np.zeros((len(X), self.class_count))
         proba[:, 0] = 1.0
         return proba
+
+
+class SelectionCheckingBackbone(ClassifierModel):
+    """Stub whose every refit checks its rows against ``pseudo_label_pool``.
+
+    Its probabilities sharpen with each fit, so the rows clearing the
+    threshold change from round to round. Inside ``fit_embedded``, before
+    the fit counts, it asks ``pseudo_label_pool`` what the loop's pool
+    selects now, and logs the rows, labels and weights the loop gave it next
+    to the ones those ids give.
+    """
+
+    backbone = "stub"
+
+    def __init__(self, class_count, n_l, unlabeled, threshold, pseudo_weight):
+        self.class_count = class_count
+        self.n_l, self.unlabeled = n_l, unlabeled
+        self.threshold, self.pseudo_weight = threshold, pseudo_weight
+        self.pool = None
+        self.fits = 0
+        self.log = []
+
+    def fit(self, X, y, sample_weight=None):
+        self.fits += 1
+        return self
+
+    def predict_proba(self, X):
+        X = np.asarray(X, dtype=np.float64)
+        scores = np.column_stack([X[:, 0], X[:, 1], -X[:, 0], -X[:, 1]])
+        return softmax(scores * (0.5 + self.fits))
+
+    def fit_embedded(self, H, y, sample_weight=None, rows=None):
+        ids, labels, weights = pseudo_label_pool(self, self.pool, self.unlabeled,
+                                                 self.threshold, self.pseudo_weight,
+                                                 embedded=H[self.n_l:])
+        want = np.concatenate([np.arange(self.n_l), self.n_l + self.pool.rows_of(ids)])
+        self.log.append((len(ids), rows, want, y[self.n_l:], labels,
+                         sample_weight[self.n_l:], weights))
+        return self.fit(H[rows], y, sample_weight)
+
+
+class TestLoopFitsTheSelectedRows:
+    @pytest.mark.parametrize("mode", ["st", "ist"])
+    def test_rows_are_those_of_the_selected_ids(self, mode, monkeypatch):
+        labeled, unlabeled, test = blob_problem(seed=3)
+        order = np.random.default_rng(3).permutation(unlabeled.n_u)  # rows out of id order
+        unlabeled = UnlabeledSet(unlabeled.features[order], unlabeled.ids[order],
+                                 unlabeled.eval_labels()[order])
+        backbone = SelectionCheckingBackbone(4, labeled.n_l, unlabeled, 0.9, 0.5)
+
+        class Pool(PseudoPool):
+            def __init__(self, ids):
+                super().__init__(ids)
+                backbone.pool = self
+
+        monkeypatch.setattr(training, "PseudoPool", Pool)
+        if mode == "st":
+            cfg = SelfTrainConfig(mode="st", rounds=5, confidence_threshold=0.9,
+                                  pseudo_weight=0.5, seed=3)
+            st_train(labeled, unlabeled, test, backbone, cfg)
+        else:
+            cfg = SelfTrainConfig(mode="ist", rounds=5, schedule=BatchSchedule(0.25, 3),
+                                  confidence_threshold=0.9, pseudo_weight=0.5, seed=3)
+            ist_train(labeled, unlabeled, test, backbone, cfg)
+        assert len(backbone.log) == 4
+        for used, rows, want_rows, y, labels, w, weights in backbone.log:
+            assert np.array_equal(rows, want_rows)
+            assert np.array_equal(y, labels) and np.array_equal(w, weights)
+        # the selection moves, and is neither empty nor the whole pool
+        used = [entry[0] for entry in backbone.log]
+        assert len(set(used)) > 1 and 0 < min(used) and max(used) < unlabeled.n_u
 
 
 class TestEmbedOncePerRun:
