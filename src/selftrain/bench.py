@@ -188,6 +188,8 @@ def validate_config(doc: dict) -> ExperimentConfig:
             path = _require(dataset, key, "$.dataset")
             if not Path(path).exists():
                 raise ConfigError(f"$.dataset.{key}", f"file does not exist: {path}")
+        if source == "csv":  # the split stratifies by label
+            _typed(_require(dataset, "label_column", "$.dataset"), str, "$.dataset.label_column")
 
     split = _object(_require(doc, "split", "$"), "$.split", ("labels_per_class", "test_fraction"))
     _check_number(_require(split, "labels_per_class", "$.split"),
@@ -204,7 +206,8 @@ def validate_config(doc: dict) -> ExperimentConfig:
     methods = _list(_require(cl, "methods", "$.clustering"), "$.clustering.methods",
                     clustering.METHODS.__contains__, f"methods in {clustering.METHODS}")
     seeds = _list(_require(doc, "seeds", "$"), "$.seeds",
-                  lambda s: isinstance(s, int) and not isinstance(s, bool), "integers")
+                  lambda s: isinstance(s, int) and not isinstance(s, bool) and s >= 0,
+                  "non-negative integers")
 
     config = ExperimentConfig(dataset=dataset, split=split, backbone=backbone, selftrain=st,
                               methods=methods,
@@ -237,7 +240,7 @@ def build_dataset(spec: dict, seed: int) -> Dataset:
         ds = make_blobs(spec["class_count"], spec["per_class"], spec["dims"],
                         spec["spread"], seed, spec.get("min_separation"))
     elif source == "csv":
-        ds = load_csv(spec["path"], spec.get("label_column"))
+        ds = load_csv(spec["path"], spec["label_column"])
     else:
         ds = load_idx(spec["images_path"], spec["labels_path"])
     max_rows = spec.get("max_rows")

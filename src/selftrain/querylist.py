@@ -31,12 +31,14 @@ class CertaintyEntry:
 class QueryList:
     """Unlabeled samples in query order, most certain first, as parallel arrays.
 
-    Position ``i`` of ``ids``, ``clusters``, ``distances`` and ``certainties``
-    describes the ``i``-th sample to query; treat the arrays as read-only.
-    ``entries`` materializes one :class:`CertaintyEntry` per sample on first
-    access, for inspection only.
+    Position ``i`` of ``rows``, ``ids``, ``clusters``, ``distances`` and
+    ``certainties`` describes the ``i``-th sample to query: ``rows`` holds its
+    unlabeled row, the index a run uses, and ``ids`` its sample id. Treat the
+    arrays as read-only. ``entries`` materializes one :class:`CertaintyEntry`
+    per sample on first access, for inspection only.
     """
 
+    rows: np.ndarray
     ids: np.ndarray
     clusters: np.ndarray
     distances: np.ndarray
@@ -107,7 +109,7 @@ def build_query_list(model: ClusterModel, unlabeled: UnlabeledSet,
             certainty[members] = -ranks / len(members)
 
     order = np.lexsort((ids, -certainty))
-    return QueryList(ids[order], clusters[order], distances[order],
+    return QueryList(order, ids[order], clusters[order], distances[order],
                      certainty[order], model.method)
 
 
@@ -120,6 +122,7 @@ def partition_batches(qlist: QueryList, schedule: BatchSchedule) -> list[list[in
 
     Each batch is a list of sample ids sliced from ``qlist.ids``: a list, not
     an array, so batches test truth and compare equal the way sequences do.
+    A run admits ``qlist.rows`` cut at the same lengths.
     """
     n = len(qlist)
     t_rounds = schedule.rounds

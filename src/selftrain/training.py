@@ -9,9 +9,10 @@ the test rows, once, at the start of the timed loop; rounds fit, score and
 evaluate on those caches, so a backbone that updates its fit from the last
 one (the ridge) pays per round for the rows that changed. Once every
 unlabeled row is in the pool, the pool is scored as a whole rather than
-gathered. The rows a round selects reach the fit as row indices, without a
-round trip through their sample ids. The incremental loop clusters the
-unlabeled data exactly once up front to build its query list.
+gathered. Inside a run an unlabeled sample is known by its row alone: the
+pool, the query list's batches and the selection all hold rows. The
+incremental loop clusters the unlabeled data exactly once up front to build
+its query list.
 """
 
 from __future__ import annotations
@@ -87,52 +88,40 @@ class SelfTrainConfig:
 class PseudoPool:
     """Monotonically growing set of unlabeled rows eligible for pseudo-labeling.
 
-    State is kept per unlabeled row, in the row order of the ids the pool was
-    built over: ``admitted`` holds the round a row joined (-1 while outside),
-    ``labels`` its current pseudo-label (-1 before the first prediction) and
-    ``confidence`` the matching confidence (NaN before it). ``selected``
-    holds the rows that cleared the threshold at the last pseudo-labeling,
-    in ascending sample-id order (none before it). Sample ids map to rows
-    through one sorted copy of the ids, built here once.
+    Rows are the pool's only index: ``admitted`` holds the round each
+    unlabeled row joined (-1 while outside), ``labels`` its current
+    pseudo-label (-1 before the first prediction) and ``confidence`` the
+    matching confidence (NaN before it). ``selected`` holds the rows that
+    cleared the threshold at the last pseudo-labeling, in ascending order
+    (none before it).
     """
 
-    def __init__(self, unlabeled_ids):
-        self.ids = np.asarray(unlabeled_ids, dtype=np.int64)
-        self._by_id = np.argsort(self.ids, kind="stable")
-        self._sorted_ids = self.ids[self._by_id]
-        n = len(self.ids)
-        self.admitted = np.full(n, -1, dtype=np.int64)
-        self.labels = np.full(n, -1, dtype=np.int64)
-        self.confidence = np.full(n, np.nan)
+    def __init__(self, n_rows: int):
+        self.admitted = np.full(n_rows, -1, dtype=np.int64)
+        self.labels = np.full(n_rows, -1, dtype=np.int64)
+        self.confidence = np.full(n_rows, np.nan)
         self.selected = np.empty(0, dtype=np.intp)
         self._size = 0
 
     def __len__(self) -> int:
         return self._size
 
-    def rows_of(self, ids) -> np.ndarray:
-        """Unlabeled rows holding ``ids``; raises on an id the pool does not cover."""
-        ids = np.asarray(ids, dtype=np.int64)
-        at = np.searchsorted(self._sorted_ids, ids)
-        hit = at < len(self._sorted_ids)
-        hit[hit] = self._sorted_ids[at[hit]] == ids[hit]
-        if not hit.all():
-            raise ValueError(f"pool member {int(ids[~hit][0])} is not an unlabeled id")
-        return self._by_id[at]
-
-    def admit(self, ids, round_index: int) -> None:
-        rows = self.rows_of(ids)
+    def admit(self, rows, round_index: int) -> None:
+        rows = np.asarray(rows, dtype=np.intp)
+        outside = (rows < 0) | (rows >= len(self.admitted))
+        if outside.any():
+            raise ValueError(f"row {int(rows[outside][0])} is not an unlabeled row")
         repeat = np.ones(len(rows), dtype=bool)
         repeat[np.unique(rows, return_index=True)[1]] = False
         repeat |= self.admitted[rows] >= 0
         if repeat.any():
-            raise ValueError(f"sample {int(self.ids[rows[repeat][0]])} already admitted")
+            raise ValueError(f"row {int(rows[repeat][0])} already admitted")
         self.admitted[rows] = round_index
         self._size += len(rows)
 
     def member_rows(self) -> np.ndarray:
-        """Rows of the admitted samples, in ascending sample-id order."""
-        return self._by_id[self.admitted[self._by_id] >= 0]
+        """The admitted rows, in ascending order."""
+        return np.flatnonzero(self.admitted >= 0)
 
 
 STAGES = ("fit_s", "predict_s", "select_s", "eval_s")
@@ -243,22 +232,21 @@ def pseudo_label_pool(model: ClassifierModel, pool: PseudoPool, unlabeled: Unlab
     Members are scored from ``embedded``, which is
     ``model.embed(unlabeled.features)`` and is computed here when not given;
     when every row is a member, the whole of it is scored, without gathering.
-    Returns ids in ascending order so downstream training sees a canonical
-    row order. The rows holding them are left in ``pool.selected``, where
-    the training loops take them without mapping the ids back to rows.
+    Returns the selected rows in ascending order, so downstream training sees
+    a canonical row order, with their labels and weights; the rows are also
+    left in ``pool.selected``.
     """
-    if len(pool.ids) != unlabeled.n_u or (
-            pool.ids is not unlabeled.ids and not np.array_equal(pool.ids, unlabeled.ids)):
-        raise ValueError("pool was built over different unlabeled ids")
+    if len(pool.admitted) != unlabeled.n_u:
+        raise ValueError(f"pool covers {len(pool.admitted)} rows but the unlabeled set "
+                         f"has {unlabeled.n_u}")
     members = pool.member_rows()
     if len(members):
         if embedded is None:
             embedded = model.embed(unlabeled.features)
-        if len(members) == len(pool.ids):
-            rows, proba = np.arange(len(members)), model.predict_proba_embedded(embedded)
-        else:
-            rows, proba = members, model.predict_proba_embedded(embedded, members)
-        conf, labels = top_class(proba)
+        whole = len(members) == unlabeled.n_u
+        conf, labels = top_class(
+            model.predict_proba_embedded(embedded, None if whole else members))
+        rows = members
         if freeze_labels:
             fresh = pool.labels[rows] < 0
             rows, conf, labels = rows[fresh], conf[fresh], labels[fresh]
@@ -266,7 +254,7 @@ def pseudo_label_pool(model: ClassifierModel, pool: PseudoPool, unlabeled: Unlab
         pool.confidence[rows] = conf
 
     selected = pool.selected = members[pool.confidence[members] >= confidence_threshold]
-    return (pool.ids[selected], pool.labels[selected],
+    return (selected, pool.labels[selected],
             np.full(len(selected), pseudo_weight, dtype=np.float64))
 
 
@@ -287,21 +275,18 @@ def evaluate(model: ClassifierModel, test: Dataset,
     return float(np.mean(predicted == test.labels))
 
 
-def pseudo_error_rate(pool: PseudoPool, confidence_threshold: float,
-                      truth: np.ndarray | None) -> float | None:
-    """Share of selected pseudo-labels disagreeing with hidden ground truth.
+def pseudo_error_rate(pool: PseudoPool, truth: np.ndarray | None) -> float | None:
+    """Share of the selected pseudo-labels disagreeing with hidden ground truth.
 
-    ``truth`` holds the true label of each unlabeled row, in the pool's row
-    order. Diagnostic only. Returns None when truth is unavailable or nothing
-    is selected, to keep 'no data' distinct from 'no errors'.
+    The selection is the one the last pseudo-labeling left in
+    ``pool.selected``; ``truth`` holds the true label of each unlabeled row.
+    Diagnostic only. Returns None when truth is unavailable or nothing is
+    selected, to keep 'no data' distinct from 'no errors'.
     """
-    if truth is None:
+    selected = pool.selected
+    if truth is None or len(selected) == 0:
         return None
-    selected = pool.confidence >= confidence_threshold  # NaN: never labeled
-    n_selected = int(np.count_nonzero(selected))
-    if n_selected == 0:
-        return None
-    return int(np.count_nonzero(pool.labels[selected] != truth[selected])) / n_selected
+    return int(np.count_nonzero(pool.labels[selected] != truth[selected])) / len(selected)
 
 
 def _config_echo(cfg: SelfTrainConfig) -> dict:
@@ -323,15 +308,17 @@ def _config_echo(cfg: SelfTrainConfig) -> dict:
 
 
 def _run_rounds(labeled: LabeledSet, unlabeled: UnlabeledSet, test: Dataset,
-                backbone: ClassifierModel, cfg: SelfTrainConfig, pool: PseudoPool,
-                batches: list[list[int]] | None,
+                backbone: ClassifierModel, cfg: SelfTrainConfig, batches: list[np.ndarray],
                 cluster_seconds: float) -> tuple[ClassifierModel, TrainingTrajectory]:
+    """Train over a pool that admits the unlabeled rows of ``batches[t]`` at round t."""
     rounds = cfg.resolved_rounds()
     traj = TrainingTrajectory(mode=cfg.mode, seed=cfg.seed)
     traj.cluster_seconds = cluster_seconds
     traj.config_echo = _config_echo(cfg)
     truth = unlabeled.eval_labels()
     n_l = labeled.n_l
+    pool = PseudoPool(unlabeled.n_u)
+    pool.admit(batches[0], 0)
     start = clock = time.perf_counter()
     laps = dict.fromkeys(STAGES, 0.0)
 
@@ -366,14 +353,14 @@ def _run_rounds(labeled: LabeledSet, unlabeled: UnlabeledSet, test: Dataset,
     record(evaluate(backbone, test, H_test), 0, None)
 
     for t in range(1, rounds):
-        if batches is not None and t < len(batches):
+        if t < len(batches):
             pool.admit(batches[t], t)
         lap("select_s")
-        sel_ids, sel_labels, sel_weights = pseudo_label_pool(
+        sel_rows, sel_labels, sel_weights = pseudo_label_pool(
             backbone, pool, unlabeled, cfg.confidence_threshold,
             cfg.pseudo_weight, cfg.freeze_labels, embedded=H[n_l:])
         lap("predict_s")
-        rows = np.concatenate([np.arange(n_l), n_l + pool.selected])
+        rows = np.concatenate([np.arange(n_l), n_l + sel_rows])
         y = np.concatenate([labeled.labels, sel_labels])
         w = np.concatenate([np.ones(n_l), sel_weights])
         lap("select_s")
@@ -383,8 +370,7 @@ def _run_rounds(labeled: LabeledSet, unlabeled: UnlabeledSet, test: Dataset,
             traj.failed_round, traj.failure_message = t, str(exc)
             raise TrainingRoundError(t, traj, str(exc)) from exc
         lap("fit_s")
-        err = pseudo_error_rate(pool, cfg.confidence_threshold, truth)
-        record(evaluate(backbone, test, H_test), len(sel_ids), err)
+        record(evaluate(backbone, test, H_test), len(sel_rows), pseudo_error_rate(pool, truth))
 
     return backbone, traj
 
@@ -395,9 +381,8 @@ def st_train(labeled: LabeledSet, unlabeled: UnlabeledSet, test: Dataset,
     """Classical self-training: the whole unlabeled set is the pool from the start."""
     if cfg.mode != "st":
         raise ValueError("st_train requires cfg.mode == 'st'")
-    pool = PseudoPool(unlabeled.ids)
-    pool.admit(unlabeled.ids, 0)
-    return _run_rounds(labeled, unlabeled, test, backbone, cfg, pool, None, 0.0)
+    return _run_rounds(labeled, unlabeled, test, backbone, cfg,
+                       [np.arange(unlabeled.n_u)], 0.0)
 
 
 def ist_train(labeled: LabeledSet, unlabeled: UnlabeledSet, test: Dataset,
@@ -409,6 +394,7 @@ def ist_train(labeled: LabeledSet, unlabeled: UnlabeledSet, test: Dataset,
     clustering method a single time, builds the query list, and partitions it;
     batch 0 seeds the pool. Batch t is admitted at round t until the schedule
     is exhausted, after which the pool stays complete and training continues.
+    The pool admits the query list's rows, cut where the id batches are.
     """
     if cfg.mode != "ist":
         raise ValueError("ist_train requires cfg.mode == 'ist'")
@@ -418,9 +404,6 @@ def ist_train(labeled: LabeledSet, unlabeled: UnlabeledSet, test: Dataset,
     model = fit_cluster(cfg.cluster_method, scaled, cfg.cluster_config,
                         k=labeled.class_count, seed=cfg.seed)
     qlist = build_query_list(model, unlabeled, cfg.certainty_norm)
-    batches = partition_batches(qlist, cfg.schedule)
-
-    pool = PseudoPool(unlabeled.ids)
-    pool.admit(batches[0], 0)
-    return _run_rounds(labeled, unlabeled, test, backbone, cfg, pool, batches,
-                       model.fit_seconds)
+    sizes = [len(batch) for batch in partition_batches(qlist, cfg.schedule)]
+    batches = np.split(qlist.rows, np.cumsum(sizes)[:-1])
+    return _run_rounds(labeled, unlabeled, test, backbone, cfg, batches, model.fit_seconds)

@@ -72,6 +72,8 @@ MALFORMED = {
     "sgd-hidden-width-zero": (_set("backbone", value={"kind": "softmax_sgd", "hidden_width": 0}),
                               "$.backbone", "hidden_width"),
     "duplicate-seeds": (_set("seeds", value=[1, 1]), "$.seeds[1]", "duplicate"),
+    "negative-seed": (_set("seeds", value=[1, -1]), "$.seeds[1]",
+                      "expected non-negative integers, got -1"),
     "duplicate-methods": (_set("clustering", "methods", value=["kmeans", "kmeans"]),
                           "$.clustering.methods[1]", "duplicate"),
     "max-rows-string": (_set("dataset", "max_rows", value="100"),
@@ -203,6 +205,22 @@ class TestValidation:
         with pytest.raises(ConfigError) as err:
             validate_config(doc)
         assert "$.dataset.path" in str(err.value)
+
+    def test_csv_needs_its_label_column(self, tmp_path):
+        path = tmp_path / "data.csv"
+        path.write_text("x,y,label\n" + "".join(f"{i},{-i},{i % 2}\n" for i in range(40)))
+        doc = tiny_doc(tmp_path)
+        doc["dataset"] = {"source": "csv", "path": str(path)}
+        with pytest.raises(ConfigError) as err:
+            validate_config(doc)
+        assert err.value.path == "$.dataset.label_column"
+        assert "missing required field" in str(err.value)
+        doc["dataset"]["label_column"] = 2
+        with pytest.raises(ConfigError, match=r"\$\.dataset\.label_column: expected str"):
+            validate_config(doc)
+        doc["dataset"]["label_column"] = "label"
+        code, report = run(validate_config(doc))
+        assert code == 0 and all(c["status"] == "ok" for c in report["cells"])
 
     def test_bad_fraction_rejected(self, tmp_path):
         doc = tiny_doc(tmp_path)

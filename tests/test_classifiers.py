@@ -352,8 +352,8 @@ class TestProbabilityRows:
         for model in (RandomFeatureRidge(3, 3, hidden_width=16, seed=1).fit(X, y),
                       SoftmaxSGD(3, 3, epochs=2, seed=1).fit(X, y)):
             unlabeled = UnlabeledSet(X, np.arange(20))
-            pool = PseudoPool(unlabeled.ids)
-            pool.admit(unlabeled.ids, 0)
+            pool = PseudoPool(unlabeled.n_u)
+            pool.admit(np.arange(unlabeled.n_u), 0)
             pseudo_label_pool(model, pool, unlabeled, 0.0)
             np.testing.assert_array_equal(pool.confidence,
                                           model.predict_proba(X).max(axis=1))

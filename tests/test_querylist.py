@@ -4,7 +4,8 @@ import pytest
 from selftrain import clustering
 from selftrain.clustering import ClusterModel, assign
 from selftrain.data import UnlabeledSet
-from selftrain.querylist import BatchSchedule, build_query_list, partition_batches
+from selftrain.querylist import (CERTAINTY_NORMS, BatchSchedule, build_query_list,
+                                 partition_batches)
 from selftrain.training import PseudoPool
 
 
@@ -48,6 +49,17 @@ class TestBuildQueryList:
         unlabeled = UnlabeledSet(X, np.array([7, 4]))
         qlist = build_query_list(model_over(X, [[0.0]]), unlabeled)
         assert qlist.sample_ids() == [4, 7]
+
+    def test_rows_index_the_unlabeled_set(self):
+        rng = np.random.default_rng(7)
+        for _ in range(20):
+            model, unlabeled = random_case(rng)
+            unlabeled = UnlabeledSet(unlabeled.features, rng.permutation(unlabeled.ids))
+            for norm in CERTAINTY_NORMS:
+                qlist = build_query_list(model, unlabeled, norm)
+                assert np.array_equal(qlist.ids, unlabeled.ids[qlist.rows])
+                assert np.array_equal(qlist.clusters, model.assignments[qlist.rows])
+                assert np.array_equal(qlist.distances, model.distances[qlist.rows])
 
     def test_certainty_is_negated_distance(self):
         rng = np.random.default_rng(0)
@@ -148,29 +160,32 @@ class TestPartitionBatches:
             BatchSchedule(0.5, 4, "cubic")
 
 
-class TestPoolAt:
-    """The pseudo-label pool after round t, admitting batch t at round t as IST does."""
+class TestPoolAdmitsQueryRows:
+    """The pseudo-label pool after round t, admitting at round t the query
+    list's rows cut at batch t's length, as IST does."""
 
     def setup_method(self):
-        X = np.arange(10, dtype=float).reshape(-1, 1)
-        unlabeled = UnlabeledSet(X, np.arange(10))
-        qlist = build_query_list(model_over(X, [[0.0]]), unlabeled)
+        order = np.random.default_rng(0).permutation(10)
+        X = np.arange(10, dtype=float)[order].reshape(-1, 1)
+        self.unlabeled = UnlabeledSet(X, 100 + 3 * order)  # ids neither rows nor sorted
+        qlist = build_query_list(model_over(X, [[0.0]]), self.unlabeled)
         self.batches = partition_batches(qlist, BatchSchedule(0.2, 4))
-        self.pool = PseudoPool(unlabeled.ids)
+        cuts = np.cumsum([len(b) for b in self.batches])[:-1]
+        self.pool = PseudoPool(self.unlabeled.n_u)
         self.members = []
-        for t, batch in enumerate(self.batches):
-            self.pool.admit(batch, t)
-            self.members.append(set(self.pool.ids[self.pool.member_rows()].tolist()))
+        for t, rows in enumerate(np.split(qlist.rows, cuts)):
+            self.pool.admit(rows, t)
+            self.members.append(set(self.unlabeled.ids[self.pool.member_rows()].tolist()))
 
     def test_base_case(self):
         assert self.members[0] == set(self.batches[0])
 
     def test_growth_matches_batch_sizes(self):
         for t in range(1, 5):
-            assert len(self.members[t]) - len(self.members[t - 1]) == len(self.batches[t])
+            assert self.members[t] - self.members[t - 1] == set(self.batches[t])
 
     def test_final_pool_is_everything(self):
-        assert self.members[4] == set(range(10))
+        assert self.members[4] == set(self.unlabeled.ids.tolist())
         assert len(self.pool) == 10
 
     def test_monotone(self):

@@ -39,27 +39,27 @@ def blob_problem(seed=0, spread=0.5, per_class=60):
 
 
 class TestPseudoLabelPool:
-    def make_pool(self, ids):
-        pool = PseudoPool(ids)
-        pool.admit(ids, 0)
+    def make_pool(self, n):
+        pool = PseudoPool(n)
+        pool.admit(np.arange(n), 0)
         return pool
 
     def test_zero_threshold_selects_everyone(self):
         table = [[0.6, 0.4], [0.5, 0.5], [0.9, 0.1]]
         unlabeled = UnlabeledSet(np.arange(3, dtype=float)[:, None], np.arange(3))
-        pool = self.make_pool([0, 1, 2])
-        ids, labels, weights = pseudo_label_pool(TableClassifier(table), pool,
-                                                 unlabeled, 0.0)
-        assert ids.tolist() == [0, 1, 2]
+        pool = self.make_pool(3)
+        rows, labels, weights = pseudo_label_pool(TableClassifier(table), pool,
+                                                  unlabeled, 0.0)
+        assert rows.tolist() == [0, 1, 2]
         assert labels.tolist() == [0, 0, 0]
         assert weights.tolist() == [1.0, 1.0, 1.0]
 
     def test_threshold_one_needs_exact_certainty(self):
         table = [[1.0, 0.0], [0.999, 0.001]]
         unlabeled = UnlabeledSet(np.arange(2, dtype=float)[:, None], np.arange(2))
-        pool = self.make_pool([0, 1])
-        ids, _, _ = pseudo_label_pool(TableClassifier(table), pool, unlabeled, 1.0)
-        assert ids.tolist() == [0]
+        pool = self.make_pool(2)
+        rows, _, _ = pseudo_label_pool(TableClassifier(table), pool, unlabeled, 1.0)
+        assert rows.tolist() == [0]
 
     def test_threshold_out_of_range_rejected_in_config(self):
         with pytest.raises(ValueError):
@@ -69,21 +69,22 @@ class TestPseudoLabelPool:
         table = [[0.99, 0.01], [0.80, 0.20], [0.97, 0.03]]
         unlabeled = UnlabeledSet(np.arange(3, dtype=float)[:, None],
                                  np.array([5, 6, 7]))
-        pool = self.make_pool([5, 6, 7])
-        ids, _, _ = pseudo_label_pool(TableClassifier(table), pool, unlabeled, 0.95)
-        assert ids.tolist() == [5, 7]
+        pool = self.make_pool(3)
+        rows, _, _ = pseudo_label_pool(TableClassifier(table), pool, unlabeled, 0.95)
+        assert rows.tolist() == [0, 2]
+        assert pool.selected is rows
 
     def test_rejected_members_still_refreshed(self):
         table = [[0.99, 0.01], [0.80, 0.20]]
         unlabeled = UnlabeledSet(np.arange(2, dtype=float)[:, None], np.arange(2))
-        pool = self.make_pool([0, 1])
+        pool = self.make_pool(2)
         pseudo_label_pool(TableClassifier(table), pool, unlabeled, 0.95)
         assert pool.confidence[1] == pytest.approx(0.80)
         assert pool.labels[1] == 0
 
     def test_frozen_labels_keep_first_prediction(self):
         unlabeled = UnlabeledSet(np.arange(2, dtype=float)[:, None], np.arange(2))
-        pool = self.make_pool([0, 1])
+        pool = self.make_pool(2)
         first = TableClassifier([[0.9, 0.1], [0.2, 0.8]])
         second = TableClassifier([[0.1, 0.9], [0.8, 0.2]])
         pseudo_label_pool(first, pool, unlabeled, 0.5, freeze_labels=True)
@@ -103,66 +104,67 @@ class TestPseudoLabelPool:
 
         rng = np.random.default_rng(5)
         X = rng.normal(size=(40, 2))
-        ids = rng.permutation(100)[:40]  # row order is not id order
+        ids = rng.permutation(100)[:40]  # the ids play no part in the selection
         model = Ridge(3, 2, hidden_width=8, seed=5).fit(X, rng.integers(0, 3, 40))
         unlabeled = UnlabeledSet(X, ids)
         H = model.embed(X)
         proba = RandomFeatureRidge.predict_proba_embedded(model, H)
-        for admitted in (ids[:25], ids):
-            pool = PseudoPool(ids)
+        for admitted in (rng.permutation(40)[:25], np.arange(40)):
+            pool = PseudoPool(40)
             pool.admit(admitted, 0)
-            sel_ids, labels, _ = pseudo_label_pool(model, pool, unlabeled, 0.0, embedded=H)
-            rows = pool.rows_of(sel_ids)
-            assert np.array_equal(sel_ids, np.sort(admitted))
+            rows, labels, _ = pseudo_label_pool(model, pool, unlabeled, 0.0, embedded=H)
+            assert np.array_equal(rows, np.sort(admitted))
             assert np.array_equal(labels, proba[rows].argmax(axis=1))
             assert np.array_equal(pool.confidence[rows], proba[rows].max(axis=1))
         assert scored[0] is not None and scored[1] is None
 
     def test_empty_pool_is_empty_selection(self):
         unlabeled = UnlabeledSet(np.zeros((1, 1)), np.array([0]))
-        ids, labels, weights = pseudo_label_pool(TableClassifier([[1.0, 0.0]]),
-                                                 PseudoPool(unlabeled.ids), unlabeled,
-                                                 0.5)
-        assert len(ids) == len(labels) == len(weights) == 0
+        rows, labels, weights = pseudo_label_pool(TableClassifier([[1.0, 0.0]]),
+                                                  PseudoPool(unlabeled.n_u), unlabeled,
+                                                  0.5)
+        assert len(rows) == len(labels) == len(weights) == 0
 
     def test_pool_rejects_readmission(self):
-        pool = PseudoPool([3, 4])
-        pool.admit([3], 0)
-        with pytest.raises(ValueError, match="already admitted"):
-            pool.admit([3], 1)
+        pool = PseudoPool(2)
+        pool.admit([1], 0)
+        with pytest.raises(ValueError, match="row 1 already admitted"):
+            pool.admit([0, 1], 1)
+        assert len(pool) == 1 and pool.admitted.tolist() == [-1, 0]
 
     def test_pool_rejects_duplicates_within_one_admission(self):
-        pool = PseudoPool([3, 4, 5])
-        with pytest.raises(ValueError, match="sample 4 already admitted"):
-            pool.admit([5, 4, 4], 0)
+        pool = PseudoPool(3)
+        with pytest.raises(ValueError, match="row 1 already admitted"):
+            pool.admit([2, 1, 1], 0)
         assert len(pool) == 0
 
     def test_pool_rejects_unknown_id(self):
-        pool = PseudoPool([3, 4, 5])
-        for ids in ([9], [2], [4, 6]):
-            with pytest.raises(ValueError, match="is not an unlabeled id"):
-                pool.admit(ids, 0)
+        pool = PseudoPool(3)
+        for rows in ([3], [-1], [1, 9]):
+            with pytest.raises(ValueError, match="is not an unlabeled row"):
+                pool.admit(rows, 0)
+        assert len(pool) == 0 and (pool.admitted == -1).all()
 
     def test_pool_over_other_unlabeled_ids_rejected(self):
         unlabeled = UnlabeledSet(np.arange(2, dtype=float)[:, None], np.array([0, 1]))
-        pool = PseudoPool([0, 2])
+        pool = PseudoPool(3)
         pool.admit([0], 0)
-        with pytest.raises(ValueError, match="different unlabeled ids"):
+        with pytest.raises(ValueError, match="pool covers 3 rows but the unlabeled set has 2"):
             pseudo_label_pool(TableClassifier([[1.0, 0.0]] * 2), pool, unlabeled, 0.5)
 
 
 class DictPool:
-    """The per-sample, id-keyed pool the array-backed PseudoPool replaced."""
+    """A per-sample pool keyed by unlabeled row, one dict entry per member."""
 
     def __init__(self):
         self.admitted_round = {}
         self.labels = {}
         self.confidence = {}
 
-    def admit(self, ids, round_index):
-        for i in ids:
-            assert int(i) not in self.admitted_round
-            self.admitted_round[int(i)] = round_index
+    def admit(self, rows, round_index):
+        for r in rows:
+            assert int(r) not in self.admitted_round
+            self.admitted_round[int(r)] = round_index
 
 
 def reference_pseudo_label_pool(model, pool, unlabeled, confidence_threshold,
@@ -170,37 +172,34 @@ def reference_pseudo_label_pool(model, pool, unlabeled, confidence_threshold,
     if not pool.admitted_round:
         return (np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64),
                 np.empty(0, dtype=np.float64))
-    ids = np.array(sorted(pool.admitted_round), dtype=np.int64)
-    pos = {int(v): i for i, v in enumerate(unlabeled.ids)}
-    rows = np.array([pos[int(i)] for i in ids], dtype=np.int64)
+    rows = np.array(sorted(pool.admitted_round), dtype=np.int64)
     proba = model.predict_proba(unlabeled.features[rows])
     conf = proba.max(axis=1)
     labels = proba.argmax(axis=1)
-    for i, sample_id in enumerate(ids):
-        sid = int(sample_id)
-        if freeze_labels and sid in pool.labels:
+    for i, row in enumerate(rows.tolist()):
+        if freeze_labels and row in pool.labels:
             continue
-        pool.labels[sid] = int(labels[i])
-        pool.confidence[sid] = float(conf[i])
-    stored_conf = np.array([pool.confidence[int(i)] for i in ids])
-    stored_labels = np.array([pool.labels[int(i)] for i in ids], dtype=np.int64)
+        pool.labels[row] = int(labels[i])
+        pool.confidence[row] = float(conf[i])
+    stored_conf = np.array([pool.confidence[int(r)] for r in rows])
+    stored_labels = np.array([pool.labels[int(r)] for r in rows], dtype=np.int64)
     keep = stored_conf >= confidence_threshold
-    selected = ids[keep]
+    selected = rows[keep]
     return (selected, stored_labels[keep],
             np.full(len(selected), pseudo_weight, dtype=np.float64))
 
 
-def reference_pseudo_error_rate(pool, confidence_threshold, truth_by_id):
-    if truth_by_id is None:
+def reference_pseudo_error_rate(pool, confidence_threshold, truth):
+    if truth is None:
         return None
-    selected = [i for i in sorted(pool.labels) if pool.confidence[i] >= confidence_threshold]
+    selected = [r for r in sorted(pool.labels) if pool.confidence[r] >= confidence_threshold]
     if not selected:
         return None
-    return sum(1 for i in selected if pool.labels[i] != truth_by_id[i]) / len(selected)
+    return sum(1 for r in selected if pool.labels[r] != truth[r]) / len(selected)
 
 
 class TestArrayPoolMatchesDictReference:
-    """The array pool against the dict version it replaced, on random pools."""
+    """The array pool against a dict version keyed by row, on random pools."""
 
     def random_table(self, rng, n, classes):
         table = rng.dirichlet(np.ones(classes), size=n)
@@ -213,15 +212,14 @@ class TestArrayPoolMatchesDictReference:
         for trial in range(200):
             n = int(rng.integers(1, 60))
             classes = int(rng.integers(2, 5))
-            ids = rng.permutation(1000)[:n]  # unsorted unlabeled ids
+            ids = rng.permutation(1000)[:n]  # unsorted unlabeled ids, unused by the pool
             truth = rng.integers(0, classes, n)
             unlabeled = UnlabeledSet(np.arange(n, dtype=float)[:, None], ids, truth)
-            truth_by_id = {int(i): int(t) for i, t in zip(ids, truth)}
             threshold = [0.0, 1.0, float(rng.uniform(0.3, 0.99))][trial % 3]
             freeze = bool(trial % 2)
             weight = float(rng.uniform(0.1, 1.0))
-            pool, ref = PseudoPool(unlabeled.ids), DictPool()
-            waiting = list(rng.permutation(ids))
+            pool, ref = PseudoPool(n), DictPool()
+            waiting = list(rng.permutation(n))
             for t in range(int(rng.integers(1, 6))):
                 batch = [waiting.pop() for _ in range(int(rng.integers(0, len(waiting) + 1)))]
                 pool.admit(batch, t)
@@ -234,14 +232,13 @@ class TestArrayPoolMatchesDictReference:
                     assert g.dtype == w.dtype
                     assert np.array_equal(g, w)
                 assert len(pool) == len(ref.admitted_round)
-                for sid, label in ref.labels.items():
-                    row = int(np.flatnonzero(ids == sid)[0])
+                for row, label in ref.labels.items():
                     assert pool.labels[row] == label
-                    assert pool.confidence[row] == ref.confidence[sid]
+                    assert pool.confidence[row] == ref.confidence[row]
                 assert np.count_nonzero(pool.labels >= 0) == len(ref.labels)
-                for truth_arg, truth_ref in ((truth, truth_by_id), (None, None)):
-                    assert pseudo_error_rate(pool, threshold, truth_arg) == \
-                        reference_pseudo_error_rate(ref, threshold, truth_ref)
+                for truth_arg in (truth, None):
+                    assert pseudo_error_rate(pool, truth_arg) == \
+                        reference_pseudo_error_rate(ref, threshold, truth_arg)
 
 
 class TestEvaluate:
@@ -282,27 +279,38 @@ class TestEvaluate:
 
 
 class TestPseudoErrorRate:
-    def filled_pool(self, labels, confs):
-        pool = PseudoPool(np.arange(len(labels)))
-        pool.admit(np.arange(len(labels)), 0)
-        for i, (lab, conf) in enumerate(zip(labels, confs)):
-            pool.labels[i] = lab
-            pool.confidence[i] = conf
+    def labeled_pool(self, table, threshold, admitted=None):
+        """A pool over ``table``'s rows, pseudo-labeled once at ``threshold``."""
+        n = len(table)
+        unlabeled = UnlabeledSet(np.arange(n, dtype=float)[:, None], np.arange(n))
+        pool = PseudoPool(n)
+        pool.admit(np.arange(n) if admitted is None else admitted, 0)
+        pseudo_label_pool(TableClassifier(table), pool, unlabeled, threshold)
         return pool
 
     def test_all_correct(self):
-        pool = self.filled_pool([0, 1, 1], [0.99, 0.99, 0.99])
-        assert pseudo_error_rate(pool, 0.5, np.array([0, 1, 1])) == 0.0
+        pool = self.labeled_pool(np.eye(2)[[0, 1, 1]], 0.5)
+        assert pseudo_error_rate(pool, np.array([0, 1, 1])) == 0.0
 
     def test_empty_selection_is_none_not_zero(self):
-        pool = self.filled_pool([0, 1], [0.3, 0.2])
-        assert pseudo_error_rate(pool, 0.9, np.array([0, 1])) is None
-        assert pseudo_error_rate(pool, 0.1, None) is None
+        assert pseudo_error_rate(PseudoPool(2), np.array([0, 1])) is None  # never labeled
+        pool = self.labeled_pool([[0.7, 0.3], [0.2, 0.8]], 0.9)
+        assert pseudo_error_rate(pool, np.array([0, 1])) is None
+        pool = self.labeled_pool([[0.7, 0.3], [0.2, 0.8]], 0.1)
+        assert pseudo_error_rate(pool, None) is None
 
     def test_two_of_five_wrong(self):
-        pool = self.filled_pool([0, 0, 1, 1, 1], [0.99] * 5)
+        pool = self.labeled_pool(np.eye(2)[[0, 0, 1, 1, 1]], 0.5)
         truth = np.array([0, 1, 0, 1, 1])
-        assert pseudo_error_rate(pool, 0.5, truth) == pytest.approx(0.4)
+        assert pseudo_error_rate(pool, truth) == pytest.approx(0.4)
+
+    def test_counts_only_the_selected_rows(self):
+        # row 1 is wrong but below the threshold; row 3 is wrong but outside the pool
+        table = [[0.99, 0.01], [0.6, 0.4], [0.01, 0.99], [0.99, 0.01]]
+        pool = self.labeled_pool(table, 0.9, admitted=[0, 1, 2])
+        assert pool.selected.tolist() == [0, 2]
+        assert pseudo_error_rate(pool, np.array([0, 1, 1, 1])) == 0.0
+        assert pseudo_error_rate(pool, np.array([1, 1, 1, 1])) == 0.5
 
 
 class TestSelfTrainConfig:
@@ -355,6 +363,21 @@ class TestStTrain:
                                SelfTrainConfig(mode="st", rounds=6, seed=seed))
             gains.append(traj.final_accuracy - traj.accuracy[0])
         assert np.median(gains) >= 0.0
+
+    def test_sample_ids_play_no_part(self):
+        """Shuffling the unlabeled ids, with the rows left in place, changes nothing."""
+        labeled, unlabeled, test = blob_problem(seed=0, spread=1.0)
+        shuffled = UnlabeledSet(unlabeled.features,
+                                np.random.default_rng(0).permutation(unlabeled.ids),
+                                unlabeled.eval_labels())
+        # SGD visits its rows in the order given, so a fit order keyed by id would show
+        runs = [st_train(labeled, u, test, SoftmaxSGD(4, 2, epochs=5, seed=0),
+                         SelfTrainConfig(mode="st", rounds=5, confidence_threshold=0.8,
+                                         seed=0))
+                for u in (unlabeled, shuffled)]
+        (model_a, traj_a), (model_b, traj_b) = runs
+        assert traj_a.deterministic_fields() == traj_b.deterministic_fields()
+        assert np.array_equal(model_a.weights, model_b.weights)
 
     def test_divergence_carries_round_index_and_partial_trajectory(self):
         labeled, unlabeled, test = blob_problem(seed=1)
@@ -577,7 +600,7 @@ class SelectionCheckingBackbone(ClassifierModel):
     threshold change from round to round. Inside ``fit_embedded``, before
     the fit counts, it asks ``pseudo_label_pool`` what the loop's pool
     selects now, and logs the rows, labels and weights the loop gave it next
-    to the ones those ids give.
+    to the ones that selection gives.
     """
 
     backbone = "stub"
@@ -600,11 +623,11 @@ class SelectionCheckingBackbone(ClassifierModel):
         return softmax(scores * (0.5 + self.fits))
 
     def fit_embedded(self, H, y, sample_weight=None, rows=None):
-        ids, labels, weights = pseudo_label_pool(self, self.pool, self.unlabeled,
-                                                 self.threshold, self.pseudo_weight,
-                                                 embedded=H[self.n_l:])
-        want = np.concatenate([np.arange(self.n_l), self.n_l + self.pool.rows_of(ids)])
-        self.log.append((len(ids), rows, want, y[self.n_l:], labels,
+        selected, labels, weights = pseudo_label_pool(self, self.pool, self.unlabeled,
+                                                      self.threshold, self.pseudo_weight,
+                                                      embedded=H[self.n_l:])
+        want = np.concatenate([np.arange(self.n_l), self.n_l + selected])
+        self.log.append((len(selected), rows, want, y[self.n_l:], labels,
                          sample_weight[self.n_l:], weights))
         return self.fit(H[rows], y, sample_weight)
 
@@ -619,8 +642,8 @@ class TestLoopFitsTheSelectedRows:
         backbone = SelectionCheckingBackbone(4, labeled.n_l, unlabeled, 0.9, 0.5)
 
         class Pool(PseudoPool):
-            def __init__(self, ids):
-                super().__init__(ids)
+            def __init__(self, n_rows):
+                super().__init__(n_rows)
                 backbone.pool = self
 
         monkeypatch.setattr(training, "PseudoPool", Pool)
