@@ -265,7 +265,7 @@ def make_backbone(spec: dict, class_count: int, input_dim: int, seed: int) -> Cl
 
 def make_selftrain_config(config: ExperimentConfig, mode: str, method: str | None,
                           seed: int) -> SelfTrainConfig:
-    """One cell's self-training config, with its rounds resolved as for IST.
+    """One cell's self-training config, built as for IST.
 
     An ST cell gets the schedule and rounds an IST cell would get.
     """
@@ -275,8 +275,7 @@ def make_selftrain_config(config: ExperimentConfig, mode: str, method: str | Non
                             f"$.clustering.{method}", seed=seed)
     cfg = from_dict(SelfTrainConfig, config.selftrain, "$.selftrain", mode="ist",
                     cluster_method=method, cluster_config=cluster, seed=seed)
-    as_st = {} if mode == "ist" else {"mode": mode, "cluster_method": None}
-    return replace(cfg, rounds=cfg.resolved_rounds(), **as_st)
+    return cfg if mode == "ist" else replace(cfg, mode="st", cluster_method=None)
 
 
 def _prepare_split(config: ExperimentConfig, seed: int):

@@ -377,6 +377,8 @@ class SoftmaxSGD(ClassifierModel):
         w = np.ones(n) if sample_weight is None else np.asarray(sample_weight, dtype=np.float64)
         if len(y) != n or len(w) != n:
             raise ValueError("label / weight length does not match row count")
+        if n and (y.min() < 0 or y.max() >= self.class_count):
+            raise ValueError(f"labels must lie in [0, {self.class_count})")
         if self.epochs == 0:
             return self
         if not self.warm_start:

@@ -38,7 +38,8 @@ class Dataset:
             raise ValueError("features contain non-finite values")
         if len(ids) != len(feats):
             raise ValueError("ids length does not match row count")
-        ordered = np.sort(ids)
+        # ids that already increase, as every loader and split gives them, skip the sort
+        ordered = ids if np.all(ids[1:] > ids[:-1]) else np.sort(ids)
         if np.any(ordered[1:] == ordered[:-1]):
             raise ValueError("ids must be unique")
         object.__setattr__(self, "features", feats)
@@ -78,9 +79,9 @@ class LabeledSet:
     class_count: int
 
     def __post_init__(self):
-        object.__setattr__(self, "features", _readonly(self.features))
-        object.__setattr__(self, "labels", _readonly(self.labels))
-        object.__setattr__(self, "ids", _readonly(self.ids))
+        checked = Dataset(self.features, self.labels, self.class_count, self.ids)
+        for name in ("features", "labels", "ids"):
+            object.__setattr__(self, name, getattr(checked, name))
         if self.n_l < 1:
             raise ValueError("labeled set must contain at least one row")
 
@@ -99,8 +100,8 @@ class UnlabeledSet:
 
     def __init__(self, features: np.ndarray, ids: np.ndarray,
                  eval_labels: np.ndarray | None = None):
-        self.features = _readonly(np.asarray(features, dtype=np.float64))
-        self.ids = _readonly(np.asarray(ids, dtype=np.int64))
+        checked = Dataset(features, None, None, ids)
+        self.features, self.ids = checked.features, checked.ids
         if self.features.shape[0] < 1:
             raise ValueError("unlabeled set must contain at least one row")
         if eval_labels is not None:

@@ -16,9 +16,6 @@ import numpy as np
 from .clustering import ClusterModel
 from .data import UnlabeledSet
 
-CERTAINTY_NORMS = ("global", "per_cluster_rank")
-
-
 @dataclass(frozen=True)
 class CertaintyEntry:
     sample_id: int
@@ -74,17 +71,13 @@ class BatchSchedule:
             raise ValueError(f"unknown growth {self.growth!r}")
 
 
-def build_query_list(model: ClusterModel, unlabeled: UnlabeledSet,
-                     certainty_norm: str = "global") -> QueryList:
+def build_query_list(model: ClusterModel, unlabeled: UnlabeledSet) -> QueryList:
     """Sort the unlabeled ids by certainty, most certain first.
 
-    ``global`` ranks by raw centroid distance across all clusters;
-    ``per_cluster_rank`` ranks by within-cluster distance rank scaled by
-    cluster size, which interleaves clusters of unequal spread. Ties break
-    toward the lower sample id either way.
+    A sample's certainty is minus its distance to its assigned centroid, so
+    the list runs from the nearest sample to the farthest across all
+    clusters. Ties break toward the lower sample id.
     """
-    if certainty_norm not in CERTAINTY_NORMS:
-        raise ValueError(f"unknown certainty_norm {certainty_norm!r}")
     if model.assignments is None or model.distances is None:
         raise ValueError("cluster model carries no assignments; fit or assign it first")
     if len(model.assignments) != unlabeled.n_u:
@@ -96,21 +89,9 @@ def build_query_list(model: ClusterModel, unlabeled: UnlabeledSet,
     ids = unlabeled.ids
     clusters = np.asarray(model.assignments, dtype=np.int64)
     distances = np.asarray(model.distances, dtype=np.float64)
-
-    if certainty_norm == "global":
-        certainty = -distances
-    else:
-        certainty = np.empty(unlabeled.n_u, dtype=np.float64)
-        for c in np.unique(clusters):
-            members = np.flatnonzero(clusters == c)
-            order = np.lexsort((ids[members], distances[members]))
-            ranks = np.empty(len(members), dtype=np.float64)
-            ranks[order] = np.arange(len(members), dtype=np.float64)
-            certainty[members] = -ranks / len(members)
-
-    order = np.lexsort((ids, -certainty))
+    order = np.lexsort((ids, distances))
     return QueryList(order, ids[order], clusters[order], distances[order],
-                     certainty[order], model.method)
+                     -distances[order], model.method)
 
 
 def _round_half_up(x: float) -> int:

@@ -12,7 +12,7 @@ unlabeled row is in the pool, the pool is scored as a whole rather than
 gathered. Inside a run an unlabeled sample is known by its row alone: the
 pool, the query list's batches and the selection all hold rows. The
 incremental loop clusters the unlabeled data exactly once up front to build
-its query list.
+its query list. Every fitted row, labeled or pseudo-labeled, has unit weight.
 """
 
 from __future__ import annotations
@@ -27,8 +27,7 @@ import numpy as np
 from .classifiers import ClassifierModel, top_class
 from .clustering import fit_cluster
 from .data import Dataset, LabeledSet, UnlabeledSet, standardize
-from .querylist import (CERTAINTY_NORMS, BatchSchedule, build_query_list,
-                        partition_batches)
+from .querylist import BatchSchedule, build_query_list, partition_batches
 
 
 class TrainingRoundError(RuntimeError):
@@ -42,15 +41,18 @@ class TrainingRoundError(RuntimeError):
 
 @dataclass
 class SelfTrainConfig:
+    """One run's self-training settings.
+
+    An IST config left without ``rounds`` gets ``schedule.rounds + 4``; an ST
+    config must set ``rounds``.
+    """
+
     mode: str = "st"
     rounds: int | None = None
     confidence_threshold: float = 0.95
-    pseudo_weight: float = 1.0
     schedule: BatchSchedule | None = None
     cluster_method: str | None = None
     cluster_config: object | None = None
-    certainty_norm: str = "global"
-    freeze_labels: bool = False
     seed: int = 0
 
     def __post_init__(self):
@@ -58,31 +60,22 @@ class SelfTrainConfig:
             raise ValueError(f"mode must be 'st' or 'ist', got {self.mode!r}")
         if not 0.0 <= self.confidence_threshold <= 1.0:
             raise ValueError("confidence_threshold must be in [0, 1]")
-        if not 0.0 < self.pseudo_weight <= 1.0:
-            raise ValueError("pseudo_weight must be in (0, 1]")
-        if self.certainty_norm not in CERTAINTY_NORMS:
-            raise ValueError(f"unknown certainty_norm {self.certainty_norm!r}; "
-                             f"implemented: {CERTAINTY_NORMS}")
         if self.mode == "ist":
             if self.schedule is None:
                 self.schedule = BatchSchedule()
             if self.cluster_method is None:
                 self.cluster_method = "kmeans"
-        if self.rounds is not None:
-            if self.rounds < 1:
-                raise ValueError("rounds must be >= 1")
-            if self.mode == "ist" and self.rounds < self.schedule.rounds + 1:
-                raise ValueError(
-                    f"ist needs rounds >= schedule.rounds + 1 = {self.schedule.rounds + 1} "
-                    f"so every batch gets admitted"
-                )
-
-    def resolved_rounds(self) -> int:
-        if self.rounds is not None:
-            return self.rounds
-        if self.mode == "ist":
-            return self.schedule.rounds + 4
-        raise ValueError("rounds must be set explicitly for st mode")
+            if self.rounds is None:
+                self.rounds = self.schedule.rounds + 4
+        if self.rounds is None:
+            raise ValueError("rounds must be set explicitly for st mode")
+        if self.rounds < 1:
+            raise ValueError("rounds must be >= 1")
+        if self.mode == "ist" and self.rounds < self.schedule.rounds + 1:
+            raise ValueError(
+                f"ist needs rounds >= schedule.rounds + 1 = {self.schedule.rounds + 1} "
+                f"so every batch gets admitted"
+            )
 
 
 class PseudoPool:
@@ -140,7 +133,7 @@ class TrainingTrajectory:
       labeled, unlabeled and test rows);
     - ``predict_s``: scoring the pool and refreshing its pseudo-labels;
     - ``select_s``: admitting the round's batch and gathering the selected
-      rows, labels and weights;
+      rows and labels;
     - ``eval_s``: the pseudo-label error and the test accuracy.
     """
 
@@ -221,20 +214,19 @@ class TrainingTrajectory:
 
 
 def pseudo_label_pool(model: ClassifierModel, pool: PseudoPool, unlabeled: UnlabeledSet,
-                      confidence_threshold: float, pseudo_weight: float = 1.0,
-                      freeze_labels: bool = False, embedded: np.ndarray | None = None):
+                      confidence_threshold: float, embedded: np.ndarray | None = None):
     """Predict over the pool and keep members clearing the confidence threshold.
 
     Pool labels and confidences are refreshed from the current model on every
-    call (unless frozen at first sight), including for members that fall
-    below the threshold. A member's label is its top class, ties going to
-    the lowest class index, and its confidence that class's probability.
+    call, including for members that fall below the threshold. A member's
+    label is its top class, ties going to the lowest class index, and its
+    confidence that class's probability.
     Members are scored from ``embedded``, which is
     ``model.embed(unlabeled.features)`` and is computed here when not given;
     when every row is a member, the whole of it is scored, without gathering.
     Returns the selected rows in ascending order, so downstream training sees
-    a canonical row order, with their labels and weights; the rows are also
-    left in ``pool.selected``.
+    a canonical row order, and their labels; the rows are also left in
+    ``pool.selected``.
     """
     if len(pool.admitted) != unlabeled.n_u:
         raise ValueError(f"pool covers {len(pool.admitted)} rows but the unlabeled set "
@@ -246,16 +238,11 @@ def pseudo_label_pool(model: ClassifierModel, pool: PseudoPool, unlabeled: Unlab
         whole = len(members) == unlabeled.n_u
         conf, labels = top_class(
             model.predict_proba_embedded(embedded, None if whole else members))
-        rows = members
-        if freeze_labels:
-            fresh = pool.labels[rows] < 0
-            rows, conf, labels = rows[fresh], conf[fresh], labels[fresh]
-        pool.labels[rows] = labels
-        pool.confidence[rows] = conf
+        pool.labels[members] = labels
+        pool.confidence[members] = conf
 
     selected = pool.selected = members[pool.confidence[members] >= confidence_threshold]
-    return (selected, pool.labels[selected],
-            np.full(len(selected), pseudo_weight, dtype=np.float64))
+    return selected, pool.labels[selected]
 
 
 def evaluate(model: ClassifierModel, test: Dataset,
@@ -294,9 +281,6 @@ def _config_echo(cfg: SelfTrainConfig) -> dict:
         "mode": cfg.mode,
         "rounds": cfg.rounds,
         "confidence_threshold": cfg.confidence_threshold,
-        "pseudo_weight": cfg.pseudo_weight,
-        "certainty_norm": cfg.certainty_norm,
-        "freeze_labels": cfg.freeze_labels,
         "seed": cfg.seed,
         "cluster_method": cfg.cluster_method,
     }
@@ -311,7 +295,6 @@ def _run_rounds(labeled: LabeledSet, unlabeled: UnlabeledSet, test: Dataset,
                 backbone: ClassifierModel, cfg: SelfTrainConfig, batches: list[np.ndarray],
                 cluster_seconds: float) -> tuple[ClassifierModel, TrainingTrajectory]:
     """Train over a pool that admits the unlabeled rows of ``batches[t]`` at round t."""
-    rounds = cfg.resolved_rounds()
     traj = TrainingTrajectory(mode=cfg.mode, seed=cfg.seed)
     traj.cluster_seconds = cluster_seconds
     traj.config_echo = _config_echo(cfg)
@@ -345,27 +328,25 @@ def _run_rounds(labeled: LabeledSet, unlabeled: UnlabeledSet, test: Dataset,
         # the frozen per-row features, once per run: rounds index into them
         H = backbone.embed(np.vstack([labeled.features, unlabeled.features]))
         H_test = backbone.embed(test.features)
-        backbone.fit(labeled.features, labeled.labels, np.ones(n_l))
+        backbone.fit(labeled.features, labeled.labels)
     except ValueError as exc:
         traj.failed_round, traj.failure_message = 0, str(exc)
         raise TrainingRoundError(0, traj, str(exc)) from exc
     lap("fit_s")
     record(evaluate(backbone, test, H_test), 0, None)
 
-    for t in range(1, rounds):
+    for t in range(1, cfg.rounds):
         if t < len(batches):
             pool.admit(batches[t], t)
         lap("select_s")
-        sel_rows, sel_labels, sel_weights = pseudo_label_pool(
-            backbone, pool, unlabeled, cfg.confidence_threshold,
-            cfg.pseudo_weight, cfg.freeze_labels, embedded=H[n_l:])
+        sel_rows, sel_labels = pseudo_label_pool(backbone, pool, unlabeled,
+                                                 cfg.confidence_threshold, embedded=H[n_l:])
         lap("predict_s")
         rows = np.concatenate([np.arange(n_l), n_l + sel_rows])
         y = np.concatenate([labeled.labels, sel_labels])
-        w = np.concatenate([np.ones(n_l), sel_weights])
         lap("select_s")
         try:
-            backbone.fit_embedded(H, y, w, rows)
+            backbone.fit_embedded(H, y, rows=rows)
         except ValueError as exc:
             traj.failed_round, traj.failure_message = t, str(exc)
             raise TrainingRoundError(t, traj, str(exc)) from exc
@@ -398,12 +379,11 @@ def ist_train(labeled: LabeledSet, unlabeled: UnlabeledSet, test: Dataset,
     """
     if cfg.mode != "ist":
         raise ValueError("ist_train requires cfg.mode == 'ist'")
-    cfg.resolved_rounds()
 
     scaled, _ = standardize(unlabeled.features)
     model = fit_cluster(cfg.cluster_method, scaled, cfg.cluster_config,
                         k=labeled.class_count, seed=cfg.seed)
-    qlist = build_query_list(model, unlabeled, cfg.certainty_norm)
+    qlist = build_query_list(model, unlabeled)
     sizes = [len(batch) for batch in partition_batches(qlist, cfg.schedule)]
     batches = np.split(qlist.rows, np.cumsum(sizes)[:-1])
     return _run_rounds(labeled, unlabeled, test, backbone, cfg, batches, model.fit_seconds)

@@ -3,6 +3,7 @@ import csv
 import json
 import struct
 from concurrent.futures.process import BrokenProcessPool
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,7 +19,7 @@ from selftrain.bench import (BACKBONES, EXIT_PARTIAL, ComparisonReport, ConfigEr
 from selftrain.classifiers import SoftmaxSGD
 from selftrain.cli import main
 from selftrain.clustering import CONFIGS, METHODS
-from selftrain.querylist import CERTAINTY_NORMS, BatchSchedule
+from selftrain.querylist import BatchSchedule
 from selftrain.training import SelfTrainConfig
 
 
@@ -61,10 +62,12 @@ MALFORMED = {
     "top-level-unknown-key": (_set("output", value="x"), "$.output", "unknown key"),
     "kmeans-init-typo": (_set("clustering", "kmeans", "init", value="kmeans++"),
                          "$.clustering.kmeans", "init"),
-    "certainty-norm-typo": (_set("selftrain", "certainty_norm", value="globl"),
-                            "$.selftrain", "certainty_norm"),
-    "freeze-labels-string": (_set("selftrain", "freeze_labels", value="no"),
-                             "$.selftrain.freeze_labels", "expected bool"),
+    "certainty-norm-removed": (_set("selftrain", "certainty_norm", value="global"),
+                               "$.selftrain.certainty_norm", "unknown key"),
+    "freeze-labels-removed": (_set("selftrain", "freeze_labels", value=False),
+                              "$.selftrain.freeze_labels", "unknown key"),
+    "pseudo-weight-removed": (_set("selftrain", "pseudo_weight", value=1.0),
+                              "$.selftrain.pseudo_weight", "unknown key"),
     "schedule-rounds-float": (_set("selftrain", "schedule", "rounds", value=2.0),
                               "$.selftrain.schedule.rounds", "expected int"),
     "meanshift-bandwidth-string": (_set("clustering", "meanshift", "bandwidth", value="auto"),
@@ -105,9 +108,6 @@ SGD_KEYS = {"learning_rate": st.floats(1e-3, 1.0), "batch_size": st.integers(1, 
 SCHEDULE_KEYS = {"initial_fraction": st.floats(0.05, 1.0), "rounds": st.integers(0, 8),
                  "growth": st.sampled_from(["equal", "geometric"])}
 SELFTRAIN_KEYS = {"rounds": st.integers(9, 15), "confidence_threshold": st.floats(0.0, 1.0),
-                  "pseudo_weight": st.floats(0.01, 1.0),
-                  "certainty_norm": st.sampled_from(CERTAINTY_NORMS),
-                  "freeze_labels": st.booleans(),
                   "schedule": st.fixed_dictionaries({}, optional=SCHEDULE_KEYS)}
 KMEANS_KEYS = {"k": st.none() | st.integers(1, 10), "max_iter": st.integers(1, 500),
                "tol": st.floats(0.0, 1.0), "init": st.sampled_from(["kmeanspp", "random"])}
@@ -426,6 +426,12 @@ class TestClusterTiming:
 
 
 class TestPresets:
+    def test_readme_config_example_validates(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        section = readme.split("## Config format", 1)[1]
+        example = section.split("```json\n", 1)[1].split("```", 1)[0]
+        validate_config(json.loads(example))
+
     def test_blobs_small_validates(self):
         cfg = validate_config(preset_config("blobs-small"))
         assert cfg.dataset["per_class"] == 600

@@ -212,6 +212,13 @@ class TestRandomFeatureRidge:
 
 
 class TestSoftmaxSGD:
+    def test_labels_outside_the_classes_rejected(self):
+        model = SoftmaxSGD(2, 2, epochs=2)
+        X = np.zeros((4, 2))
+        for bad in (-1, 2):
+            with pytest.raises(ValueError, match="labels must lie in"):
+                model.fit(X, np.array([0, 1, 0, bad]))
+
     def test_hidden_width_must_be_positive_when_given(self):
         with pytest.raises(ValueError, match="hidden_width"):
             SoftmaxSGD(2, 3, hidden_width=0)

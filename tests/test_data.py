@@ -3,8 +3,9 @@ import struct
 import numpy as np
 import pytest
 
-from selftrain.data import (Dataset, UnlabeledSet, apply_standardize, blob_centroids,
-                            load_csv, load_idx, make_blobs, split_ssl, standardize)
+from selftrain.data import (Dataset, LabeledSet, UnlabeledSet, apply_standardize,
+                            blob_centroids, load_csv, load_idx, make_blobs, split_ssl,
+                            standardize)
 
 
 def write_idx_pair(tmp_path, images, labels, prefix=""):
@@ -261,3 +262,24 @@ class TestDatasetInvariants:
     def test_unlabeled_requires_rows(self):
         with pytest.raises(ValueError):
             UnlabeledSet(np.empty((0, 2)), np.empty(0, dtype=int))
+
+    @pytest.mark.parametrize("features, ids, needle", [
+        ([[np.nan, 1.0], [2.0, 3.0]], [5, 6], "non-finite"),
+        ([[np.inf, 1.0], [2.0, 3.0]], [5, 6], "non-finite"),
+        ([[0.0, 1.0], [2.0, 3.0]], [5, 5], "ids must be unique"),
+        ([[0.0, 1.0], [2.0, 3.0]], [5], "ids length"),
+    ])
+    def test_unlabeled_set_checks_rows_like_a_dataset(self, features, ids, needle):
+        with pytest.raises(ValueError, match=needle):
+            UnlabeledSet(np.array(features), np.array(ids))
+
+    @pytest.mark.parametrize("labels, ids, needle", [
+        ([0, 1, 1], [0, 1], "labels length"),
+        ([0, 1], [0, 1, 2], "ids length"),
+        ([0, 1], [4, 4], "ids must be unique"),
+        ([0, -1], [0, 1], r"labels must lie in \[0, class_count\)"),
+        ([0, 2], [0, 1], r"labels must lie in \[0, class_count\)"),
+    ])
+    def test_labeled_set_checks_rows_like_a_dataset(self, labels, ids, needle):
+        with pytest.raises(ValueError, match=needle):
+            LabeledSet(np.ones((2, 2)), np.array(labels), np.array(ids), 2)

@@ -4,8 +4,7 @@ import pytest
 from selftrain import clustering
 from selftrain.clustering import ClusterModel, assign
 from selftrain.data import UnlabeledSet
-from selftrain.querylist import (CERTAINTY_NORMS, BatchSchedule, build_query_list,
-                                 partition_batches)
+from selftrain.querylist import BatchSchedule, build_query_list, partition_batches
 from selftrain.training import PseudoPool
 
 
@@ -55,11 +54,10 @@ class TestBuildQueryList:
         for _ in range(20):
             model, unlabeled = random_case(rng)
             unlabeled = UnlabeledSet(unlabeled.features, rng.permutation(unlabeled.ids))
-            for norm in CERTAINTY_NORMS:
-                qlist = build_query_list(model, unlabeled, norm)
-                assert np.array_equal(qlist.ids, unlabeled.ids[qlist.rows])
-                assert np.array_equal(qlist.clusters, model.assignments[qlist.rows])
-                assert np.array_equal(qlist.distances, model.distances[qlist.rows])
+            qlist = build_query_list(model, unlabeled)
+            assert np.array_equal(qlist.ids, unlabeled.ids[qlist.rows])
+            assert np.array_equal(qlist.clusters, model.assignments[qlist.rows])
+            assert np.array_equal(qlist.distances, model.distances[qlist.rows])
 
     def test_certainty_is_negated_distance(self):
         rng = np.random.default_rng(0)
@@ -92,22 +90,12 @@ class TestBuildQueryList:
         for name in ("ids", "clusters", "distances", "certainties"):
             np.testing.assert_array_equal(getattr(a, name), getattr(b, name))
 
-    def test_per_cluster_rank_interleaves(self):
-        # cluster 0 is tight, cluster 1 wide; global order would exhaust
-        # cluster 0 first, rank order alternates between them
+    def test_clusters_of_unequal_spread_are_not_interleaved(self):
+        # cluster 0 is tight, cluster 1 wide: raw distances exhaust cluster 0 first
         X = np.array([[0.1], [0.2], [10.0 + 1.0], [10.0 + 2.0]])
         unlabeled = UnlabeledSet(X, np.array([0, 1, 2, 3]))
         model = model_over(X, [[0.0], [10.0]])
-        global_ids = build_query_list(model, unlabeled, "global").sample_ids()
-        rank_ids = build_query_list(model, unlabeled, "per_cluster_rank").sample_ids()
-        assert global_ids == [0, 1, 2, 3]
-        assert rank_ids == [0, 2, 1, 3]
-
-    def test_unknown_norm_rejected(self):
-        rng = np.random.default_rng(3)
-        model, unlabeled = random_case(rng)
-        with pytest.raises(ValueError, match="certainty_norm"):
-            build_query_list(model, unlabeled, "softmax")
+        assert build_query_list(model, unlabeled).sample_ids() == [0, 1, 2, 3]
 
 
 class TestPartitionBatches:

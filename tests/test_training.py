@@ -48,17 +48,15 @@ class TestPseudoLabelPool:
         table = [[0.6, 0.4], [0.5, 0.5], [0.9, 0.1]]
         unlabeled = UnlabeledSet(np.arange(3, dtype=float)[:, None], np.arange(3))
         pool = self.make_pool(3)
-        rows, labels, weights = pseudo_label_pool(TableClassifier(table), pool,
-                                                  unlabeled, 0.0)
+        rows, labels = pseudo_label_pool(TableClassifier(table), pool, unlabeled, 0.0)
         assert rows.tolist() == [0, 1, 2]
         assert labels.tolist() == [0, 0, 0]
-        assert weights.tolist() == [1.0, 1.0, 1.0]
 
     def test_threshold_one_needs_exact_certainty(self):
         table = [[1.0, 0.0], [0.999, 0.001]]
         unlabeled = UnlabeledSet(np.arange(2, dtype=float)[:, None], np.arange(2))
         pool = self.make_pool(2)
-        rows, _, _ = pseudo_label_pool(TableClassifier(table), pool, unlabeled, 1.0)
+        rows, _ = pseudo_label_pool(TableClassifier(table), pool, unlabeled, 1.0)
         assert rows.tolist() == [0]
 
     def test_threshold_out_of_range_rejected_in_config(self):
@@ -70,7 +68,7 @@ class TestPseudoLabelPool:
         unlabeled = UnlabeledSet(np.arange(3, dtype=float)[:, None],
                                  np.array([5, 6, 7]))
         pool = self.make_pool(3)
-        rows, _, _ = pseudo_label_pool(TableClassifier(table), pool, unlabeled, 0.95)
+        rows, _ = pseudo_label_pool(TableClassifier(table), pool, unlabeled, 0.95)
         assert rows.tolist() == [0, 2]
         assert pool.selected is rows
 
@@ -81,18 +79,6 @@ class TestPseudoLabelPool:
         pseudo_label_pool(TableClassifier(table), pool, unlabeled, 0.95)
         assert pool.confidence[1] == pytest.approx(0.80)
         assert pool.labels[1] == 0
-
-    def test_frozen_labels_keep_first_prediction(self):
-        unlabeled = UnlabeledSet(np.arange(2, dtype=float)[:, None], np.arange(2))
-        pool = self.make_pool(2)
-        first = TableClassifier([[0.9, 0.1], [0.2, 0.8]])
-        second = TableClassifier([[0.1, 0.9], [0.8, 0.2]])
-        pseudo_label_pool(first, pool, unlabeled, 0.5, freeze_labels=True)
-        frozen = pool.labels.copy()
-        pseudo_label_pool(second, pool, unlabeled, 0.5, freeze_labels=True)
-        assert np.array_equal(pool.labels, frozen)
-        pseudo_label_pool(second, pool, unlabeled, 0.5, freeze_labels=False)
-        assert not np.array_equal(pool.labels, frozen)
 
     def test_full_pool_scored_whole_in_row_order_of_ids(self):
         scored = []
@@ -112,7 +98,7 @@ class TestPseudoLabelPool:
         for admitted in (rng.permutation(40)[:25], np.arange(40)):
             pool = PseudoPool(40)
             pool.admit(admitted, 0)
-            rows, labels, _ = pseudo_label_pool(model, pool, unlabeled, 0.0, embedded=H)
+            rows, labels = pseudo_label_pool(model, pool, unlabeled, 0.0, embedded=H)
             assert np.array_equal(rows, np.sort(admitted))
             assert np.array_equal(labels, proba[rows].argmax(axis=1))
             assert np.array_equal(pool.confidence[rows], proba[rows].max(axis=1))
@@ -120,10 +106,9 @@ class TestPseudoLabelPool:
 
     def test_empty_pool_is_empty_selection(self):
         unlabeled = UnlabeledSet(np.zeros((1, 1)), np.array([0]))
-        rows, labels, weights = pseudo_label_pool(TableClassifier([[1.0, 0.0]]),
-                                                  PseudoPool(unlabeled.n_u), unlabeled,
-                                                  0.5)
-        assert len(rows) == len(labels) == len(weights) == 0
+        rows, labels = pseudo_label_pool(TableClassifier([[1.0, 0.0]]),
+                                         PseudoPool(unlabeled.n_u), unlabeled, 0.5)
+        assert len(rows) == len(labels) == 0
 
     def test_pool_rejects_readmission(self):
         pool = PseudoPool(2)
@@ -167,26 +152,20 @@ class DictPool:
             self.admitted_round[int(r)] = round_index
 
 
-def reference_pseudo_label_pool(model, pool, unlabeled, confidence_threshold,
-                                pseudo_weight=1.0, freeze_labels=False):
+def reference_pseudo_label_pool(model, pool, unlabeled, confidence_threshold):
     if not pool.admitted_round:
-        return (np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64),
-                np.empty(0, dtype=np.float64))
+        return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
     rows = np.array(sorted(pool.admitted_round), dtype=np.int64)
     proba = model.predict_proba(unlabeled.features[rows])
     conf = proba.max(axis=1)
     labels = proba.argmax(axis=1)
     for i, row in enumerate(rows.tolist()):
-        if freeze_labels and row in pool.labels:
-            continue
         pool.labels[row] = int(labels[i])
         pool.confidence[row] = float(conf[i])
     stored_conf = np.array([pool.confidence[int(r)] for r in rows])
     stored_labels = np.array([pool.labels[int(r)] for r in rows], dtype=np.int64)
     keep = stored_conf >= confidence_threshold
-    selected = rows[keep]
-    return (selected, stored_labels[keep],
-            np.full(len(selected), pseudo_weight, dtype=np.float64))
+    return rows[keep], stored_labels[keep]
 
 
 def reference_pseudo_error_rate(pool, confidence_threshold, truth):
@@ -216,8 +195,6 @@ class TestArrayPoolMatchesDictReference:
             truth = rng.integers(0, classes, n)
             unlabeled = UnlabeledSet(np.arange(n, dtype=float)[:, None], ids, truth)
             threshold = [0.0, 1.0, float(rng.uniform(0.3, 0.99))][trial % 3]
-            freeze = bool(trial % 2)
-            weight = float(rng.uniform(0.1, 1.0))
             pool, ref = PseudoPool(n), DictPool()
             waiting = list(rng.permutation(n))
             for t in range(int(rng.integers(1, 6))):
@@ -225,9 +202,8 @@ class TestArrayPoolMatchesDictReference:
                 pool.admit(batch, t)
                 ref.admit(batch, t)
                 model = TableClassifier(self.random_table(rng, n, classes))
-                got = pseudo_label_pool(model, pool, unlabeled, threshold, weight, freeze)
-                want = reference_pseudo_label_pool(model, ref, unlabeled, threshold,
-                                                   weight, freeze)
+                got = pseudo_label_pool(model, pool, unlabeled, threshold)
+                want = reference_pseudo_label_pool(model, ref, unlabeled, threshold)
                 for g, w in zip(got, want):
                     assert g.dtype == w.dtype
                     assert np.array_equal(g, w)
@@ -320,15 +296,12 @@ class TestSelfTrainConfig:
 
     def test_rounds_default_is_schedule_plus_four(self):
         cfg = SelfTrainConfig(mode="ist", schedule=BatchSchedule(0.2, 8))
-        assert cfg.resolved_rounds() == 12
+        assert cfg.rounds == 12
+        assert SelfTrainConfig(mode="ist", rounds=10).rounds == 10
 
     def test_st_needs_explicit_rounds(self):
-        with pytest.raises(ValueError, match="rounds"):
-            SelfTrainConfig(mode="st").resolved_rounds()
-
-    def test_unknown_certainty_norm_rejected(self):
-        with pytest.raises(ValueError, match="certainty_norm"):
-            SelfTrainConfig(mode="ist", certainty_norm="globl")
+        with pytest.raises(ValueError, match="rounds must be set explicitly for st mode"):
+            SelfTrainConfig(mode="st")
 
 
 class TestStTrain:
@@ -599,16 +572,16 @@ class SelectionCheckingBackbone(ClassifierModel):
     Its probabilities sharpen with each fit, so the rows clearing the
     threshold change from round to round. Inside ``fit_embedded``, before
     the fit counts, it asks ``pseudo_label_pool`` what the loop's pool
-    selects now, and logs the rows, labels and weights the loop gave it next
-    to the ones that selection gives.
+    selects now, and logs the rows and labels the loop gave it next to the
+    ones that selection gives, and the weights the loop gave it.
     """
 
     backbone = "stub"
 
-    def __init__(self, class_count, n_l, unlabeled, threshold, pseudo_weight):
+    def __init__(self, class_count, n_l, unlabeled, threshold):
         self.class_count = class_count
         self.n_l, self.unlabeled = n_l, unlabeled
-        self.threshold, self.pseudo_weight = threshold, pseudo_weight
+        self.threshold = threshold
         self.pool = None
         self.fits = 0
         self.log = []
@@ -623,12 +596,10 @@ class SelectionCheckingBackbone(ClassifierModel):
         return softmax(scores * (0.5 + self.fits))
 
     def fit_embedded(self, H, y, sample_weight=None, rows=None):
-        selected, labels, weights = pseudo_label_pool(self, self.pool, self.unlabeled,
-                                                      self.threshold, self.pseudo_weight,
-                                                      embedded=H[self.n_l:])
+        selected, labels = pseudo_label_pool(self, self.pool, self.unlabeled,
+                                             self.threshold, embedded=H[self.n_l:])
         want = np.concatenate([np.arange(self.n_l), self.n_l + selected])
-        self.log.append((len(selected), rows, want, y[self.n_l:], labels,
-                         sample_weight[self.n_l:], weights))
+        self.log.append((len(selected), rows, want, y[self.n_l:], labels, sample_weight))
         return self.fit(H[rows], y, sample_weight)
 
 
@@ -639,7 +610,7 @@ class TestLoopFitsTheSelectedRows:
         order = np.random.default_rng(3).permutation(unlabeled.n_u)  # rows out of id order
         unlabeled = UnlabeledSet(unlabeled.features[order], unlabeled.ids[order],
                                  unlabeled.eval_labels()[order])
-        backbone = SelectionCheckingBackbone(4, labeled.n_l, unlabeled, 0.9, 0.5)
+        backbone = SelectionCheckingBackbone(4, labeled.n_l, unlabeled, 0.9)
 
         class Pool(PseudoPool):
             def __init__(self, n_rows):
@@ -648,17 +619,17 @@ class TestLoopFitsTheSelectedRows:
 
         monkeypatch.setattr(training, "PseudoPool", Pool)
         if mode == "st":
-            cfg = SelfTrainConfig(mode="st", rounds=5, confidence_threshold=0.9,
-                                  pseudo_weight=0.5, seed=3)
+            cfg = SelfTrainConfig(mode="st", rounds=5, confidence_threshold=0.9, seed=3)
             st_train(labeled, unlabeled, test, backbone, cfg)
         else:
             cfg = SelfTrainConfig(mode="ist", rounds=5, schedule=BatchSchedule(0.25, 3),
-                                  confidence_threshold=0.9, pseudo_weight=0.5, seed=3)
+                                  confidence_threshold=0.9, seed=3)
             ist_train(labeled, unlabeled, test, backbone, cfg)
         assert len(backbone.log) == 4
-        for used, rows, want_rows, y, labels, w, weights in backbone.log:
+        for used, rows, want_rows, y, labels, w in backbone.log:
             assert np.array_equal(rows, want_rows)
-            assert np.array_equal(y, labels) and np.array_equal(w, weights)
+            assert np.array_equal(y, labels)
+            assert w is None  # every row fits with unit weight
         # the selection moves, and is neither empty nor the whole pool
         used = [entry[0] for entry in backbone.log]
         assert len(set(used)) > 1 and 0 < min(used) and max(used) < unlabeled.n_u
