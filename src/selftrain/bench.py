@@ -60,10 +60,13 @@ class ExperimentConfig:
 
 
 @functools.cache
-def _params(cls) -> dict:
-    """Constructor parameter name -> type annotation, for a class or a dataclass."""
-    hints = typing.get_type_hints(cls if is_dataclass(cls) else cls.__init__)
-    return {name: hints.get(name, object) for name in inspect.signature(cls).parameters}
+def _params(fn) -> dict:
+    """Parameter name -> (type annotation, required), read from the signature of a
+    function, a class's constructor or a dataclass."""
+    hints = typing.get_type_hints(fn.__init__ if isinstance(fn, type) and not is_dataclass(fn)
+                                  else fn)
+    return {name: (hints.get(name, object), p.default is p.empty)
+            for name, p in inspect.signature(fn).parameters.items()}
 
 
 def _finite(value, path: str) -> None:
@@ -89,24 +92,38 @@ def _typed(value, hint, path: str):
     raise ConfigError(path, f"expected {name}, got {value!r}")
 
 
-def from_dict(cls, doc: dict, path: str, **given):
-    """Build ``cls(**doc, **given)`` from the config section at ``path``.
-
-    Allowed keys and their types come from the constructor's signature, so the
-    defaults are the class's own. Unknown keys and keys the caller fills in
-    (``given``) are rejected; ``bool`` is no number, an ``int`` passes for a
-    ``float``, ``X | None`` admits null, and a dict for a dataclass field is
-    built the same way. The constructor's ``ValueError`` becomes a ConfigError.
-    """
-    params = _params(cls)
+def _kwargs(fn, doc: dict, path: str, given: dict) -> dict:
+    """``doc`` plus ``given``, checked against the signature of ``fn``."""
+    params = _params(fn)
     kwargs = dict(given)
     for key, value in _object(doc, path).items():
         if key not in params or key in given:
             allowed = sorted(params.keys() - given.keys())
-            raise ConfigError(f"{path}.{key}", f"unknown key; {cls.__name__} takes {allowed}")
-        kwargs[key] = _typed(value, params[key], f"{path}.{key}")
+            raise ConfigError(f"{path}.{key}", f"unknown key; {fn.__name__} takes {allowed}")
+        kwargs[key] = _typed(value, params[key][0], f"{path}.{key}")
+    for key, (_, required) in params.items():
+        if required and key not in kwargs:
+            raise ConfigError(f"{path}.{key}", "missing required field")
+    return kwargs
+
+
+def from_dict(fn, doc: dict, path: str, **given):
+    """``fn(**doc, **given)`` for the config section at ``path``.
+
+    ``fn`` is a class, a dataclass or a function. Allowed keys, their types and
+    which of them are required come from its signature, so the defaults are its
+    own. Unknown keys and keys the caller fills in (``given``) are rejected;
+    ``bool`` is no number, an ``int`` passes for a ``float``, ``X | None``
+    admits null, and a dict for a dataclass parameter is built the same way.
+    The call's ``ValueError`` becomes a ConfigError.
+    """
+    return _call(path, fn, **_kwargs(fn, doc, path, given))
+
+
+def _call(path: str, fn, /, *args, **kwargs):
+    """``fn(*args, **kwargs)``; a ``ValueError`` it raises becomes a ConfigError at ``path``."""
     try:
-        return cls(**kwargs)
+        return fn(*args, **kwargs)
     except ValueError as exc:
         raise ConfigError(path, str(exc)) from None
 
@@ -139,66 +156,22 @@ def _list(value, path: str, valid, what: str) -> list:
     return list(value)
 
 
-def _check_number(value, path: str, *, integer=False, minimum=None, exclusive_min=None):
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(path, f"expected a number, got {value!r}")
-    if integer and not isinstance(value, int):
-        raise ConfigError(path, f"expected an integer, got {value!r}")
-    _finite(value, path)
-    if minimum is not None and value < minimum:
-        raise ConfigError(path, f"must be >= {minimum}, got {value}")
-    if exclusive_min is not None and value <= exclusive_min:
-        raise ConfigError(path, f"must be > {exclusive_min}, got {value}")
-    return value
-
-
-DATASET_KEYS = {"blobs": ("class_count", "per_class", "dims", "spread", "min_separation"),
-                "csv": ("path", "label_column"), "idx": ("images_path", "labels_path")}
-BLOBS_NUMBERS = {"class_count": {"integer": True, "minimum": 2},
-                 "per_class": {"integer": True, "minimum": 1},
-                 "dims": {"integer": True, "minimum": 1}, "spread": {"exclusive_min": 0.0}}
-
-
 def validate_config(doc: dict) -> ExperimentConfig:
     """Validate a raw config document; raises ConfigError with a field path.
 
-    The backbone and every self-training and cluster section the config names
-    are built once here, by the same code that builds them for each cell.
+    The first seed's dataset is built and split, and the backbone and every
+    self-training and cluster section the config names are built, once here,
+    by the same code that builds them for each cell. Nothing is trained.
     """
     _object(doc, "$", ("dataset", "split", "backbone", "selftrain", "clustering", "seeds",
                        "output_dir"))
     dataset = _object(_require(doc, "dataset", "$"), "$.dataset")
-    source = _require(dataset, "source", "$.dataset")
-    if not isinstance(source, str) or source not in DATASET_KEYS:
-        raise ConfigError("$.dataset.source", f"unknown source {source!r}")
-    _object(dataset, "$.dataset", ("source", "max_rows", "standardize") + DATASET_KEYS[source])
-    if dataset.get("max_rows") is not None:
-        _check_number(dataset["max_rows"], "$.dataset.max_rows", integer=True, minimum=1)
-    if not isinstance(dataset.get("standardize", False), bool):
-        raise ConfigError("$.dataset.standardize",
-                          f"expected bool, got {dataset['standardize']!r}")
-    if source == "blobs":
-        for key, rule in BLOBS_NUMBERS.items():
-            _check_number(_require(dataset, key, "$.dataset"), f"$.dataset.{key}", **rule)
-        if dataset.get("min_separation") is not None:
-            _check_number(dataset["min_separation"], "$.dataset.min_separation",
-                          exclusive_min=0.0)
-    else:
-        for key in ("path",) if source == "csv" else ("images_path", "labels_path"):
-            path = _require(dataset, key, "$.dataset")
-            if not Path(path).exists():
-                raise ConfigError(f"$.dataset.{key}", f"file does not exist: {path}")
-        if source == "csv":  # the split stratifies by label
-            _typed(_require(dataset, "label_column", "$.dataset"), str, "$.dataset.label_column")
+    loader, keys, given = _loader(dataset, None)  # keys first; the seed comes from $.seeds
+    _kwargs(loader, keys, "$.dataset", given)
+    max_rows = _typed(dataset.get("max_rows"), int | None, "$.dataset.max_rows")
+    _typed(dataset.get("standardize", False), bool, "$.dataset.standardize")
 
-    split = _object(_require(doc, "split", "$"), "$.split", ("labels_per_class", "test_fraction"))
-    _check_number(_require(split, "labels_per_class", "$.split"),
-                  "$.split.labels_per_class", integer=True, minimum=1)
-    tf = _check_number(_require(split, "test_fraction", "$.split"),
-                       "$.split.test_fraction", exclusive_min=0.0)
-    if tf >= 1.0:
-        raise ConfigError("$.split.test_fraction", f"must be < 1, got {tf}")
-
+    split = _object(_require(doc, "split", "$"), "$.split")
     backbone = _object(_require(doc, "backbone", "$"), "$.backbone")
     st = _object(_require(doc, "selftrain", "$"), "$.selftrain")
     cl = _object(_require(doc, "clustering", "$"), "$.clustering",
@@ -217,6 +190,17 @@ def validate_config(doc: dict) -> ExperimentConfig:
     make_backbone(backbone, 2, 1, 0)
     for m in dict.fromkeys(methods + [m for m in clustering.METHODS if m in cl]):
         make_selftrain_config(config, "ist", m, 0)
+
+    loader, keys, given = _loader(dataset, seeds[0])
+    try:
+        data = from_dict(loader, keys, "$.dataset", **given)
+    except OSError as exc:  # a file the dataset names cannot be read
+        key = next((f"$.dataset.{k}" for k, v in keys.items() if v == exc.filename), "$.dataset")
+        raise ConfigError(key, f"cannot read {exc.filename}: {exc.strerror}") from None
+    data = _call("$.dataset", data.head, max_rows)
+    if data.labels is None:  # the split stratifies by label
+        raise ConfigError("$.dataset.label_column", "missing required field")
+    from_dict(split_ssl, split, "$.split", dataset=data, seed=seeds[0])
     return config
 
 
@@ -234,19 +218,25 @@ def read_config(path: str) -> dict:
     return doc
 
 
+def _loader(spec: dict, seed: int | None):
+    """The loader of ``spec``'s source, the keys it takes from ``spec``, and those a run fills in.
+
+    The loader is looked up by name on every call, so a wrapper put in its place
+    in this module sees each call.
+    """
+    loaders = {"blobs": make_blobs, "csv": load_csv, "idx": load_idx}
+    source = _require(spec, "source", "$.dataset")
+    if not isinstance(source, str) or source not in loaders:
+        raise ConfigError("$.dataset.source",
+                          f"unknown source {source!r}; implemented: {tuple(loaders)}")
+    keys = {k: v for k, v in spec.items() if k not in ("source", "max_rows", "standardize")}
+    return loaders[source], keys, {"seed": seed} if source == "blobs" else {}
+
+
 def build_dataset(spec: dict, seed: int) -> Dataset:
-    source = spec["source"]
-    if source == "blobs":
-        ds = make_blobs(spec["class_count"], spec["per_class"], spec["dims"],
-                        spec["spread"], seed, spec.get("min_separation"))
-    elif source == "csv":
-        ds = load_csv(spec["path"], spec["label_column"])
-    else:
-        ds = load_idx(spec["images_path"], spec["labels_path"])
-    max_rows = spec.get("max_rows")
-    if max_rows is not None and ds.n > max_rows:
-        ds = ds.take(np.arange(max_rows))
-    return ds
+    """The dataset ``spec`` describes, drawn with ``seed`` where its source is random."""
+    loader, keys, given = _loader(spec, seed)
+    return loader(**keys, **given).head(spec.get("max_rows"))
 
 
 def make_backbone(spec: dict, class_count: int, input_dim: int, seed: int) -> ClassifierModel:
@@ -280,8 +270,7 @@ def make_selftrain_config(config: ExperimentConfig, mode: str, method: str | Non
 
 def _prepare_split(config: ExperimentConfig, seed: int):
     dataset = build_dataset(config.dataset, seed)
-    labeled, unlabeled, test = split_ssl(dataset, config.split["labels_per_class"],
-                                         config.split["test_fraction"], seed)
+    labeled, unlabeled, test = split_ssl(dataset, **config.split, seed=seed)
     if config.dataset.get("standardize"):
         train = np.vstack([labeled.features, unlabeled.features])
         _, stats = standardize(train)
@@ -308,8 +297,7 @@ def execute_task(config: ExperimentConfig, seed: int, method: str) -> TrainingTr
     return traj
 
 
-def _pool_worker(raw_config: dict, seed: int, method: str):
-    config = validate_config(raw_config)
+def _pool_worker(config: ExperimentConfig, seed: int, method: str):
     try:
         traj = execute_task(config, seed, method)
         return method, seed, traj, None
@@ -422,7 +410,7 @@ def run(config: ExperimentConfig, workers: int = 1,
     results: dict[tuple[str, int], tuple[TrainingTrajectory | None, str | None]] = {}
     if workers > 1:
         with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = [pool.submit(_pool_worker, config.raw, seed, method)
+            futures = [pool.submit(_pool_worker, config, seed, method)
                        for seed, method in tasks]
             for (seed, method), fut in zip(tasks, futures):
                 try:
@@ -432,7 +420,7 @@ def run(config: ExperimentConfig, workers: int = 1,
                 results[(method, seed)] = (traj, error)
     else:
         for seed, method in tasks:
-            method, seed, traj, error = _pool_worker(config.raw, seed, method)
+            method, seed, traj, error = _pool_worker(config, seed, method)
             results[(method, seed)] = (traj, error)
 
     cells = []
@@ -479,14 +467,13 @@ def sweep_labeled_budget(config: ExperimentConfig, budgets: list[int],
     merged = []
     worst = EXIT_OK
     sub_docs = {}
-    for budget in budgets:
+    for budget in _list(budgets, "--budgets", lambda b: isinstance(b, int), "integers"):
         raw = json.loads(json.dumps(config.raw))
         raw["split"]["labels_per_class"] = budget
         raw["output_dir"] = str(out / f"budget_{budget}")
         try:
             sub = validate_config(raw)
-            _probe_budget(sub, budget)
-        except (ConfigError, ValueError) as exc:
+        except ConfigError as exc:
             raise ConfigError("$.split.labels_per_class",
                               f"budget {budget} infeasible: {exc}") from None
         code, doc = run(sub, workers=workers)
@@ -500,12 +487,6 @@ def sweep_labeled_budget(config: ExperimentConfig, budgets: list[int],
     _atomic_write(out / "sweep_merged.csv", _csv_text(
         ["budget", "method", "seed", "final_accuracy", "total_seconds"], merged))
     return worst, {"budgets": {str(b): d for b, d in sub_docs.items()}}
-
-
-def _probe_budget(config: ExperimentConfig, budget: int) -> None:
-    """Fail fast (naming the budget) if a split would be infeasible."""
-    dataset = build_dataset(config.dataset, config.seeds[0])
-    split_ssl(dataset, budget, config.split["test_fraction"], config.seeds[0])
 
 
 def cluster_timing(config: ExperimentConfig,

@@ -1,5 +1,5 @@
 """Base-learner backbones: a closed-form random-feature ridge classifier and
-a warm-startable mini-batch softmax classifier.
+a warm-started mini-batch softmax classifier.
 
 Both accept per-sample weights (the hook used to down-weight pseudo-labels)
 and emit row-stochastic probability matrices. Argmax ties resolve to the
@@ -322,7 +322,7 @@ def mlp_loss_and_grad(W1, b1, W2, b2, X, y, sample_weight):
 
 
 class SoftmaxSGD(ClassifierModel):
-    """Mini-batch gradient-descent softmax classifier, optionally warm-started.
+    """Mini-batch gradient-descent softmax classifier; each fit continues from the last.
 
     With ``hidden_width`` set, a tanh hidden layer of that width is trained by
     backprop; otherwise the model is linear. Batch order is drawn from the
@@ -332,8 +332,8 @@ class SoftmaxSGD(ClassifierModel):
     backbone = "iterative"
 
     def __init__(self, class_count: int, input_dim: int, learning_rate: float = 0.03,
-                 batch_size: int = 64, epochs: int = 20, warm_start: bool = True,
-                 hidden_width: int | None = None, seed: int = 0):
+                 batch_size: int = 64, epochs: int = 20, hidden_width: int | None = None,
+                 seed: int = 0):
         if class_count < 2:
             raise ValueError("class_count must be >= 2")
         if learning_rate <= 0 or batch_size < 1 or epochs < 0:
@@ -345,7 +345,6 @@ class SoftmaxSGD(ClassifierModel):
         self.learning_rate = learning_rate
         self.batch_size = batch_size
         self.epochs = epochs
-        self.warm_start = warm_start
         self.hidden_width = hidden_width
         self.seed = seed
         self._rng = np.random.default_rng(seed)
@@ -381,8 +380,6 @@ class SoftmaxSGD(ClassifierModel):
             raise ValueError(f"labels must lie in [0, {self.class_count})")
         if self.epochs == 0:
             return self
-        if not self.warm_start:
-            self._init_params()
 
         lr = self.learning_rate
         # divergence surfaces as a non-finite epoch loss, so float overflow

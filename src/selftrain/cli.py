@@ -84,9 +84,6 @@ def main(argv: list[str] | None = None) -> int:
         except ValueError:
             print(f"config error: bad --budgets {args.budgets!r}", file=sys.stderr)
             return EXIT_CONFIG
-        if not budgets:
-            print("config error: empty --budgets", file=sys.stderr)
-            return EXIT_CONFIG
         try:
             code, _ = sweep_labeled_budget(config, budgets, workers=args.workers)
         except ConfigError as exc:

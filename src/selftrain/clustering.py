@@ -67,7 +67,6 @@ class KMeansConfig:
     k: int | None = None
     max_iter: int = 300
     tol: float = 1e-4
-    init: str = "kmeanspp"
     seed: int = 0
 
     def __post_init__(self):
@@ -77,8 +76,6 @@ class KMeansConfig:
             raise ValueError("max_iter must be >= 1")
         if self.tol < 0:
             raise ValueError("tol must be >= 0")
-        if self.init not in ("kmeanspp", "random"):
-            raise ValueError(f"unknown init {self.init!r}")
 
 
 @dataclass
@@ -215,11 +212,9 @@ def assign(model: ClusterModel, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return _nearest(X, model.centroids)
 
 
-def _init_centroids(X: np.ndarray, k: int, init: str, rng: np.random.Generator) -> np.ndarray:
+def _init_centroids(X: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
+    """k-means++: each seed drawn in proportion to squared distance from the chosen set."""
     n = X.shape[0]
-    if init == "random":
-        return X[rng.choice(n, size=k, replace=False)].copy()
-    # k-means++: seed proportional to squared distance from the chosen set
     centroids = np.empty((k, X.shape[1]), dtype=np.float64)
     centroids[0] = X[rng.integers(n)]
     closest = ((X - centroids[0]) ** 2).sum(-1)
@@ -253,7 +248,7 @@ def _mean_update(X: np.ndarray, assignments: np.ndarray, distances: np.ndarray,
 
 
 def kmeans_fit(X: np.ndarray, cfg: KMeansConfig) -> ClusterModel:
-    """Lloyd's algorithm with k-means++ (default) or random init."""
+    """Lloyd's algorithm from a k-means++ init."""
     t0 = time.perf_counter()
     X = np.asarray(X, dtype=np.float64)
     if cfg.k is None:
@@ -263,7 +258,7 @@ def kmeans_fit(X: np.ndarray, cfg: KMeansConfig) -> ClusterModel:
         raise ValueError(f"need at least k={k} points, got {X.shape[0]}")
     rng = np.random.default_rng(cfg.seed)
 
-    centroids = _init_centroids(X, k, cfg.init, rng)
+    centroids = _init_centroids(X, k, rng)
     assignments, distances = _nearest(X, centroids)
     inertia = float(np.sum(distances * distances))
     history = [inertia]
@@ -303,7 +298,7 @@ def minibatch_kmeans_fit(X: np.ndarray, cfg: MiniBatchKMeansConfig) -> ClusterMo
         raise ValueError(f"need at least k={k} points, got {n}")
     rng = np.random.default_rng(cfg.seed)
 
-    centroids = _init_centroids(X, k, cfg.init, rng)
+    centroids = _init_centroids(X, k, rng)
     counts = np.zeros(k, dtype=np.float64)
     batch = min(cfg.batch_size, n)
     smoothed = None

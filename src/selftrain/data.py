@@ -68,6 +68,12 @@ class Dataset:
         labels = self.labels[idx] if self.labels is not None else None
         return Dataset(self.features[idx], labels, self.class_count, self.ids[idx])
 
+    def head(self, max_rows: int | None) -> "Dataset":
+        """The first ``max_rows`` rows; every row when ``max_rows`` is None."""
+        if max_rows is not None and max_rows < 1:
+            raise ValueError("max_rows must be >= 1")
+        return self if max_rows is None or self.n <= max_rows else self.take(np.arange(max_rows))
+
 
 @dataclass(frozen=True)
 class LabeledSet:

@@ -56,7 +56,7 @@ class QueryList:
 
 @dataclass(frozen=True)
 class BatchSchedule:
-    """How the sorted list is cut: an initial fraction plus T follow-up batches."""
+    """How the sorted list is cut: an initial fraction plus T equal follow-up batches."""
 
     initial_fraction: float = 0.2
     rounds: int = 8
@@ -67,7 +67,7 @@ class BatchSchedule:
             raise ValueError("initial_fraction must be in (0, 1]")
         if self.rounds < 0:
             raise ValueError("rounds must be >= 0")
-        if self.growth not in ("equal", "geometric"):
+        if self.growth != "equal":
             raise ValueError(f"unknown growth {self.growth!r}")
 
 
@@ -111,19 +111,5 @@ def partition_batches(qlist: QueryList, schedule: BatchSchedule) -> list[list[in
         return [qlist.sample_ids()]
 
     first = min(_round_half_up(schedule.initial_fraction * n), n)
-    remaining = n - first
-    if schedule.growth == "equal":
-        weights = [1.0] * t_rounds
-    else:
-        weights = [2.0 ** t for t in range(t_rounds)]
-    total_w = sum(weights)
-    sizes = [first]
-    used = 0
-    for t in range(t_rounds - 1):
-        s = int(remaining * weights[t] / total_w)
-        sizes.append(s)
-        used += s
-    sizes.append(remaining - used)
-
-    cuts = np.cumsum(sizes)[:-1]
+    cuts = first + (n - first) // t_rounds * np.arange(t_rounds)
     return [batch.tolist() for batch in np.split(qlist.ids, cuts)]

@@ -19,6 +19,7 @@ from selftrain.bench import (BACKBONES, EXIT_PARTIAL, ComparisonReport, ConfigEr
 from selftrain.classifiers import SoftmaxSGD
 from selftrain.cli import main
 from selftrain.clustering import CONFIGS, METHODS
+from selftrain.data import make_blobs
 from selftrain.querylist import BatchSchedule
 from selftrain.training import SelfTrainConfig
 
@@ -60,8 +61,8 @@ MALFORMED = {
     "kmeans-unknown-key": (_set("clustering", "kmeans", "iters", value=5),
                            "$.clustering.kmeans.iters", "unknown key"),
     "top-level-unknown-key": (_set("output", value="x"), "$.output", "unknown key"),
-    "kmeans-init-typo": (_set("clustering", "kmeans", "init", value="kmeans++"),
-                         "$.clustering.kmeans", "init"),
+    "kmeans-init-removed": (_set("clustering", "kmeans", "init", value="kmeanspp"),
+                            "$.clustering.kmeans.init", "unknown key"),
     "certainty-norm-removed": (_set("selftrain", "certainty_norm", value="global"),
                                "$.selftrain.certainty_norm", "unknown key"),
     "freeze-labels-removed": (_set("selftrain", "freeze_labels", value=False),
@@ -80,7 +81,7 @@ MALFORMED = {
     "duplicate-methods": (_set("clustering", "methods", value=["kmeans", "kmeans"]),
                           "$.clustering.methods[1]", "duplicate"),
     "max-rows-string": (_set("dataset", "max_rows", value="100"),
-                        "$.dataset.max_rows", "expected a number"),
+                        "$.dataset.max_rows", "expected int | None, got '100'"),
     "standardize-string": (_set("dataset", "standardize", value="yes"),
                            "$.dataset.standardize", "expected bool"),
     "source-list": (_set("dataset", "source", value=["blobs"]),
@@ -97,20 +98,43 @@ MALFORMED = {
                      "$.clustering.methods[1]", "expected methods in"),
     "birch-section": (_set("clustering", "birch", value={}),
                       "$.clustering.birch", "unknown key"),
+    # the loader and the split check their own keys and ranges, on the first seed's data
+    "split-infeasible": (_set("split", "labels_per_class", value=35),
+                         "$.split", "class 0 has only 30 rows after the test split, need 35"),
+    "max-rows-drops-a-class": (_set("dataset", "max_rows", value=80),
+                               "$.split", "class 2 has no rows"),
+    "csv-label-column-not-in-header": (
+        _set("dataset", value={"source": "csv", "path": "data.csv", "label_column": "class"}),
+        "$.dataset", "label column 'class' not in header"),
+    "class-count-one": (_set("dataset", "class_count", value=1), "$.dataset", "class_count"),
+    "per-class-zero": (_set("dataset", "per_class", value=0), "$.dataset", "per_class"),
+    "dims-zero": (_set("dataset", "dims", value=0), "$.dataset", "dims"),
+    "spread-zero": (_set("dataset", "spread", value=0), "$.dataset", "spread"),
+    "min-separation-zero": (_set("dataset", "min_separation", value=0.0),
+                            "$.dataset", "min_separation"),
+    "labels-per-class-zero": (_set("split", "labels_per_class", value=0),
+                              "$.split", "labels_per_class"),
+    "test-fraction-zero": (_set("split", "test_fraction", value=0), "$.split", "test_fraction"),
+    "test-fraction-one": (_set("split", "test_fraction", value=1.0), "$.split", "test_fraction"),
+    "max-rows-zero": (_set("dataset", "max_rows", value=0), "$.dataset", "max_rows"),
+    "dataset-unknown-key": (_set("dataset", "colour", value="red"),
+                            "$.dataset.colour", "unknown key; make_blobs takes"),
+    "split-unknown-key": (_set("split", "shuffle", value=True),
+                          "$.split.shuffle", "unknown key; split_ssl takes"),
 }
 
 RIDGE_KEYS = {"hidden_width": st.integers(1, 48),
               "ridge_lambda": st.floats(1e-4, 10.0) | st.integers(1, 5),
               "temperature": st.floats(0.05, 2.0)}
 SGD_KEYS = {"learning_rate": st.floats(1e-3, 1.0), "batch_size": st.integers(1, 128),
-            "epochs": st.integers(0, 30), "warm_start": st.booleans(),
+            "epochs": st.integers(0, 30),
             "hidden_width": st.none() | st.integers(1, 48)}
 SCHEDULE_KEYS = {"initial_fraction": st.floats(0.05, 1.0), "rounds": st.integers(0, 8),
-                 "growth": st.sampled_from(["equal", "geometric"])}
+                 "growth": st.just("equal")}
 SELFTRAIN_KEYS = {"rounds": st.integers(9, 15), "confidence_threshold": st.floats(0.0, 1.0),
                   "schedule": st.fixed_dictionaries({}, optional=SCHEDULE_KEYS)}
 KMEANS_KEYS = {"k": st.none() | st.integers(1, 10), "max_iter": st.integers(1, 500),
-               "tol": st.floats(0.0, 1.0), "init": st.sampled_from(["kmeanspp", "random"])}
+               "tol": st.floats(0.0, 1.0)}
 CLUSTER_KEYS = {
     "kmeans": KMEANS_KEYS,
     "minibatch_kmeans": {**KMEANS_KEYS, "batch_size": st.integers(1, 512),
@@ -135,7 +159,10 @@ def _state(model) -> dict:
 
 class TestValidation:
     @pytest.mark.parametrize("case", MALFORMED)
-    def test_malformed_doc_rejected_at_parse_time(self, case):
+    def test_malformed_doc_rejected_at_parse_time(self, case, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)  # for the cases that read a file
+        Path("data.csv").write_text("x,y,label\n" + "".join(f"{i},{-i},{i % 2}\n"
+                                                             for i in range(40)))
         edit, path, needle = MALFORMED[case]
         doc = tiny_doc("unused")
         edit(doc)
@@ -506,6 +533,23 @@ class TestBuildDataset:
                 "spread": 1.0, "max_rows": 30}
         assert build_dataset(spec, 0).n == 30
 
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(st.data())
+    def test_blobs_build_like_make_blobs(self, data):
+        """The dataset counterpart of the sections test: no dataset default lives in bench."""
+        keys = data.draw(st.fixed_dictionaries(
+            {"class_count": st.integers(2, 5), "per_class": st.integers(1, 30),
+             "dims": st.integers(1, 4), "spread": st.floats(0.1, 3.0) | st.integers(1, 3)},
+            optional={"min_separation": st.none() | st.floats(0.1, 10.0)}))
+        max_rows = data.draw(st.none() | st.integers(1, 200))
+        seed = data.draw(st.integers(0, 1000))
+        spec = {"source": "blobs", **keys, **({} if max_rows is None else {"max_rows": max_rows})}
+        built = build_dataset(spec, seed)
+        direct = make_blobs(**keys, seed=seed)
+        for name in ("features", "labels", "ids"):
+            assert getattr(built, name).tobytes() == getattr(direct, name)[:max_rows].tobytes()
+        assert built.class_count == direct.class_count
+
 
 class TestCli:
     def write_config(self, tmp_path, doc=None):
@@ -554,6 +598,11 @@ class TestCli:
     def test_sweep_bad_budgets(self, tmp_path, capsys):
         assert main(["sweep", "--budgets", "a,b",
                      self.write_config(tmp_path)]) == 2
+
+    def test_sweep_repeated_budget_rejected(self, tmp_path, capsys):
+        assert main(["sweep", "--budgets", "2,2", self.write_config(tmp_path)]) == 2
+        assert "--budgets[1]: duplicate 2" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_cluster_time_cli(self, tmp_path, capsys):
         assert main(["cluster-time", self.write_config(tmp_path)]) == 0

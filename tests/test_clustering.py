@@ -129,8 +129,8 @@ class TestKMeans:
 
 class TestMiniBatchKMeans:
     def test_full_batch_close_to_lloyd_on_fixture(self):
-        cfg_mb = MiniBatchKMeansConfig(k=2, init="random", seed=3, batch_size=10)
-        cfg_km = KMeansConfig(k=2, init="random", seed=3)
+        cfg_mb = MiniBatchKMeansConfig(k=2, seed=3, batch_size=10)
+        cfg_km = KMeansConfig(k=2, seed=3)
         mb = minibatch_kmeans_fit(FOUR_POINTS, cfg_mb)
         km = kmeans_fit(FOUR_POINTS, cfg_km)
         assert mb.inertia <= km.inertia * 1.05

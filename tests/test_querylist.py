@@ -120,20 +120,13 @@ class TestPartitionBatches:
         assert len(batches) == 1
         assert batches[0] == qlist.sample_ids()
 
-    def test_geometric_growth_doubles(self):
-        qlist = self.make_list(100)
-        batches = partition_batches(qlist, BatchSchedule(0.3, 3, "geometric"))
-        # 70 remaining split 1:2:4 -> 10, 20, then the rest
-        assert [len(b) for b in batches] == [30, 10, 20, 40]
-
     def test_concatenation_equals_list(self):
         rng = np.random.default_rng(4)
         for _ in range(20):
             model, unlabeled = random_case(rng)
             qlist = build_query_list(model, unlabeled)
             schedule = BatchSchedule(float(rng.uniform(0.05, 1.0)),
-                                     int(rng.integers(0, 6)),
-                                     rng.choice(["equal", "geometric"]))
+                                     int(rng.integers(0, 6)), "equal")
             batches = partition_batches(qlist, schedule)
             assert len(batches) == schedule.rounds + 1
             flat = [i for b in batches for i in b]
@@ -146,6 +139,8 @@ class TestPartitionBatches:
             BatchSchedule(0.5, -1)
         with pytest.raises(ValueError):
             BatchSchedule(0.5, 4, "cubic")
+        with pytest.raises(ValueError, match="geometric"):
+            BatchSchedule(0.5, 4, "geometric")
 
 
 class TestPoolAdmitsQueryRows:
