@@ -168,7 +168,7 @@ def validate_config(doc: dict) -> ExperimentConfig:
     dataset = _object(_require(doc, "dataset", "$"), "$.dataset")
     loader, keys, given = _loader(dataset, None)  # keys first; the seed comes from $.seeds
     _kwargs(loader, keys, "$.dataset", given)
-    max_rows = _typed(dataset.get("max_rows"), int | None, "$.dataset.max_rows")
+    _typed(dataset.get("max_rows"), int | None, "$.dataset.max_rows")
     _typed(dataset.get("standardize", False), bool, "$.dataset.standardize")
 
     split = _object(_require(doc, "split", "$"), "$.split")
@@ -191,13 +191,11 @@ def validate_config(doc: dict) -> ExperimentConfig:
     for m in dict.fromkeys(methods + [m for m in clustering.METHODS if m in cl]):
         make_selftrain_config(config, "ist", m, 0)
 
-    loader, keys, given = _loader(dataset, seeds[0])
     try:
-        data = from_dict(loader, keys, "$.dataset", **given)
+        data = _call("$.dataset", build_dataset, dataset, seeds[0])
     except OSError as exc:  # a file the dataset names cannot be read
         key = next((f"$.dataset.{k}" for k, v in keys.items() if v == exc.filename), "$.dataset")
         raise ConfigError(key, f"cannot read {exc.filename}: {exc.strerror}") from None
-    data = _call("$.dataset", data.head, max_rows)
     if data.labels is None:  # the split stratifies by label
         raise ConfigError("$.dataset.label_column", "missing required field")
     from_dict(split_ssl, split, "$.split", dataset=data, seed=seeds[0])
@@ -234,9 +232,32 @@ def _loader(spec: dict, seed: int | None):
 
 
 def build_dataset(spec: dict, seed: int) -> Dataset:
-    """The dataset ``spec`` describes, drawn with ``seed`` where its source is random."""
+    """The dataset ``spec`` describes, drawn with ``seed`` where its source is random.
+
+    A file source does not depend on the seed, so the last file dataset
+    parsed in this process is handed out again while its files are
+    unchanged; a Dataset's arrays are read-only, so sharing it is safe.
+    """
     loader, keys, given = _loader(spec, seed)
-    return loader(**keys, **given).head(spec.get("max_rows"))
+    if given:  # blobs, drawn from the seed
+        data = loader(**keys, **given)
+    else:
+        stamps = tuple(_stamp(path) for key, path in sorted(keys.items())
+                       if key.endswith("path"))
+        data = _parse_file(loader, tuple(sorted(keys.items())), stamps)
+    return data.head(spec.get("max_rows"))
+
+
+def _stamp(path: str) -> tuple:
+    """What tells a file apart from its earlier versions: resolved path, mtime, size."""
+    stat = os.stat(path)
+    return os.path.realpath(path), stat.st_mtime_ns, stat.st_size
+
+
+@functools.lru_cache(maxsize=1)
+def _parse_file(loader, keys: tuple, stamps: tuple) -> Dataset:
+    """``loader(**keys)``; ``stamps`` takes part in the cache key only."""
+    return loader(**dict(keys))
 
 
 def make_backbone(spec: dict, class_count: int, input_dim: int, seed: int) -> ClassifierModel:
@@ -462,20 +483,26 @@ def run(config: ExperimentConfig, workers: int = 1,
 def sweep_labeled_budget(config: ExperimentConfig, budgets: list[int],
                          workers: int = 1,
                          out_dir: str | None = None) -> tuple[int, dict]:
-    """Re-run the comparison at several labeled budgets; emit one merged long CSV."""
+    """Re-run the comparison at several labeled budgets; emit one merged long CSV.
+
+    Every budget's config is validated before the first one runs, so an
+    infeasible budget fails before anything is written.
+    """
     out = Path(out_dir or config.output_dir)
-    merged = []
-    worst = EXIT_OK
-    sub_docs = {}
+    subs = {}
     for budget in _list(budgets, "--budgets", lambda b: isinstance(b, int), "integers"):
         raw = json.loads(json.dumps(config.raw))
         raw["split"]["labels_per_class"] = budget
         raw["output_dir"] = str(out / f"budget_{budget}")
         try:
-            sub = validate_config(raw)
+            subs[budget] = validate_config(raw)
         except ConfigError as exc:
             raise ConfigError("$.split.labels_per_class",
                               f"budget {budget} infeasible: {exc}") from None
+    merged = []
+    worst = EXIT_OK
+    sub_docs = {}
+    for budget, sub in subs.items():
         code, doc = run(sub, workers=workers)
         worst = max(worst, code)
         sub_docs[budget] = doc

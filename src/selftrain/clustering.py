@@ -43,6 +43,12 @@ class ClusterModel:
     def k(self) -> int:
         return self.centroids.shape[0]
 
+    def diagnostics(self) -> dict:
+        """Method, k, ``converged`` and, for k-means, the number of Lloyd passes."""
+        passes = len(self.inertia_history) - 1 if self.method == "kmeans" else None
+        return {"method": self.method, "k": self.k, "converged": self.converged,
+                "lloyd_passes": passes}
+
     def validate(self, X: np.ndarray | None = None) -> None:
         """Check the structural invariants; raises ValueError on violation."""
         if self.assignments is None or self.distances is None:
@@ -133,7 +139,39 @@ def _sq_dists_to(rows: np.ndarray, X: np.ndarray) -> np.ndarray:
     return d2
 
 
-def _nearest(X: np.ndarray, centroids: np.ndarray, chunk: int = 2048):
+# Rows narrower than this many columns are reduced by passes over their
+# columns. numpy sums fewer than 8 elements one by one onto +0.0 and from 8
+# on switches to an 8-way unrolled pairwise sum, so only below 8 is a left
+# fold over the columns its bit-exact twin.
+_NARROW = 8
+
+
+def _row_sum(a: np.ndarray) -> np.ndarray:
+    """``a.sum(axis=1)`` bit for bit; a left fold over the columns of narrow rows."""
+    if a.shape[1] >= _NARROW:
+        return a.sum(axis=1)
+    out = a[:, 0] + 0.0  # numpy starts from +0.0, which turns -0.0 into +0.0
+    for c in range(1, a.shape[1]):
+        out += a[:, c]
+    return out
+
+
+def _column_argmin(p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``p.argmin(axis=0)`` and ``p.min(axis=0)`` by a strict-``<`` fold over p's rows.
+
+    Ties go to the lowest index, as with argmin. Where a column holds NaN the
+    minimum is NaN and the index is not argmin's.
+    """
+    a = np.zeros(p.shape[1], dtype=np.int64)
+    best = p[0].copy()
+    for j in range(1, len(p)):
+        # a < j, so the maximum sets a to j exactly where p_j < best
+        np.maximum(a, j * (p[j] < best), out=a)
+        np.minimum(best, p[j], out=best)
+    return a, best
+
+
+def _nearest(X: np.ndarray, centroids: np.ndarray, chunk: int | None = None):
     """Nearest centroid per row, ties to the lowest centroid index.
 
     Exactness contract: assignments and distances are bit-identical to the
@@ -166,38 +204,78 @@ def _nearest(X: np.ndarray, centroids: np.ndarray, chunk: int = 2048):
     centroid and their argmin. Every row's distance is then recomputed
     exactly as ``sqrt(((x - c_j) ** 2).sum())``, the brute force's own sum
     over the contiguous last axis.
+
+    Width rule: rows narrower than 8 columns go by passes over columns, as
+    numpy's per-row reductions over 2 to 4 elements cost more in overhead
+    than in arithmetic. The candidate is a strict-``<`` fold over the ``k``
+    centroid columns of ``p`` (ties to the lowest index). The certificate's
+    runner-up, the least ``p - e`` but for the winner's, comes from a fold
+    that keeps the two least values: the second where the winner's is the
+    least, else the least. The distance gathers the assigned centroid one
+    column at a time and sums the squares by a left fold. Below 8 columns
+    that fold is numpy's own sum bit for bit (see ``_row_sum``); from 8 on
+    numpy sums pairwise, so rows that wide keep the row-wise kernels, which
+    also cost less there. The certificate and the exact recheck are the
+    same at every width. ``chunk`` rows go per pass; by default 8,192
+    narrow or 2,048 wide rows.
     """
     n, d = X.shape
+    narrow = d < _NARROW
+    if chunk is None:
+        chunk = 8192 if narrow else 2048
     assignments = np.empty(n, dtype=np.int64)
     distances = np.empty(n, dtype=np.float64)
     c_sq = np.einsum("ij,ij->i", centroids, centroids)
-    minus_2ct = -2.0 * centroids.T
     slack = 8.0 * (d + 2) * np.finfo(np.float64).eps
     c_slack = slack * c_sq
     tiny = np.finfo(np.float64).tiny
-    diff = np.empty((min(chunk, n), d))  # reused: a fresh array per chunk costs page faults
+    if not narrow:
+        minus_2ct = -2.0 * centroids.T
+        diff = np.empty((min(chunk, n), d))  # reused: a fresh array per chunk costs page faults
     for start in range(0, n, chunk):
         rows = X[start:start + chunk]
-        r = np.arange(len(rows))
-        p = rows @ minus_2ct
-        p += c_sq
-        a = p.argmin(axis=1)
-        # p_l - e_l > p_j + e_j for l != j, the row's share of both e moved right
-        x_slack = slack * np.einsum("ij,ij->i", rows, rows) + tiny
-        upper = p[r, a] + c_slack[a] + 2.0 * x_slack
-        p -= c_slack
-        p[r, a] = np.inf
-        unsure = np.flatnonzero(~(p[r, p.argmin(axis=1)] > upper))
+        if narrow:
+            p = (-2.0 * centroids) @ rows.T  # (k, rows): a centroid's column is one row
+            p += c_sq[:, None]
+            a, best = _column_argmin(p)
+            x_slack = slack * _row_sum(rows * rows) + tiny
+            e_a = c_slack.take(a)
+            upper = best + e_a + 2.0 * x_slack
+            q = p - c_slack[:, None]
+            least, second = q[0].copy(), np.full(len(rows), np.inf)
+            for j in range(1, len(q)):
+                np.minimum(second, np.maximum(least, q[j]), out=second)
+                np.minimum(least, q[j], out=least)
+            runner_up = np.where(best - e_a == least, second, least)
+        else:
+            r = np.arange(len(rows))
+            p = rows @ minus_2ct
+            p += c_sq
+            a = p.argmin(axis=1)
+            # p_l - e_l > p_j + e_j for l != j, the row's share of both e moved right
+            x_slack = slack * np.einsum("ij,ij->i", rows, rows) + tiny
+            upper = p[r, a] + c_slack[a] + 2.0 * x_slack
+            p -= c_slack
+            p[r, a] = np.inf
+            runner_up = p[r, p.argmin(axis=1)]
+        unsure = np.flatnonzero(~(runner_up > upper))
         if len(unsure):
             sub = rows[unsure]
             exact = np.empty((len(unsure), len(centroids)))
             for j, c in enumerate(centroids):
                 exact[:, j] = ((sub - c) ** 2).sum(1)
             a[unsure] = exact.argmin(axis=1)
-        sq = np.subtract(rows, centroids[a], out=diff[:len(rows)])
-        np.square(sq, out=sq)
+        if narrow:
+            sq = np.zeros(len(rows))  # numpy's sum starts from +0.0 too
+            for c in range(d):
+                gap = rows[:, c] - centroids[:, c].take(a)
+                sq += gap * gap
+        else:
+            sq = np.subtract(rows, centroids[a], out=diff[:len(rows)])
+            np.square(sq, out=sq)
+            sq = sq.sum(1)
         assignments[start:start + chunk] = a
-        distances[start:start + chunk] = np.sqrt(sq.sum(1))
+        distances[start:start + chunk] = np.sqrt(sq)
     return assignments, distances
 
 
@@ -216,8 +294,15 @@ def _init_centroids(X: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarr
     """k-means++: each seed drawn in proportion to squared distance from the chosen set."""
     n = X.shape[0]
     centroids = np.empty((k, X.shape[1]), dtype=np.float64)
+    sq = np.empty_like(X)  # reused for every seed's squared differences
+
+    def sq_dists(c: np.ndarray) -> np.ndarray:
+        np.subtract(X, c, out=sq)
+        np.square(sq, out=sq)
+        return _row_sum(sq)
+
     centroids[0] = X[rng.integers(n)]
-    closest = ((X - centroids[0]) ** 2).sum(-1)
+    closest = sq_dists(centroids[0])
     for j in range(1, k):
         total = closest.sum()
         if total <= 0:
@@ -225,22 +310,42 @@ def _init_centroids(X: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarr
         else:
             idx = int(rng.choice(n, p=closest / total))
         centroids[j] = X[idx]
-        closest = np.minimum(closest, ((X - centroids[j]) ** 2).sum(-1))
+        np.minimum(closest, sq_dists(centroids[j]), out=closest)
     return centroids
+
+
+def _member_sums(X: np.ndarray, assignments: np.ndarray,
+                 k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Each cluster's member count and the sum of its rows, ``X[assignments == j].sum(0)``.
+
+    On narrow rows of 2 to 7 columns one weighted ``bincount`` per column
+    adds each cluster's members in row order onto +0.0, as numpy's sum over
+    the masked rows does, bit for bit. A single column is summed pairwise by
+    numpy, and on wide rows the masks cost less, so both keep them.
+    """
+    counts = np.bincount(assignments, minlength=k)
+    d = X.shape[1]
+    if 1 < d < _NARROW:
+        sums = np.empty((k, d))
+        for c in range(d):
+            sums[:, c] = np.bincount(assignments, weights=X[:, c], minlength=k)
+        return sums, counts
+    sums = np.zeros((k, d))
+    for j in np.flatnonzero(counts):
+        sums[j] = X[assignments == j].sum(axis=0)
+    return sums, counts
 
 
 def _mean_update(X: np.ndarray, assignments: np.ndarray, distances: np.ndarray,
                  centroids: np.ndarray) -> np.ndarray:
     """Cluster-mean step; empty clusters are reseeded at the farthest point."""
-    k = centroids.shape[0]
+    sums, counts = _member_sums(X, assignments, centroids.shape[0])
     new = centroids.copy()
-    counts = np.bincount(assignments, minlength=k)
-    for j in range(k):
-        if counts[j] > 0:
-            new[j] = X[assignments == j].mean(axis=0)
-    if np.any(counts == 0):
+    filled = counts > 0
+    new[filled] = sums[filled] / counts[filled, None]
+    if not filled.all():
         taken = distances.copy()
-        for j in np.flatnonzero(counts == 0):
+        for j in np.flatnonzero(~filled):
             far = int(np.argmax(taken))
             new[j] = X[far]
             taken[far] = -1.0
@@ -317,11 +422,10 @@ def minibatch_kmeans_fit(X: np.ndarray, cfg: MiniBatchKMeansConfig) -> ClusterMo
         mse = float(np.mean(d * d))
         smoothed = mse if smoothed is None else 0.7 * smoothed + 0.3 * mse
 
-        members = np.bincount(a, minlength=k).astype(np.float64)
-        sums = np.zeros_like(centroids)
-        for j in np.flatnonzero(members):
-            sums[j] = rows[a == j].sum(axis=0)
-            centroids[j] = (counts[j] * centroids[j] + sums[j]) / (counts[j] + members[j])
+        sums, members = _member_sums(rows, a, k)
+        hit = members > 0
+        centroids[hit] = ((counts[hit, None] * centroids[hit] + sums[hit])
+                          / (counts[hit] + members[hit])[:, None])
         counts += members
 
         if smoothed < best:

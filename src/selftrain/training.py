@@ -25,7 +25,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .classifiers import ClassifierModel, top_class
-from .clustering import fit_cluster
+from .clustering import ClusterModel, fit_cluster
 from .data import Dataset, LabeledSet, UnlabeledSet, standardize
 from .querylist import BatchSchedule, build_query_list, partition_batches
 
@@ -126,8 +126,9 @@ class TrainingTrajectory:
 
     ``cum_seconds`` accumulates loop time (embed + fit + predict + evaluate);
     clustering time is kept apart in ``cluster_seconds`` so reports can
-    isolate it the way the benchmark tables do. Each round's loop time is
-    split into four stages, which together cover it:
+    isolate it the way the benchmark tables do, and ``cluster`` holds the
+    fit's diagnostics (:meth:`ClusterModel.diagnostics`; None for ST). Each
+    round's loop time is split into four stages, which together cover it:
 
     - ``fit_s``: refitting the backbone (in round 0 also embedding the
       labeled, unlabeled and test rows);
@@ -150,6 +151,7 @@ class TrainingTrajectory:
     select_s: list[float] = field(default_factory=list)
     eval_s: list[float] = field(default_factory=list)
     cluster_seconds: float = 0.0
+    cluster: dict | None = None
     failed_round: int | None = None
     failure_message: str | None = None
     config_echo: dict = field(default_factory=dict)
@@ -206,6 +208,7 @@ class TrainingTrajectory:
             "total_processed": self.total_processed,
             "total_seconds": self.total_seconds,
             "cluster_seconds": self.cluster_seconds,
+            "cluster": self.cluster,
             "stage_seconds": {stage: sum(getattr(self, stage)) for stage in STAGES},
             "failed_round": self.failed_round,
             "failure_message": self.failure_message,
@@ -293,10 +296,16 @@ def _config_echo(cfg: SelfTrainConfig) -> dict:
 
 def _run_rounds(labeled: LabeledSet, unlabeled: UnlabeledSet, test: Dataset,
                 backbone: ClassifierModel, cfg: SelfTrainConfig, batches: list[np.ndarray],
-                cluster_seconds: float) -> tuple[ClassifierModel, TrainingTrajectory]:
-    """Train over a pool that admits the unlabeled rows of ``batches[t]`` at round t."""
+                cluster: ClusterModel | None) -> tuple[ClassifierModel, TrainingTrajectory]:
+    """Train over a pool that admits the unlabeled rows of ``batches[t]`` at round t.
+
+    ``cluster`` is IST's fitted clustering, whose time and diagnostics the
+    trajectory records; None for ST.
+    """
     traj = TrainingTrajectory(mode=cfg.mode, seed=cfg.seed)
-    traj.cluster_seconds = cluster_seconds
+    if cluster is not None:
+        traj.cluster_seconds = cluster.fit_seconds
+        traj.cluster = cluster.diagnostics()
     traj.config_echo = _config_echo(cfg)
     truth = unlabeled.eval_labels()
     n_l = labeled.n_l
@@ -363,7 +372,7 @@ def st_train(labeled: LabeledSet, unlabeled: UnlabeledSet, test: Dataset,
     if cfg.mode != "st":
         raise ValueError("st_train requires cfg.mode == 'st'")
     return _run_rounds(labeled, unlabeled, test, backbone, cfg,
-                       [np.arange(unlabeled.n_u)], 0.0)
+                       [np.arange(unlabeled.n_u)], None)
 
 
 def ist_train(labeled: LabeledSet, unlabeled: UnlabeledSet, test: Dataset,
@@ -386,4 +395,4 @@ def ist_train(labeled: LabeledSet, unlabeled: UnlabeledSet, test: Dataset,
     qlist = build_query_list(model, unlabeled)
     sizes = [len(batch) for batch in partition_batches(qlist, cfg.schedule)]
     batches = np.split(qlist.rows, np.cumsum(sizes)[:-1])
-    return _run_rounds(labeled, unlabeled, test, backbone, cfg, batches, model.fit_seconds)
+    return _run_rounds(labeled, unlabeled, test, backbone, cfg, batches, model)

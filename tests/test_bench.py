@@ -1,5 +1,6 @@
 import concurrent.futures
 import csv
+import functools
 import json
 import struct
 from concurrent.futures.process import BrokenProcessPool
@@ -11,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import selftrain
+from selftrain import bench
 from selftrain.bench import (BACKBONES, EXIT_PARTIAL, ComparisonReport, ConfigError, ReportCell,
                              build_dataset, cluster_timing, make_backbone,
                              make_selftrain_config, preset_config, read_config,
@@ -335,6 +337,23 @@ class TestRun:
         assert summary["rounds"] == len(rows)
         assert summary["final_accuracy"] == float(rows[-1]["accuracy"])
         assert summary["total_processed"] == sum(int(r["processed"]) for r in rows)
+        assert summary["cluster"] is None
+
+    def test_summary_carries_cluster_diagnostics(self, tmp_path):
+        methods = ("kmeans", "minibatch_kmeans", "meanshift")
+        run(validate_config(tiny_doc(tmp_path / "out", seeds=(1,), methods=methods)))
+        for method in methods:
+            name = f"ist-{method.replace('_', '-')}_seed1.summary.json"
+            cluster = json.loads(
+                (tmp_path / "out" / "trajectories" / name).read_text())["cluster"]
+            assert set(cluster) == {"method", "k", "converged", "lloyd_passes"}
+            assert cluster["method"] == method
+            assert cluster["k"] >= 1
+            if method == "kmeans":
+                assert cluster["converged"] is True and cluster["lloyd_passes"] >= 1
+            else:
+                assert cluster["lloyd_passes"] is None
+        assert cluster["converged"] is None  # mean shift has no stopping criterion
 
     def test_worker_pool_matches_sequential(self, tmp_path):
         cfg_seq = validate_config(tiny_doc(tmp_path / "seq", seeds=(1, 2)))
@@ -550,6 +569,54 @@ class TestBuildDataset:
             assert getattr(built, name).tobytes() == getattr(direct, name)[:max_rows].tobytes()
         assert built.class_count == direct.class_count
 
+    @staticmethod
+    def counted_load_csv(monkeypatch) -> list:
+        calls = []
+        load_csv = bench.load_csv
+
+        @functools.wraps(load_csv)  # the config is checked against its signature
+        def counted(*args, **kwargs):
+            calls.append(kwargs)
+            return load_csv(*args, **kwargs)
+
+        monkeypatch.setattr(bench, "load_csv", counted)
+        return calls
+
+    @staticmethod
+    def write_csv(path, rows: int):
+        path.write_text("x,y,label\n" + "".join(
+            f"{i % 7},{(i * 3) % 11 - i % 2},{i % 2}\n" for i in range(rows)))
+
+    def test_csv_is_parsed_once_per_process(self, tmp_path, monkeypatch):
+        calls = self.counted_load_csv(monkeypatch)
+        self.write_csv(tmp_path / "data.csv", 60)
+        doc = tiny_doc(tmp_path / "out", seeds=(1, 2))
+        doc["dataset"] = {"source": "csv", "path": str(tmp_path / "data.csv"),
+                          "label_column": "label"}
+        code, report = run(validate_config(doc))
+        assert code == 0 and len(report["cells"]) == 4
+        assert len(calls) == 1
+
+    def test_rewritten_csv_is_parsed_again(self, tmp_path, monkeypatch):
+        calls = self.counted_load_csv(monkeypatch)
+        path = tmp_path / "data.csv"
+        spec = {"source": "csv", "path": str(path), "label_column": "label"}
+        self.write_csv(path, 60)
+        assert build_dataset(spec, 1).n == build_dataset(spec, 2).n == 60
+        self.write_csv(path, 50)
+        assert build_dataset(spec, 1).n == 50
+        assert build_dataset(dict(spec, max_rows=10), 1).n == 10
+        assert len(calls) == 2
+
+    def test_cached_arrays_are_read_only(self, tmp_path):
+        self.write_csv(tmp_path / "data.csv", 20)
+        spec = {"source": "csv", "path": str(tmp_path / "data.csv"), "label_column": "label"}
+        data = build_dataset(spec, 1)
+        assert build_dataset(spec, 1) is data
+        for array in (data.features, data.labels, data.ids):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 1
+
 
 class TestCli:
     def write_config(self, tmp_path, doc=None):
@@ -598,6 +665,12 @@ class TestCli:
     def test_sweep_bad_budgets(self, tmp_path, capsys):
         assert main(["sweep", "--budgets", "a,b",
                      self.write_config(tmp_path)]) == 2
+
+    def test_sweep_infeasible_budget_fails_before_any_run(self, tmp_path, capsys):
+        # 40 rows per class, 30 after the test split: budget 2 runs, budget 35 cannot
+        assert main(["sweep", "--budgets", "2,35", self.write_config(tmp_path)]) == 2
+        assert "$.split.labels_per_class: budget 35 infeasible" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_sweep_repeated_budget_rejected(self, tmp_path, capsys):
         assert main(["sweep", "--budgets", "2,2", self.write_config(tmp_path)]) == 2

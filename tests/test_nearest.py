@@ -18,7 +18,10 @@ from selftrain.clustering import (ClusterModel, KMeansConfig, MeanShiftConfig,
                                   meanshift_fit, minibatch_kmeans_fit)
 from selftrain.data import make_blobs
 
-DEFAULT_CHUNK = 2048
+from test_column_kernels import reference_init_centroids, reference_mean_update
+
+DEFAULT_CHUNK = 2048  # rows per pass on rows of 8 or more columns
+NARROW_CHUNK = 8192  # and on narrower rows
 
 
 def reference_nearest(X, centroids, chunk=256):
@@ -43,11 +46,14 @@ def assert_bit_equal(got, want):
 
 @st.composite
 def nearest_cases(draw):
-    chunk = draw(st.sampled_from([1, 5, 64, DEFAULT_CHUNK]))
+    # narrow rows, below 8 columns, take their own kernels
+    d = draw(st.integers(1, 12) | st.integers(1, 100))
+    chunk = draw(st.sampled_from([1, 5, 64, DEFAULT_CHUNK, None]))
+    rows = chunk or (NARROW_CHUNK if d < 8 else DEFAULT_CHUNK)
     return {
         "chunk": chunk,
-        "n": draw(st.sampled_from([0, 1, chunk - 1, chunk, chunk + 1, 2 * chunk + 3])),
-        "d": draw(st.integers(1, 100)),
+        "n": draw(st.sampled_from([0, 1, rows - 1, rows, rows + 1, 2 * rows + 3])),
+        "d": d,
         "k": draw(st.integers(1, 40)),
         # a dyadic grid makes midpoints and their distances exact ties
         "grid": draw(st.booleans()),
@@ -109,25 +115,33 @@ def test_large_common_offset_needs_the_exact_recheck():
 
 
 @pytest.fixture(scope="module")
-def blobs_50d():
-    return make_blobs(10, 300, 50, 1.0, seed=4, min_separation=12.0).features
+def blobs():
+    """(rows, k, mean-shift bandwidth): 50-D blobs, and 2-D ones with a noise band
+    between classes, whose rows take the narrow kernels."""
+    return [(make_blobs(10, 300, 50, 1.0, seed=4, min_separation=12.0).features, 10, 9.0),
+            (make_blobs(4, 1500, 2, 1.2, seed=4, min_separation=3.0).features, 4, 1.0)]
 
 
 FITS = {
-    "kmeans": lambda X: kmeans_fit(X, KMeansConfig(k=10, seed=3)),
-    "minibatch_kmeans": lambda X: minibatch_kmeans_fit(X, MiniBatchKMeansConfig(k=10, seed=3)),
-    "meanshift": lambda X: meanshift_fit(X, MeanShiftConfig(bandwidth=9.0, seed=3)),
+    "kmeans": lambda X, k, bw: kmeans_fit(X, KMeansConfig(k=k, seed=3)),
+    "minibatch_kmeans": lambda X, k, bw: minibatch_kmeans_fit(
+        X, MiniBatchKMeansConfig(k=k, seed=3)),
+    "meanshift": lambda X, k, bw: meanshift_fit(X, MeanShiftConfig(bandwidth=bw, seed=3)),
 }
 
 
 @pytest.mark.parametrize("method", sorted(FITS))
-def test_fits_match_the_broadcast_cube_end_to_end(blobs_50d, method, monkeypatch):
-    got = FITS[method](blobs_50d)
+def test_fits_match_the_broadcast_cube_end_to_end(blobs, method, monkeypatch):
+    got = [FITS[method](*case) for case in blobs]
     monkeypatch.setattr(clustering, "_nearest", reference_nearest)
-    want = FITS[method](blobs_50d)
-    assert got.k >= 2
-    assert np.array_equal(got.centroids, want.centroids)
-    assert np.array_equal(got.assignments, want.assignments)
-    assert np.array_equal(got.distances, want.distances)
-    assert got.inertia == want.inertia
-    assert got.inertia_history == want.inertia_history
+    monkeypatch.setattr(clustering, "_mean_update", reference_mean_update)
+    monkeypatch.setattr(clustering, "_init_centroids", reference_init_centroids)
+    want = [FITS[method](*case) for case in blobs]
+    for g, w in zip(got, want):
+        assert g.k >= 2
+        assert g.centroids.tobytes() == w.centroids.tobytes()
+        assert np.array_equal(g.assignments, w.assignments)
+        assert g.distances.tobytes() == w.distances.tobytes()
+        assert g.inertia == w.inertia
+        assert g.inertia_history == w.inertia_history
+        assert g.converged == w.converged
