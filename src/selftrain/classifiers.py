@@ -1,9 +1,8 @@
 """Base-learner backbones: a closed-form random-feature ridge classifier and
-a warm-started mini-batch softmax classifier.
+a warm-started linear mini-batch softmax classifier.
 
-Both accept per-sample weights (the hook used to down-weight pseudo-labels)
-and emit row-stochastic probability matrices. Argmax ties resolve to the
-lowest class index.
+Both accept per-sample weights and emit row-stochastic probability matrices.
+Argmax ties resolve to the lowest class index.
 
 Work along the class axis (the row max of ``softmax``, the top class of a
 probability row) is done as whole-array passes over the class columns, one
@@ -306,61 +305,30 @@ def softmax_loss_and_grad(W: np.ndarray, b: np.ndarray, X: np.ndarray, y: np.nda
     return loss, X.T @ delta, delta.sum(axis=0)
 
 
-def mlp_loss_and_grad(W1, b1, W2, b2, X, y, sample_weight):
-    """Weighted-mean cross-entropy of a one-hidden-layer tanh softmax, with gradients."""
-    hidden = np.tanh(X @ W1 + b1)
-    logits = hidden @ W2 + b2
-    z = logits - logits.max(axis=1, keepdims=True)
-    log_probs = z - np.log(np.exp(z).sum(axis=1, keepdims=True))
-    w_total = sample_weight.sum()
-    loss = float(-(sample_weight * log_probs[np.arange(len(y)), y]).sum() / w_total)
-    delta = (np.exp(log_probs) - one_hot(y, W2.shape[1])) * sample_weight[:, None] / w_total
-    g_w2 = hidden.T @ delta
-    g_b2 = delta.sum(axis=0)
-    back = (delta @ W2.T) * (1.0 - hidden * hidden)
-    return loss, X.T @ back, back.sum(axis=0), g_w2, g_b2
-
-
 class SoftmaxSGD(ClassifierModel):
-    """Mini-batch gradient-descent softmax classifier; each fit continues from the last.
+    """Linear mini-batch gradient-descent softmax classifier; each fit continues from the last.
 
-    With ``hidden_width`` set, a tanh hidden layer of that width is trained by
-    backprop; otherwise the model is linear. Batch order is drawn from the
-    model's own generator, so identical fit sequences reproduce exactly.
+    Batch order is drawn from the model's own generator, so identical fit
+    sequences reproduce exactly.
     """
 
     backbone = "iterative"
 
     def __init__(self, class_count: int, input_dim: int, learning_rate: float = 0.03,
-                 batch_size: int = 64, epochs: int = 20, hidden_width: int | None = None,
-                 seed: int = 0):
+                 batch_size: int = 64, epochs: int = 20, seed: int = 0):
         if class_count < 2:
             raise ValueError("class_count must be >= 2")
         if learning_rate <= 0 or batch_size < 1 or epochs < 0:
             raise ValueError("invalid learning_rate / batch_size / epochs")
-        if hidden_width is not None and hidden_width < 1:
-            raise ValueError("hidden_width must be >= 1 when given")
         self.class_count = class_count
         self.input_dim = input_dim
         self.learning_rate = learning_rate
         self.batch_size = batch_size
         self.epochs = epochs
-        self.hidden_width = hidden_width
         self.seed = seed
         self._rng = np.random.default_rng(seed)
-        self._init_params()
-
-    def _init_params(self):
-        if self.hidden_width is None:
-            self.weights = np.zeros((self.input_dim, self.class_count))
-            self.bias = np.zeros(self.class_count)
-        else:
-            init_rng = np.random.default_rng(self.seed + 1)
-            self.w1 = init_rng.standard_normal((self.input_dim, self.hidden_width)) \
-                / np.sqrt(self.input_dim)
-            self.b1 = np.zeros(self.hidden_width)
-            self.weights = np.zeros((self.hidden_width, self.class_count))
-            self.bias = np.zeros(self.class_count)
+        self.weights = np.zeros((input_dim, class_count))
+        self.bias = np.zeros(class_count)
 
     def _check(self, X):
         X = np.asarray(X, dtype=np.float64)
@@ -389,24 +357,11 @@ class SoftmaxSGD(ClassifierModel):
                 order = self._rng.permutation(n)
                 for start in range(0, n, self.batch_size):
                     sel = order[start:start + self.batch_size]
-                    if self.hidden_width is None:
-                        _, g_w, g_b = softmax_loss_and_grad(self.weights, self.bias,
-                                                            X[sel], y[sel], w[sel])
-                        self.weights -= lr * g_w
-                        self.bias -= lr * g_b
-                    else:
-                        _, g_w1, g_b1, g_w2, g_b2 = mlp_loss_and_grad(
-                            self.w1, self.b1, self.weights, self.bias,
-                            X[sel], y[sel], w[sel])
-                        self.w1 -= lr * g_w1
-                        self.b1 -= lr * g_b1
-                        self.weights -= lr * g_w2
-                        self.bias -= lr * g_b2
-                if self.hidden_width is None:
-                    loss, _, _ = softmax_loss_and_grad(self.weights, self.bias, X, y, w)
-                else:
-                    loss = mlp_loss_and_grad(self.w1, self.b1, self.weights,
-                                             self.bias, X, y, w)[0]
+                    _, g_w, g_b = softmax_loss_and_grad(self.weights, self.bias,
+                                                        X[sel], y[sel], w[sel])
+                    self.weights -= lr * g_w
+                    self.bias -= lr * g_b
+                loss, _, _ = softmax_loss_and_grad(self.weights, self.bias, X, y, w)
                 if not np.isfinite(loss):
                     raise ValueError(
                         f"training diverged at epoch {epoch} (non-finite loss); "
@@ -416,6 +371,4 @@ class SoftmaxSGD(ClassifierModel):
 
     def predict_proba(self, X):
         X = self._check(X)
-        if self.hidden_width is None:
-            return _softmax_into(X @ self.weights + self.bias)
-        return _softmax_into(np.tanh(X @ self.w1 + self.b1) @ self.weights + self.bias)
+        return _softmax_into(X @ self.weights + self.bias)

@@ -19,6 +19,15 @@ import numpy as np
 
 _FIT_CALLS = 0  # counts top-level fit_cluster dispatches, for instrumentation
 
+# Fixed settings of the fits; a config sets only the cluster count or bandwidth.
+MAX_ITER = 300  # passes of Lloyd's, mini-batch or mean-shift iteration, at most
+TOL = 1e-4  # Lloyd's stops once a pass improves inertia by at most this share
+BATCH_SIZE = 256  # rows per mini-batch
+MAX_NO_IMPROVE = 10  # mini-batches without a better smoothed inertia before a stop
+MERGE_TOL = 0.5  # modes closer than this many bandwidths merge
+SUBSAMPLE = 1000  # rows whose pairwise distances estimate the bandwidth
+SHIFT_SUBSAMPLE = 1000  # rows that seed mean shift
+
 
 @dataclass
 class ClusterModel:
@@ -26,7 +35,7 @@ class ClusterModel:
 
     ``inertia_history`` records the inertia after every assignment pass for
     iterative fits (k-means). ``converged`` says whether an iterative fit
-    stopped on its own criterion (True) or ran out of ``max_iter`` (False);
+    stopped on its own criterion (True) or ran out of ``MAX_ITER`` (False);
     it is None for mean shift. Both are diagnostic.
     """
 
@@ -71,52 +80,26 @@ class ClusterModel:
 @dataclass
 class KMeansConfig:
     k: int | None = None
-    max_iter: int = 300
-    tol: float = 1e-4
     seed: int = 0
 
     def __post_init__(self):
         if self.k is not None and self.k < 1:
             raise ValueError("k must be >= 1")
-        if self.max_iter < 1:
-            raise ValueError("max_iter must be >= 1")
-        if self.tol < 0:
-            raise ValueError("tol must be >= 0")
 
 
 @dataclass
 class MiniBatchKMeansConfig(KMeansConfig):
-    batch_size: int = 256
-    max_no_improve: int = 10
-
-    def __post_init__(self):
-        super().__post_init__()
-        if self.batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
-        if self.max_no_improve < 1:
-            raise ValueError("max_no_improve must be >= 1")
+    """Mini-batch k-means takes the k-means options."""
 
 
 @dataclass
 class MeanShiftConfig:
     bandwidth: float | None = None
-    merge_tol: float = 0.5
-    max_iter: int = 300
-    subsample: int = 1000
-    shift_subsample: int | None = 1000
     seed: int = 0
 
     def __post_init__(self):
         if self.bandwidth is not None and self.bandwidth <= 0:
             raise ValueError("bandwidth must be > 0 when given")
-        if self.merge_tol <= 0:
-            raise ValueError("merge_tol must be > 0")
-        if self.max_iter < 1:
-            raise ValueError("max_iter must be >= 1")
-        if self.subsample < 2:
-            raise ValueError("subsample must be >= 2")
-        if self.shift_subsample is not None and self.shift_subsample < 1:
-            raise ValueError("shift_subsample must be >= 1 when given")
 
 
 # Each method's config class; its field defaults are the method's defaults.
@@ -368,13 +351,13 @@ def kmeans_fit(X: np.ndarray, cfg: KMeansConfig) -> ClusterModel:
     inertia = float(np.sum(distances * distances))
     history = [inertia]
     converged = False
-    for _ in range(cfg.max_iter):
+    for _ in range(MAX_ITER):
         centroids = _mean_update(X, assignments, distances, centroids)
         assignments, distances = _nearest(X, centroids)
         new_inertia = float(np.sum(distances * distances))
         history.append(new_inertia)
         improvement = inertia - new_inertia
-        converged = inertia <= 0 or improvement <= cfg.tol * inertia
+        converged = inertia <= 0 or improvement <= TOL * inertia
         inertia = new_inertia
         if converged:
             break
@@ -389,7 +372,7 @@ def minibatch_kmeans_fit(X: np.ndarray, cfg: MiniBatchKMeansConfig) -> ClusterMo
     Within one batch the sequential per-sample updates for a center telescope
     to ``(count * center + batch_sum) / (count + batch_members)``, which is
     what gets applied. Stops once the smoothed per-point batch inertia fails
-    to improve for ``max_no_improve`` consecutive batches, or, when a batch is
+    to improve for ``MAX_NO_IMPROVE`` consecutive batches, or, when a batch is
     every row (so that inertia keeps falling), once a pass changes no assignment;
     that fit then ends, as Lloyd's does, at the means of its clusters' members.
     """
@@ -405,13 +388,13 @@ def minibatch_kmeans_fit(X: np.ndarray, cfg: MiniBatchKMeansConfig) -> ClusterMo
 
     centroids = _init_centroids(X, k, rng)
     counts = np.zeros(k, dtype=np.float64)
-    batch = min(cfg.batch_size, n)
+    batch = min(BATCH_SIZE, n)
     smoothed = None
     best = np.inf
     stale = 0
     converged = False
     previous = None
-    for _ in range(cfg.max_iter):
+    for _ in range(MAX_ITER):
         idx = rng.choice(n, size=batch, replace=False) if batch < n else np.arange(n)
         rows = X[idx]
         a, d = _nearest(rows, centroids)
@@ -433,7 +416,7 @@ def minibatch_kmeans_fit(X: np.ndarray, cfg: MiniBatchKMeansConfig) -> ClusterMo
             stale = 0
         else:
             stale += 1
-            if stale >= cfg.max_no_improve:
+            if stale >= MAX_NO_IMPROVE:
                 converged = True
                 break
 
@@ -441,7 +424,7 @@ def minibatch_kmeans_fit(X: np.ndarray, cfg: MiniBatchKMeansConfig) -> ClusterMo
         # the running averages have settled every row's assignment; mean
         # steps move each centroid to the mean of its members, until no row
         # changes cluster (one step alone can still move rows)
-        for _ in range(cfg.max_iter):
+        for _ in range(MAX_ITER):
             centroids = _mean_update(X, a, d, centroids)
             moved = a
             a, d = _nearest(X, centroids)
@@ -455,7 +438,7 @@ def minibatch_kmeans_fit(X: np.ndarray, cfg: MiniBatchKMeansConfig) -> ClusterMo
                         time.perf_counter() - t0, converged=converged)
 
 
-def estimate_bandwidth(X: np.ndarray, quantile: float = 0.3, subsample: int = 1000,
+def estimate_bandwidth(X: np.ndarray, quantile: float = 0.3, subsample: int = SUBSAMPLE,
                        seed: int = 0) -> float:
     """Quantile of pairwise Euclidean distances over a subsample of rows."""
     X = np.asarray(X, dtype=np.float64)
@@ -493,17 +476,17 @@ def meanshift_fit(X: np.ndarray, cfg: MeanShiftConfig) -> ClusterModel:
         raise ValueError("need at least one point")
     bandwidth = cfg.bandwidth
     if bandwidth is None:
-        bandwidth = estimate_bandwidth(X, 0.3, cfg.subsample, cfg.seed)
+        bandwidth = estimate_bandwidth(X, 0.3, SUBSAMPLE, cfg.seed)
 
     rng = np.random.default_rng(cfg.seed)
-    if cfg.shift_subsample is not None and n > cfg.shift_subsample:
-        seeds = X[rng.choice(n, size=cfg.shift_subsample, replace=False)].copy()
+    if n > SHIFT_SUBSAMPLE:
+        seeds = X[rng.choice(n, size=SHIFT_SUBSAMPLE, replace=False)].copy()
     else:
         seeds = X.copy()
 
     stop = 1e-3 * bandwidth
     active = np.ones(len(seeds), dtype=bool)
-    for _ in range(cfg.max_iter):
+    for _ in range(MAX_ITER):
         if not active.any():
             break
         moving = np.flatnonzero(active)
@@ -519,19 +502,18 @@ def meanshift_fit(X: np.ndarray, cfg: MeanShiftConfig) -> ClusterModel:
             seeds[sel] = means
             active[sel] = moved >= stop
 
-    centroids = _merge_modes(seeds, X, bandwidth, cfg.merge_tol)
+    centroids = _merge_modes(seeds, X, bandwidth)
     assignments, distances = _nearest(X, centroids)
     inertia = float(np.sum(distances * distances))
     return ClusterModel("meanshift", centroids, assignments, distances, inertia,
                         time.perf_counter() - t0)
 
 
-def _merge_modes(modes: np.ndarray, X: np.ndarray, bandwidth: float,
-                 merge_tol: float) -> np.ndarray:
+def _merge_modes(modes: np.ndarray, X: np.ndarray, bandwidth: float) -> np.ndarray:
     """Suppress near-duplicate modes, keeping better-supported ones first.
 
     Greedy by descending neighborhood support (ties by index), so the kept
-    set is pairwise farther apart than ``merge_tol * bandwidth`` and
+    set is pairwise farther apart than ``MERGE_TOL * bandwidth`` and
     re-merging it is a no-op.
     """
     support = np.empty(len(modes), dtype=np.int64)
@@ -539,7 +521,7 @@ def _merge_modes(modes: np.ndarray, X: np.ndarray, bandwidth: float,
         d2 = _sq_dists_to(modes[start:start + 256], X)
         support[start:start + 256] = (d2 <= bandwidth * bandwidth).sum(axis=1)
     order = np.lexsort((np.arange(len(modes)), -support))
-    radius = merge_tol * bandwidth
+    radius = MERGE_TOL * bandwidth
     kept: list[np.ndarray] = []
     for i in order:
         m = modes[i]

@@ -28,19 +28,18 @@ class CertaintyEntry:
 class QueryList:
     """Unlabeled samples in query order, most certain first, as parallel arrays.
 
-    Position ``i`` of ``rows``, ``ids``, ``clusters``, ``distances`` and
-    ``certainties`` describes the ``i``-th sample to query: ``rows`` holds its
-    unlabeled row, the index a run uses, and ``ids`` its sample id. Treat the
-    arrays as read-only. ``entries`` materializes one :class:`CertaintyEntry`
-    per sample on first access, for inspection only.
+    Position ``i`` of ``rows``, ``ids``, ``clusters`` and ``distances``
+    describes the ``i``-th sample to query: ``rows`` holds its unlabeled row,
+    the index a run uses, and ``ids`` its sample id. A sample's certainty is
+    minus its distance. Treat the arrays as read-only. ``entries``
+    materializes one :class:`CertaintyEntry` per sample on first access, for
+    inspection only.
     """
 
     rows: np.ndarray
     ids: np.ndarray
     clusters: np.ndarray
     distances: np.ndarray
-    certainties: np.ndarray
-    built_from: str
 
     def __len__(self) -> int:
         return len(self.ids)
@@ -48,7 +47,7 @@ class QueryList:
     @cached_property
     def entries(self) -> tuple[CertaintyEntry, ...]:
         return tuple(map(CertaintyEntry, self.ids.tolist(), self.clusters.tolist(),
-                         self.distances.tolist(), self.certainties.tolist()))
+                         self.distances.tolist(), (-self.distances).tolist()))
 
     def sample_ids(self) -> list[int]:
         return self.ids.tolist()
@@ -90,8 +89,7 @@ def build_query_list(model: ClusterModel, unlabeled: UnlabeledSet) -> QueryList:
     clusters = np.asarray(model.assignments, dtype=np.int64)
     distances = np.asarray(model.distances, dtype=np.float64)
     order = np.lexsort((ids, distances))
-    return QueryList(order, ids[order], clusters[order], distances[order],
-                     -distances[order], model.method)
+    return QueryList(order, ids[order], clusters[order], distances[order])
 
 
 def _round_half_up(x: float) -> int:

@@ -199,7 +199,7 @@ class TrainingTrajectory:
                              *(repr(getattr(self, stage)[t]) for stage in STAGES)])
         return buf.getvalue()
 
-    def summary(self, config_echo: dict | None = None) -> dict:
+    def summary(self) -> dict:
         return {
             "mode": self.mode,
             "seed": self.seed,
@@ -212,7 +212,7 @@ class TrainingTrajectory:
             "stage_seconds": {stage: sum(getattr(self, stage)) for stage in STAGES},
             "failed_round": self.failed_round,
             "failure_message": self.failure_message,
-            "config": self.config_echo if config_echo is None else config_echo,
+            "config": self.config_echo,
         }
 
 

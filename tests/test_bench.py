@@ -21,7 +21,7 @@ from selftrain.bench import (BACKBONES, EXIT_PARTIAL, ComparisonReport, ConfigEr
 from selftrain.classifiers import SoftmaxSGD
 from selftrain.cli import main
 from selftrain.clustering import CONFIGS, METHODS
-from selftrain.data import make_blobs
+from selftrain.data import apply_standardize, make_blobs, split_ssl, standardize
 from selftrain.querylist import BatchSchedule
 from selftrain.training import SelfTrainConfig
 
@@ -75,8 +75,8 @@ MALFORMED = {
                               "$.selftrain.schedule.rounds", "expected int"),
     "meanshift-bandwidth-string": (_set("clustering", "meanshift", "bandwidth", value="auto"),
                                    "$.clustering.meanshift.bandwidth", "expected float | None"),
-    "sgd-hidden-width-zero": (_set("backbone", value={"kind": "softmax_sgd", "hidden_width": 0}),
-                              "$.backbone", "hidden_width"),
+    "sgd-epochs-negative": (_set("backbone", value={"kind": "softmax_sgd", "epochs": -1}),
+                            "$.backbone", "epochs"),
     "duplicate-seeds": (_set("seeds", value=[1, 1]), "$.seeds[1]", "duplicate"),
     "negative-seed": (_set("seeds", value=[1, -1]), "$.seeds[1]",
                       "expected non-negative integers, got -1"),
@@ -94,8 +94,17 @@ MALFORMED = {
                          "$.backbone.ridge_lambda", "finite"),
     "test-fraction-infinity": (_set("split", "test_fraction", value=float("inf")),
                                "$.split.test_fraction", "finite"),
-    "kmeans-tol-nan": (_set("clustering", "kmeans", "tol", value=float("nan")),
-                       "$.clustering.kmeans.tol", "finite"),
+    "meanshift-bandwidth-nan": (_set("clustering", "meanshift", "bandwidth", value=float("nan")),
+                                "$.clustering.meanshift.bandwidth", "finite"),
+    # the fits' fixed settings are module constants, not config keys
+    **{f"{method.replace('_', '-')}-{key.replace('_', '-')}-removed": (
+        _set("clustering", method, key, value=1), f"$.clustering.{method}.{key}", "unknown key")
+       for method, keys in {"kmeans": ("max_iter", "tol"),
+                            "minibatch_kmeans": ("max_iter", "tol", "batch_size",
+                                                 "max_no_improve"),
+                            "meanshift": ("merge_tol", "max_iter", "subsample",
+                                          "shift_subsample")}.items()
+       for key in keys},
     "birch-method": (_set("clustering", "methods", value=["kmeans", "birch"]),
                      "$.clustering.methods[1]", "expected methods in"),
     "birch-section": (_set("clustering", "birch", value={}),
@@ -129,23 +138,14 @@ RIDGE_KEYS = {"hidden_width": st.integers(1, 48),
               "ridge_lambda": st.floats(1e-4, 10.0) | st.integers(1, 5),
               "temperature": st.floats(0.05, 2.0)}
 SGD_KEYS = {"learning_rate": st.floats(1e-3, 1.0), "batch_size": st.integers(1, 128),
-            "epochs": st.integers(0, 30),
-            "hidden_width": st.none() | st.integers(1, 48)}
+            "epochs": st.integers(0, 30)}
 SCHEDULE_KEYS = {"initial_fraction": st.floats(0.05, 1.0), "rounds": st.integers(0, 8),
                  "growth": st.just("equal")}
 SELFTRAIN_KEYS = {"rounds": st.integers(9, 15), "confidence_threshold": st.floats(0.0, 1.0),
                   "schedule": st.fixed_dictionaries({}, optional=SCHEDULE_KEYS)}
-KMEANS_KEYS = {"k": st.none() | st.integers(1, 10), "max_iter": st.integers(1, 500),
-               "tol": st.floats(0.0, 1.0)}
-CLUSTER_KEYS = {
-    "kmeans": KMEANS_KEYS,
-    "minibatch_kmeans": {**KMEANS_KEYS, "batch_size": st.integers(1, 512),
-                         "max_no_improve": st.integers(1, 20)},
-    "meanshift": {"bandwidth": st.none() | st.floats(0.1, 5.0),
-                  "merge_tol": st.floats(0.01, 2.0), "max_iter": st.integers(1, 500),
-                  "subsample": st.integers(2, 2000),
-                  "shift_subsample": st.none() | st.integers(1, 2000)},
-}
+KMEANS_KEYS = {"k": st.none() | st.integers(1, 10)}
+CLUSTER_KEYS = {"kmeans": KMEANS_KEYS, "minibatch_kmeans": KMEANS_KEYS,
+                "meanshift": {"bandwidth": st.none() | st.floats(0.1, 5.0)}}
 
 
 def _state(model) -> dict:
@@ -175,10 +175,10 @@ class TestValidation:
 
     def test_backbone_kind_switch_drops_the_other_kinds_keys(self):
         doc = preset_config("blobs-small")
-        doc["backbone"]["kind"] = "softmax_sgd"  # keeps ridge_lambda and temperature
+        doc["backbone"]["kind"] = "softmax_sgd"  # keeps hidden_width, ridge_lambda, temperature
         config = validate_config(doc)
         model = make_backbone(config.backbone, 4, 2, 1)
-        assert _state(model) == _state(SoftmaxSGD(4, 2, hidden_width=512, seed=1))
+        assert _state(model) == _state(SoftmaxSGD(4, 2, seed=1))
 
     @settings(max_examples=200, deadline=None, derandomize=True)
     @given(st.data())
@@ -354,6 +354,32 @@ class TestRun:
             else:
                 assert cluster["lloyd_passes"] is None
         assert cluster["converged"] is None  # mean shift has no stopping criterion
+
+    def test_standardize_fits_the_train_rows_and_scales_the_test_rows(self, tmp_path,
+                                                                        monkeypatch):
+        doc = preset_config("blobs-noisy", str(tmp_path / "out"))
+        doc["seeds"] = [1]
+        doc["dataset"]["standardize"] = True
+        splits = []
+
+        def recorded(config, seed):
+            splits.append(prepare(config, seed))
+            return splits[-1]
+
+        prepare = bench._prepare_split
+        monkeypatch.setattr(bench, "_prepare_split", recorded)
+        code, report = run(validate_config(doc))
+        assert code == 0 and [c["status"] for c in report["cells"]] == ["ok", "ok"]
+
+        raw_l, raw_u, raw_test = split_ssl(build_dataset(doc["dataset"], 1), **doc["split"],
+                                           seed=1)
+        _, stats = standardize(np.vstack([raw_l.features, raw_u.features]))
+        assert len(splits) == 2  # one per cell
+        for labeled, unlabeled, test in splits:
+            train = np.vstack([labeled.features, unlabeled.features])
+            np.testing.assert_allclose(train.mean(axis=0), 0.0, rtol=0, atol=1e-9)
+            np.testing.assert_allclose(train.std(axis=0), 1.0, rtol=0, atol=1e-9)
+            assert np.array_equal(test.features, apply_standardize(stats, raw_test.features))
 
     def test_worker_pool_matches_sequential(self, tmp_path):
         cfg_seq = validate_config(tiny_doc(tmp_path / "seq", seeds=(1, 2)))

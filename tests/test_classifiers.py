@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from selftrain.classifiers import (RandomFeatureRidge, SoftmaxSGD, mlp_loss_and_grad,
-                                   one_hot, softmax, softmax_loss_and_grad, top_class)
+from selftrain.classifiers import (RandomFeatureRidge, SoftmaxSGD, one_hot, softmax,
+                                   softmax_loss_and_grad, top_class)
 from selftrain.data import UnlabeledSet
 from selftrain.training import PseudoPool, pseudo_label_pool
 
@@ -219,10 +219,6 @@ class TestSoftmaxSGD:
             with pytest.raises(ValueError, match="labels must lie in"):
                 model.fit(X, np.array([0, 1, 0, bad]))
 
-    def test_hidden_width_must_be_positive_when_given(self):
-        with pytest.raises(ValueError, match="hidden_width"):
-            SoftmaxSGD(2, 3, hidden_width=0)
-
     def test_zero_weights_uniform_and_tie_to_class_zero(self):
         model = SoftmaxSGD(2, 3, seed=0)
         X = np.random.default_rng(0).normal(size=(10, 3))
@@ -244,23 +240,6 @@ class TestSoftmaxSGD:
                 lambda: softmax_loss_and_grad(W, b, X, y, w)[0], [W, b])
             assert np.linalg.norm(g_w - num_w) / max(np.linalg.norm(num_w), 1e-12) <= 1e-4
             assert np.linalg.norm(g_b - num_b) / max(np.linalg.norm(num_b), 1e-12) <= 1e-4
-
-    def test_hidden_layer_gradient_matches_finite_differences(self):
-        rng = np.random.default_rng(2)
-        for trial in range(5):
-            X = rng.normal(size=(6, 3))
-            y = rng.integers(0, 3, 6)
-            w = rng.uniform(0.2, 1.0, 6)
-            W1 = rng.normal(size=(3, 5))
-            b1 = rng.normal(size=5)
-            W2 = rng.normal(size=(5, 3))
-            b2 = rng.normal(size=3)
-            _, g1, gb1, g2, gb2 = mlp_loss_and_grad(W1, b1, W2, b2, X, y, w)
-            nums = central_difference_grads(
-                lambda: mlp_loss_and_grad(W1, b1, W2, b2, X, y, w)[0],
-                [W1, b1, W2, b2])
-            for got, num in zip((g1, gb1, g2, gb2), nums):
-                assert np.linalg.norm(got - num) / max(np.linalg.norm(num), 1e-12) <= 1e-4
 
     def test_zero_epochs_is_identity(self):
         rng = np.random.default_rng(3)
@@ -329,15 +308,6 @@ class TestSoftmaxSGD:
         model.fit(X, y)
         assert np.mean(model.predict(X) == y) == 1.0
 
-    def test_hidden_variant_learns(self):
-        rng = np.random.default_rng(9)
-        X = np.vstack([rng.normal(-1.5, 0.3, size=(30, 2)),
-                       rng.normal(1.5, 0.3, size=(30, 2))])
-        y = np.array([0] * 30 + [1] * 30)
-        model = SoftmaxSGD(2, 2, epochs=40, hidden_width=16, seed=1)
-        model.fit(X, y)
-        assert np.mean(model.predict(X) == y) >= 0.95
-
 
 class TestProbabilityRows:
     def test_rows_stochastic_for_both_backbones(self):
@@ -370,12 +340,11 @@ def _backbone_pair(kind):
     """Two identically built backbones, so stateful fits can be compared."""
     if kind == "ridge":
         return [RandomFeatureRidge(3, 4, hidden_width=16, seed=2) for _ in range(2)]
-    return [SoftmaxSGD(3, 4, epochs=3, hidden_width=None if kind == "sgd" else 8, seed=2)
-            for _ in range(2)]
+    return [SoftmaxSGD(3, 4, epochs=3, seed=2) for _ in range(2)]
 
 
 class TestEmbeddedContract:
-    @pytest.mark.parametrize("kind", ["ridge", "sgd", "sgd-hidden"])
+    @pytest.mark.parametrize("kind", ["ridge", "sgd"])
     def test_raw_entry_points_equal_embedded_ones(self, kind):
         rng = np.random.default_rng(11)
         X = rng.normal(size=(40, 4))

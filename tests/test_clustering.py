@@ -78,12 +78,12 @@ class TestKMeans:
         X = rng.normal(size=(60, 3))
         cfg = KMeansConfig(k=4, seed=2)
         model = kmeans_fit(X, cfg)
-        # one more mean + assignment pass moves inertia by less than tol * inertia
+        # one more mean + assignment pass moves inertia by less than TOL * inertia
         centroids = np.array([X[model.assignments == j].mean(axis=0)
                               if np.any(model.assignments == j) else model.centroids[j]
                               for j in range(4)])
         _, dist = brute_force_nearest(X, centroids)
-        assert abs((dist ** 2).sum() - model.inertia) < cfg.tol * model.inertia
+        assert abs((dist ** 2).sum() - model.inertia) < clustering.TOL * model.inertia
 
     def test_empty_cluster_reseeded_keeps_k(self):
         # duplicate points force ties; k exceeds distinct locations
@@ -114,9 +114,10 @@ class TestKMeans:
         assert np.array_equal(a.centroids, b.centroids)
         assert np.array_equal(a.assignments, b.assignments)
 
-    def test_converged_false_when_max_iter_runs_out(self):
+    def test_converged_false_when_max_iter_runs_out(self, monkeypatch):
+        monkeypatch.setattr(clustering, "MAX_ITER", 1)
         X = np.random.default_rng(5).normal(size=(60, 3))
-        model = kmeans_fit(X, KMeansConfig(k=4, seed=2, max_iter=1))
+        model = kmeans_fit(X, KMeansConfig(k=4, seed=2))
         assert len(model.inertia_history) == 2
         assert model.inertia_history[1] < (1 - 1e-4) * model.inertia_history[0]
         assert model.converged is False
@@ -129,7 +130,7 @@ class TestKMeans:
 
 class TestMiniBatchKMeans:
     def test_full_batch_close_to_lloyd_on_fixture(self):
-        cfg_mb = MiniBatchKMeansConfig(k=2, seed=3, batch_size=10)
+        cfg_mb = MiniBatchKMeansConfig(k=2, seed=3)
         cfg_km = KMeansConfig(k=2, seed=3)
         mb = minibatch_kmeans_fit(FOUR_POINTS, cfg_mb)
         km = kmeans_fit(FOUR_POINTS, cfg_km)
@@ -138,8 +139,7 @@ class TestMiniBatchKMeans:
     def test_k_one_converges_to_column_means(self):
         rng = np.random.default_rng(1)
         X = rng.normal(size=(10, 3))
-        model = minibatch_kmeans_fit(X, MiniBatchKMeansConfig(k=1, seed=0,
-                                                              batch_size=64))
+        model = minibatch_kmeans_fit(X, MiniBatchKMeansConfig(k=1, seed=0))
         np.testing.assert_allclose(model.centroids[0], X.mean(axis=0), atol=1e-3)
 
     def test_deterministic(self):
@@ -157,15 +157,17 @@ class TestMiniBatchKMeans:
         a, _ = brute_force_nearest(X, model.centroids)
         assert np.array_equal(a, model.assignments)
 
-    def test_converged_false_when_max_iter_runs_out(self):
+    def test_converged_false_when_max_iter_runs_out(self, monkeypatch):
+        monkeypatch.setattr(clustering, "MAX_ITER", 1)
         X = np.random.default_rng(8).normal(size=(120, 3))
-        model = minibatch_kmeans_fit(X, MiniBatchKMeansConfig(k=4, seed=1, max_iter=1))
+        model = minibatch_kmeans_fit(X, MiniBatchKMeansConfig(k=4, seed=1))
         assert model.converged is False
 
-    def test_converged_true_on_the_no_improvement_stop(self):
+    def test_converged_true_on_the_no_improvement_stop(self, monkeypatch):
         # batches much smaller than the data make the batch inertia stop improving
+        monkeypatch.setattr(clustering, "BATCH_SIZE", 50)
         X = np.random.default_rng(8).normal(size=(1000, 3))
-        model = minibatch_kmeans_fit(X, MiniBatchKMeansConfig(k=4, seed=1, batch_size=50))
+        model = minibatch_kmeans_fit(X, MiniBatchKMeansConfig(k=4, seed=1))
         assert model.converged is True
 
     def test_full_batch_stops_once_assignments_settle(self, monkeypatch):
@@ -180,7 +182,7 @@ class TestMiniBatchKMeans:
 
         monkeypatch.setattr(clustering, "_nearest", counted)
         X = np.random.default_rng(8).normal(size=(120, 3))
-        model = minibatch_kmeans_fit(X, MiniBatchKMeansConfig(k=4, seed=1, max_iter=300))
+        model = minibatch_kmeans_fit(X, MiniBatchKMeansConfig(k=4, seed=1))
         assert model.converged is True
         assert len(passes) < 300
         model.validate(X)
@@ -191,7 +193,7 @@ class TestMiniBatchKMeans:
         # the running averages stop short of the means; the mean steps after
         # the settled pass reach them, below what 300 averaging passes gave
         X = np.random.default_rng(seed).normal(size=(120, 3))
-        model = minibatch_kmeans_fit(X, MiniBatchKMeansConfig(k=4, seed=seed, max_iter=300))
+        model = minibatch_kmeans_fit(X, MiniBatchKMeansConfig(k=4, seed=seed))
         means = np.array([X[model.assignments == j].mean(axis=0) for j in range(4)])
         np.testing.assert_array_equal(model.centroids, means)
         assert model.converged is True
@@ -260,11 +262,10 @@ class TestMeanShift:
         with pytest.raises(ValueError, match="identical"):
             meanshift_fit(np.ones((5, 2)), MeanShiftConfig())
 
-    @pytest.mark.parametrize("field, value", [("merge_tol", 0.0), ("max_iter", 0),
-                                              ("subsample", 1), ("shift_subsample", 0)])
-    def test_config_range_checks(self, field, value):
-        with pytest.raises(ValueError, match=field):
-            MeanShiftConfig(**{field: value})
+    @pytest.mark.parametrize("bandwidth", [0.0, -1.0])
+    def test_bandwidth_must_be_positive(self, bandwidth):
+        with pytest.raises(ValueError, match="bandwidth"):
+            MeanShiftConfig(bandwidth=bandwidth)
 
 
 class TestBirch:

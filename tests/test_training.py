@@ -528,11 +528,12 @@ class TestTrajectoryIO:
         backbone = RandomFeatureRidge(4, 2, hidden_width=64, seed=11)
         _, traj = st_train(labeled, unlabeled, test, backbone,
                            SelfTrainConfig(mode="st", rounds=3, seed=11))
-        doc = traj.summary({"note": "test"})
+        doc = traj.summary()
         assert doc["final_accuracy"] == traj.accuracy[-1]
         assert doc["total_processed"] == sum(traj.processed)
         assert doc["rounds"] == 3
-        assert doc["config"] == {"note": "test"}
+        assert doc["config"] == traj.config_echo
+        assert (doc["config"]["mode"], doc["config"]["rounds"]) == ("st", 3)
 
 
 class CountingBackbone(ClassifierModel):
