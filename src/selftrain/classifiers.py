@@ -86,7 +86,6 @@ class ClassifierModel(ABC):
     ``predict_proba_embedded(embed(X))`` is ``predict_proba(X)``.
     """
 
-    backbone: str
     class_count: int
 
     @abstractmethod
@@ -148,7 +147,6 @@ class RandomFeatureRidge(ClassifierModel):
     to produce calibrated-enough probabilities for confidence thresholding.
     """
 
-    backbone = "noniterative"
     block_rows = 4096
 
     def __init__(self, class_count: int, input_dim: int, hidden_width: int = 512,
@@ -293,14 +291,21 @@ class RandomFeatureRidge(ClassifierModel):
         return _softmax_into(scores)
 
 
-def softmax_loss_and_grad(W: np.ndarray, b: np.ndarray, X: np.ndarray, y: np.ndarray,
-                          sample_weight: np.ndarray):
-    """Weighted-mean cross-entropy of a linear softmax and its exact gradient."""
+def _softmax_loss(W: np.ndarray, b: np.ndarray, X: np.ndarray, y: np.ndarray,
+                  sample_weight: np.ndarray) -> tuple[float, np.ndarray]:
+    """Weighted-mean cross-entropy of a linear softmax, and its log-probabilities."""
     logits = X @ W + b
     z = logits - logits.max(axis=1, keepdims=True)
     log_probs = z - np.log(np.exp(z).sum(axis=1, keepdims=True))
     w_total = sample_weight.sum()
-    loss = float(-(sample_weight * log_probs[np.arange(len(y)), y]).sum() / w_total)
+    return float(-(sample_weight * log_probs[np.arange(len(y)), y]).sum() / w_total), log_probs
+
+
+def softmax_loss_and_grad(W: np.ndarray, b: np.ndarray, X: np.ndarray, y: np.ndarray,
+                          sample_weight: np.ndarray):
+    """Weighted-mean cross-entropy of a linear softmax and its exact gradient."""
+    loss, log_probs = _softmax_loss(W, b, X, y, sample_weight)
+    w_total = sample_weight.sum()
     delta = (np.exp(log_probs) - one_hot(y, W.shape[1])) * sample_weight[:, None] / w_total
     return loss, X.T @ delta, delta.sum(axis=0)
 
@@ -311,8 +316,6 @@ class SoftmaxSGD(ClassifierModel):
     Batch order is drawn from the model's own generator, so identical fit
     sequences reproduce exactly.
     """
-
-    backbone = "iterative"
 
     def __init__(self, class_count: int, input_dim: int, learning_rate: float = 0.03,
                  batch_size: int = 64, epochs: int = 20, seed: int = 0):
@@ -361,7 +364,7 @@ class SoftmaxSGD(ClassifierModel):
                                                         X[sel], y[sel], w[sel])
                     self.weights -= lr * g_w
                     self.bias -= lr * g_b
-                loss, _, _ = softmax_loss_and_grad(self.weights, self.bias, X, y, w)
+                loss, _ = _softmax_loss(self.weights, self.bias, X, y, w)
                 if not np.isfinite(loss):
                     raise ValueError(
                         f"training diverged at epoch {epoch} (non-finite loss); "

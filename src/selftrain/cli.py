@@ -64,6 +64,9 @@ def main(argv: list[str] | None = None) -> int:
     _add_common(val_p)
 
     args = parser.parse_args(argv)
+    if args.workers < 1:
+        print(f"config error: --workers: must be >= 1, got {args.workers}", file=sys.stderr)
+        return EXIT_CONFIG
     try:
         config = _resolve_config(args)
     except ConfigError as exc:

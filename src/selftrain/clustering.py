@@ -27,6 +27,8 @@ MAX_NO_IMPROVE = 10  # mini-batches without a better smoothed inertia before a s
 MERGE_TOL = 0.5  # modes closer than this many bandwidths merge
 SUBSAMPLE = 1000  # rows whose pairwise distances estimate the bandwidth
 SHIFT_SUBSAMPLE = 1000  # rows that seed mean shift
+NARROW_CHUNK = 8192  # rows per nearest-centroid pass on rows under 8 columns
+WIDE_CHUNK = 2048  # and on wider rows
 
 
 @dataclass
@@ -115,7 +117,7 @@ def _sq_dists_to(rows: np.ndarray, X: np.ndarray) -> np.ndarray:
     clipped. Each value carries round-off up to about ``d * eps`` times
     ``|row|^2 + |x|^2``, which is fine for neighborhood thresholding. Where
     the exact argmin matters, :func:`_nearest` certifies the gram identity's
-    answer against that bound and rechecks the rows it cannot certify.
+    answer on rows of 8 or more columns and rechecks the rows it cannot.
     """
     d2 = (rows * rows).sum(1)[:, None] + (X * X).sum(1)[None, :] - 2.0 * (rows @ X.T)
     np.maximum(d2, 0.0, out=d2)
@@ -142,8 +144,9 @@ def _row_sum(a: np.ndarray) -> np.ndarray:
 def _column_argmin(p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """``p.argmin(axis=0)`` and ``p.min(axis=0)`` by a strict-``<`` fold over p's rows.
 
-    Ties go to the lowest index, as with argmin. Where a column holds NaN the
-    minimum is NaN and the index is not argmin's.
+    Ties go to the lowest index, as with argmin. A NaN in a column makes its
+    minimum NaN, as with min, but takes the index only from row 0, whereas
+    argmin takes the first NaN; callers pass finite values.
     """
     a = np.zeros(p.shape[1], dtype=np.int64)
     best = p[0].copy()
@@ -154,17 +157,26 @@ def _column_argmin(p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return a, best
 
 
-def _nearest(X: np.ndarray, centroids: np.ndarray, chunk: int | None = None):
+def _nearest(X: np.ndarray, centroids: np.ndarray):
     """Nearest centroid per row, ties to the lowest centroid index.
 
     Exactness contract: assignments and distances are bit-identical to the
     brute force ``d2 = ((rows[:, None, :] - centroids[None]) ** 2).sum(-1)``,
-    ``a = argmin(d2, 1)``, ``sqrt(d2[i, a[i]])``, ties included.
+    ``a = argmin(d2, 1)``, ``sqrt(d2[i, a[i]])``, ties included. On rows
+    narrower than 8 columns the contract covers finite input only.
 
-    Each chunk costs one GEMM. The gram identity gives ``p = |c|^2 - 2 x.c``,
-    the squared distance less the row's own ``|x|^2`` (the same for every
-    centroid), and its argmin ``j``. With ``s = |x|^2 + |c|^2`` and
-    ``u = eps / 2``, in whatever order the BLAS sums:
+    Rows narrower than 8 columns take the brute force itself: each centroid's
+    row of a ``(k, rows)`` block folds ``(col - c) ** 2`` over the columns
+    from left to right, which below 8 columns is numpy's own sum bit for bit
+    (see ``_row_sum``; a square is never -0.0, so the fold may start from the
+    first), and ``_column_argmin`` gives the argmin and its value, whose root
+    is the distance. Unlike argmin's, its fold lets no NaN win.
+
+    Wider rows cost one GEMM per chunk. The gram identity gives
+    ``p = |c|^2 - 2 x.c``, the squared distance less the row's own ``|x|^2``
+    (the same for every centroid), and its argmin ``j``. With
+    ``s = |x|^2 + |c|^2`` and ``u = eps / 2``, in whatever order the BLAS
+    sums:
 
     - ``|c|^2`` errs by at most ``d u |c|^2`` and ``2 x.c`` by at most
       ``2 d u |x||c| <= d u s``; the final addition adds ``u |p| <= 2 u s``;
@@ -187,60 +199,41 @@ def _nearest(X: np.ndarray, centroids: np.ndarray, chunk: int | None = None):
     centroid and their argmin. Every row's distance is then recomputed
     exactly as ``sqrt(((x - c_j) ** 2).sum())``, the brute force's own sum
     over the contiguous last axis.
-
-    Width rule: rows narrower than 8 columns go by passes over columns, as
-    numpy's per-row reductions over 2 to 4 elements cost more in overhead
-    than in arithmetic. The candidate is a strict-``<`` fold over the ``k``
-    centroid columns of ``p`` (ties to the lowest index). The certificate's
-    runner-up, the least ``p - e`` but for the winner's, comes from a fold
-    that keeps the two least values: the second where the winner's is the
-    least, else the least. The distance gathers the assigned centroid one
-    column at a time and sums the squares by a left fold. Below 8 columns
-    that fold is numpy's own sum bit for bit (see ``_row_sum``); from 8 on
-    numpy sums pairwise, so rows that wide keep the row-wise kernels, which
-    also cost less there. The certificate and the exact recheck are the
-    same at every width. ``chunk`` rows go per pass; by default 8,192
-    narrow or 2,048 wide rows.
     """
     n, d = X.shape
-    narrow = d < _NARROW
-    if chunk is None:
-        chunk = 8192 if narrow else 2048
     assignments = np.empty(n, dtype=np.int64)
     distances = np.empty(n, dtype=np.float64)
+    if d < _NARROW:
+        for start in range(0, n, NARROW_CHUNK):
+            cols = X[start:start + NARROW_CHUNK].T.copy()  # (d, rows): each column contiguous
+            block = np.empty((len(centroids), cols.shape[1]))
+            for j, c in enumerate(centroids):
+                np.square(cols[0] - c[0], out=block[j])
+                for i in range(1, d):
+                    block[j] += np.square(cols[i] - c[i])
+            a, best = _column_argmin(block)
+            assignments[start:start + NARROW_CHUNK] = a
+            distances[start:start + NARROW_CHUNK] = np.sqrt(best)
+        return assignments, distances
+
     c_sq = np.einsum("ij,ij->i", centroids, centroids)
     slack = 8.0 * (d + 2) * np.finfo(np.float64).eps
     c_slack = slack * c_sq
     tiny = np.finfo(np.float64).tiny
-    if not narrow:
-        minus_2ct = -2.0 * centroids.T
-        diff = np.empty((min(chunk, n), d))  # reused: a fresh array per chunk costs page faults
-    for start in range(0, n, chunk):
-        rows = X[start:start + chunk]
-        if narrow:
-            p = (-2.0 * centroids) @ rows.T  # (k, rows): a centroid's column is one row
-            p += c_sq[:, None]
-            a, best = _column_argmin(p)
-            x_slack = slack * _row_sum(rows * rows) + tiny
-            e_a = c_slack.take(a)
-            upper = best + e_a + 2.0 * x_slack
-            q = p - c_slack[:, None]
-            least, second = q[0].copy(), np.full(len(rows), np.inf)
-            for j in range(1, len(q)):
-                np.minimum(second, np.maximum(least, q[j]), out=second)
-                np.minimum(least, q[j], out=least)
-            runner_up = np.where(best - e_a == least, second, least)
-        else:
-            r = np.arange(len(rows))
-            p = rows @ minus_2ct
-            p += c_sq
-            a = p.argmin(axis=1)
-            # p_l - e_l > p_j + e_j for l != j, the row's share of both e moved right
-            x_slack = slack * np.einsum("ij,ij->i", rows, rows) + tiny
-            upper = p[r, a] + c_slack[a] + 2.0 * x_slack
-            p -= c_slack
-            p[r, a] = np.inf
-            runner_up = p[r, p.argmin(axis=1)]
+    minus_2ct = -2.0 * centroids.T
+    diff = np.empty((min(WIDE_CHUNK, n), d))  # reused: a fresh array per chunk costs page faults
+    for start in range(0, n, WIDE_CHUNK):
+        rows = X[start:start + WIDE_CHUNK]
+        r = np.arange(len(rows))
+        p = rows @ minus_2ct
+        p += c_sq
+        a = p.argmin(axis=1)
+        # p_l - e_l > p_j + e_j for l != j, the row's share of both e moved right
+        x_slack = slack * np.einsum("ij,ij->i", rows, rows) + tiny
+        upper = p[r, a] + c_slack[a] + 2.0 * x_slack
+        p -= c_slack
+        p[r, a] = np.inf
+        runner_up = p[r, p.argmin(axis=1)]
         unsure = np.flatnonzero(~(runner_up > upper))
         if len(unsure):
             sub = rows[unsure]
@@ -248,28 +241,25 @@ def _nearest(X: np.ndarray, centroids: np.ndarray, chunk: int | None = None):
             for j, c in enumerate(centroids):
                 exact[:, j] = ((sub - c) ** 2).sum(1)
             a[unsure] = exact.argmin(axis=1)
-        if narrow:
-            sq = np.zeros(len(rows))  # numpy's sum starts from +0.0 too
-            for c in range(d):
-                gap = rows[:, c] - centroids[:, c].take(a)
-                sq += gap * gap
-        else:
-            sq = np.subtract(rows, centroids[a], out=diff[:len(rows)])
-            np.square(sq, out=sq)
-            sq = sq.sum(1)
-        assignments[start:start + chunk] = a
-        distances[start:start + chunk] = np.sqrt(sq)
+        sq = np.subtract(rows, centroids[a], out=diff[:len(rows)])
+        np.square(sq, out=sq)
+        sq = sq.sum(1)
+        assignments[start:start + WIDE_CHUNK] = a
+        distances[start:start + WIDE_CHUNK] = np.sqrt(sq)
     return assignments, distances
 
 
 def assign(model: ClusterModel, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Map rows of X onto the model's centroids."""
+    """Map rows of X onto the model's centroids; both must be finite."""
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2 or X.shape[1] != model.centroids.shape[1]:
         raise ValueError(
             f"dimension mismatch: model has {model.centroids.shape[1]} features, "
             f"input has {X.shape[1] if X.ndim == 2 else '?'}"
         )
+    # the fits see only rows a Dataset has checked; rows from outside come through here
+    if not (np.isfinite(X).all() and np.isfinite(model.centroids).all()):
+        raise ValueError("rows and centroids must be finite")
     return _nearest(X, model.centroids)
 
 

@@ -683,6 +683,16 @@ class TestCli:
                      "--out", str(tmp_path / "elsewhere")]) == 0
         assert (tmp_path / "elsewhere" / "report.json").exists()
 
+    @pytest.mark.parametrize("command", ["run", "sweep"])
+    @pytest.mark.parametrize("workers", ["0", "-1"])
+    def test_workers_below_one_rejected_before_any_run(self, tmp_path, capsys, command,
+                                                       workers):
+        budgets = ["--budgets", "1"] if command == "sweep" else []
+        assert main([command, *budgets, self.write_config(tmp_path),
+                     "--workers", workers]) == 2
+        assert f"--workers: must be >= 1, got {workers}" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_sweep_cli(self, tmp_path):
         assert main(["sweep", "--budgets", "1,3",
                      self.write_config(tmp_path)]) == 0

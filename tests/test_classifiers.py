@@ -211,6 +211,25 @@ class TestRandomFeatureRidge:
             model.predict_proba(np.zeros((1, 2)))
 
 
+def reference_sgd_fit(model, X, y, w):
+    """SoftmaxSGD's epoch loop as it was when its loss check also took the full
+    gradient; returns the epoch whose loss was not finite, or None."""
+    lr = model.learning_rate
+    with np.errstate(over="ignore", invalid="ignore"):
+        for epoch in range(model.epochs):
+            order = model._rng.permutation(len(X))
+            for start in range(0, len(X), model.batch_size):
+                sel = order[start:start + model.batch_size]
+                _, g_w, g_b = softmax_loss_and_grad(model.weights, model.bias,
+                                                    X[sel], y[sel], w[sel])
+                model.weights -= lr * g_w
+                model.bias -= lr * g_b
+            loss, _, _ = softmax_loss_and_grad(model.weights, model.bias, X, y, w)
+            if not np.isfinite(loss):
+                return epoch
+    return None
+
+
 class TestSoftmaxSGD:
     def test_labels_outside_the_classes_rejected(self):
         model = SoftmaxSGD(2, 2, epochs=2)
@@ -289,6 +308,29 @@ class TestSoftmaxSGD:
         model = SoftmaxSGD(2, 2, learning_rate=1e308, epochs=5, seed=5)
         with pytest.raises(ValueError, match="learning_rate"):
             model.fit(X, y)
+
+    def test_weights_match_the_full_gradient_loss_check_loop(self):
+        rng = np.random.default_rng(9)
+        X = rng.normal(size=(300, 20))
+        y = rng.integers(0, 4, 300)
+        w = rng.uniform(0.1, 1.0, 300)
+        model = SoftmaxSGD(4, 20, batch_size=32, epochs=3, seed=7)
+        ref = SoftmaxSGD(4, 20, batch_size=32, epochs=3, seed=7)
+        for _ in range(2):  # the second fit continues from the first
+            model.fit(X, y, w)
+            assert reference_sgd_fit(ref, X, y, w) is None
+            assert model.weights.tobytes() == ref.weights.tobytes()
+            assert model.bias.tobytes() == ref.bias.tobytes()
+
+    def test_divergence_fires_at_the_reference_epoch(self):
+        rng = np.random.default_rng(7)
+        X = rng.normal(size=(20, 2)) * 50
+        y = rng.integers(0, 2, 20)
+        build = lambda: SoftmaxSGD(2, 2, learning_rate=1e304, batch_size=4, epochs=8, seed=5)
+        epoch = reference_sgd_fit(build(), X, y, np.ones(20))
+        assert epoch == 2  # a later epoch than the first, so the epoch count is tested
+        with pytest.raises(ValueError, match=f"diverged at epoch {epoch} "):
+            build().fit(X, y)
 
     def test_deterministic(self):
         rng = np.random.default_rng(8)

@@ -6,6 +6,10 @@ fold for ``argmin(axis=0)``, and a weighted ``bincount`` per column for each
 cluster's member sums. Each must equal what it replaces bit for bit, so the
 references below are the row-wise code the fits used before, kept here.
 Widths on both sides of 8 are drawn, since the kernels switch there.
+
+The nearest centroid on narrow rows is the brute force computed by the same
+two folds, so its exactness rests on these tests holding for the numpy in
+use: numpy sums fewer than 8 elements one by one, and from 8 on pairwise.
 """
 
 import numpy as np

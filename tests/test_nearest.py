@@ -1,11 +1,15 @@
-"""Property tests: the gram-identity nearest centroid against the broadcast cube.
+"""Property tests: the nearest centroid against the broadcast cube.
 
-``clustering._nearest`` takes each chunk's argmin from one GEMM, certifies it
-against a round-off bound and rechecks the uncertain rows exactly. The
-reference below is the plain broadcast over a ``(rows, k, d)`` difference
-cube. Assignments and distances must agree bit for bit, ties to the lowest
-centroid index included, and so must every fit built on ``_nearest``.
+On rows narrower than 8 columns ``clustering._nearest`` computes the brute
+force itself by passes over columns. On wider rows it takes each chunk's
+argmin from one GEMM, certifies it against a round-off bound and rechecks the
+uncertain rows exactly. The reference below is the plain broadcast over a
+``(rows, k, d)`` difference cube. Assignments and distances must agree bit
+for bit, ties to the lowest centroid index included, and so must every fit
+built on ``_nearest``.
 """
+
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -20,8 +24,8 @@ from selftrain.data import make_blobs
 
 from test_column_kernels import reference_init_centroids, reference_mean_update
 
-DEFAULT_CHUNK = 2048  # rows per pass on rows of 8 or more columns
-NARROW_CHUNK = 8192  # and on narrower rows
+WIDE_CHUNK = clustering.WIDE_CHUNK  # rows per pass on rows of 8 or more columns
+NARROW_CHUNK = clustering.NARROW_CHUNK  # and on narrower rows
 
 
 def reference_nearest(X, centroids, chunk=256):
@@ -48,8 +52,8 @@ def assert_bit_equal(got, want):
 def nearest_cases(draw):
     # narrow rows, below 8 columns, take their own kernels
     d = draw(st.integers(1, 12) | st.integers(1, 100))
-    chunk = draw(st.sampled_from([1, 5, 64, DEFAULT_CHUNK, None]))
-    rows = chunk or (NARROW_CHUNK if d < 8 else DEFAULT_CHUNK)
+    chunk = draw(st.sampled_from([1, 5, 64, WIDE_CHUNK, None]))
+    rows = chunk or (NARROW_CHUNK if d < 8 else WIDE_CHUNK)
     return {
         "chunk": chunk,
         "n": draw(st.sampled_from([0, 1, rows - 1, rows, rows + 1, 2 * rows + 3])),
@@ -97,7 +101,10 @@ def make_case(case):
 def test_nearest_and_assign_match_the_broadcast_cube(case):
     X, centroids = make_case(case)
     want = reference_nearest(X, centroids)
-    assert_bit_equal(clustering._nearest(X, centroids, chunk=case["chunk"]), want)
+    chunk = case["chunk"]
+    with mock.patch.multiple(clustering, NARROW_CHUNK=chunk or NARROW_CHUNK,
+                             WIDE_CHUNK=chunk or WIDE_CHUNK):
+        assert_bit_equal(clustering._nearest(X, centroids), want)
     model = ClusterModel("kmeans", centroids, None, None, 0.0, 0.0)
     assert_bit_equal(assign(model, X), want)
 
@@ -105,13 +112,29 @@ def test_nearest_and_assign_match_the_broadcast_cube(case):
 def test_large_common_offset_needs_the_exact_recheck():
     rng = np.random.default_rng(5)
     centroids = rng.normal(size=(10, 50)) + 1e8
-    X = rng.normal(size=(3 * DEFAULT_CHUNK + 5, 50)) + 1e8
+    X = rng.normal(size=(3 * WIDE_CHUNK + 5, 50)) + 1e8
     want = reference_nearest(X, centroids)
     # the gram identity alone cancels catastrophically here ...
     gram = (centroids * centroids).sum(1) - 2.0 * (X @ centroids.T)
     assert np.mean(gram.argmin(1) != want[0]) > 0.5
     # ... so only the exact recheck of uncertain rows gives the right answer
     assert_bit_equal(clustering._nearest(X, centroids), want)
+
+
+@pytest.mark.parametrize("d", [2, 50])
+def test_assign_rejects_rows_or_centroids_that_are_not_finite(d):
+    # a NaN centroid is the nearest to no row under the column fold, where
+    # argmin would pick it, so assign keeps such input away from _nearest
+    centroids = np.zeros((3, d))
+    centroids[1, 0] = np.nan
+    X = np.ones((2, d))
+    with pytest.raises(ValueError, match="finite"):
+        assign(ClusterModel("kmeans", centroids, None, None, 0.0, 0.0), X)
+    model = ClusterModel("kmeans", np.zeros((3, d)), None, None, 0.0, 0.0)
+    for bad in (np.nan, np.inf, -np.inf):
+        X[1, d - 1] = bad
+        with pytest.raises(ValueError, match="finite"):
+            assign(model, X)
 
 
 @pytest.fixture(scope="module")
