@@ -338,6 +338,7 @@ class ReportCell:
     total_seconds: float | None = None
     cluster_seconds: float | None = None
     error: str | None = None
+    cluster: dict | None = None  # the IST fit's diagnostics; None for ST and failed cells
 
 
 @dataclass
@@ -453,7 +454,7 @@ def run(config: ExperimentConfig, workers: int = 1,
         if traj is not None and error is None:
             cells.append(ReportCell(name, seed, "ok", traj.final_accuracy,
                                     traj.total_processed, traj.total_seconds,
-                                    traj.cluster_seconds))
+                                    traj.cluster_seconds, cluster=traj.cluster))
         else:
             cells.append(ReportCell(name, seed, "failed", error=error))
         if traj is not None:

@@ -27,6 +27,8 @@ MAX_NO_IMPROVE = 10  # mini-batches without a better smoothed inertia before a s
 MERGE_TOL = 0.5  # modes closer than this many bandwidths merge
 SUBSAMPLE = 1000  # rows whose pairwise distances estimate the bandwidth
 SHIFT_SUBSAMPLE = 1000  # rows that seed mean shift
+SHIFT_CHUNK = 256  # mean-shift seeds whose neighbourhoods one product finds
+SHIFT_BLOCK = 1 << 16  # distances mean shift thresholds at a time, about half an L2 cache
 NARROW_CHUNK = 8192  # rows per nearest-centroid pass on rows under 8 columns
 WIDE_CHUNK = 2048  # and on wider rows
 
@@ -38,7 +40,9 @@ class ClusterModel:
     ``inertia_history`` records the inertia after every assignment pass for
     iterative fits (k-means). ``converged`` says whether an iterative fit
     stopped on its own criterion (True) or ran out of ``MAX_ITER`` (False);
-    it is None for mean shift. Both are diagnostic.
+    it is None for mean shift. ``bandwidth`` is the one a mean shift fit
+    used, given or estimated; it is None for the k-means fits. All three are
+    diagnostic.
     """
 
     method: str
@@ -49,16 +53,18 @@ class ClusterModel:
     fit_seconds: float
     inertia_history: list[float] = field(default_factory=list)
     converged: bool | None = None
+    bandwidth: float | None = None
 
     @property
     def k(self) -> int:
         return self.centroids.shape[0]
 
     def diagnostics(self) -> dict:
-        """Method, k, ``converged`` and, for k-means, the number of Lloyd passes."""
+        """Method, k, ``converged``, the number of Lloyd passes (k-means only) and
+        the bandwidth (mean shift only)."""
         passes = len(self.inertia_history) - 1 if self.method == "kmeans" else None
         return {"method": self.method, "k": self.k, "converged": self.converged,
-                "lloyd_passes": passes}
+                "lloyd_passes": passes, "bandwidth": self.bandwidth}
 
     def validate(self, X: np.ndarray | None = None) -> None:
         """Check the structural invariants; raises ValueError on violation."""
@@ -113,11 +119,13 @@ METHODS = tuple(CONFIGS)
 def _sq_dists_to(rows: np.ndarray, X: np.ndarray) -> np.ndarray:
     """Squared distances from each row to every point of X, via the gram identity.
 
-    Avoids materializing a (rows, n, d) cube; tiny negative round-off is
-    clipped. Each value carries round-off up to about ``d * eps`` times
-    ``|row|^2 + |x|^2``, which is fine for neighborhood thresholding. Where
-    the exact argmin matters, :func:`_nearest` certifies the gram identity's
-    answer on rows of 8 or more columns and rechecks the rows it cannot.
+    Its one caller is :func:`estimate_bandwidth`. Avoids materializing a
+    (rows, n, d) cube; tiny negative round-off is clipped. Each value carries
+    round-off up to about ``d * eps`` times ``|row|^2 + |x|^2``, which is fine
+    for neighborhood thresholding. Mean shift thresholds the same values in
+    reused buffers (:class:`_Neighbourhoods`). Where the exact argmin
+    matters, :func:`_nearest` certifies the gram identity's answer on rows of
+    8 or more columns and rechecks the rows it cannot.
     """
     d2 = (rows * rows).sum(1)[:, None] + (X * X).sum(1)[None, :] - 2.0 * (rows @ X.T)
     np.maximum(d2, 0.0, out=d2)
@@ -457,6 +465,110 @@ def estimate_bandwidth(X: np.ndarray, quantile: float = 0.3, subsample: int = SU
     return bw
 
 
+def _distinct(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Index of each distinct row's first occurrence, in order, and each row's
+    index into them. Rows are told apart by their bytes, so -0.0 is not +0.0."""
+    keys = np.ascontiguousarray(rows).view(np.dtype((np.void, rows.itemsize * rows.shape[1])))
+    _, first, inverse = np.unique(keys.ravel(), return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    rank = np.empty_like(order)
+    rank[order] = np.arange(len(order))
+    return first[order], rank[inverse.ravel()]
+
+
+class _Neighbourhoods:
+    """Flat-kernel neighbourhoods in X of seed rows: how many rows of X lie
+    within the bandwidth of each seed, and their sum.
+
+    The reference takes the seeds ``SHIFT_CHUNK`` at a time and forms
+    ``within = _sq_dists_to(chunk, X) <= bandwidth ** 2``, its row counts,
+    and ``within[hit].astype(float) @ X`` over the rows with a hit. Here
+    ``|x|^2`` is computed once, and every product reuses two float buffers
+    and one bool buffer: ``G = seeds @ X.T``, then, a few rows at a time,
+    ``G *= 2``, ``S = |s|^2 + |x|^2``, ``S -= G`` and ``S <= bandwidth ** 2``
+    are the reference's operations on the same operands in the same order
+    (its clip of S to 0 cannot change a ``<=`` test against a positive
+    square), and G's buffer then holds the 0/1 weights of the sum. S holds
+    only those few rows, which stay in cache.
+
+    Identical seeds have identical neighbourhoods, so each distinct seed is
+    taken once per product shape. Both products sum a row's terms in an
+    order that may depend on the product's row count: numpy forms a single
+    row as a matrix-vector product, and a BLAS may give small products their
+    own kernels. So a distinct seed goes into a product of as many rows as
+    its reference chunk had, filled up with rows whose results go unread.
+    What remains assumed is that a row's result does not depend on its place
+    or its mates in a product of one shape. OpenBLAS keeps to that only in
+    the large: the last few rows of a product can differ in the last bit
+    from the same row placed earlier. That moves a fit only where such a bit
+    decides whether a point lies within the bandwidth, as when a seed's
+    distance to itself is all round-off.
+    """
+
+    def __init__(self, X: np.ndarray, bandwidth: float, seeds: int):
+        self.X = X
+        self.x_sq = (X * X).sum(1)
+        self.bw_sq = bandwidth * bandwidth
+        rows = min(SHIFT_CHUNK, seeds)
+        self.a = np.zeros((rows, X.shape[1]))  # rows past the distinct ones are fill
+        self.g = np.empty((rows, len(X)))
+        self.s = np.empty((min(rows, max(1, SHIFT_BLOCK // len(X))), len(X)))
+        self.within = np.empty((rows, len(X)), dtype=bool)
+
+    def _within(self, seeds: np.ndarray, size: int) -> np.ndarray:
+        """Each seed's neighbourhood mask, by a product of ``size`` rows; G's
+        buffer then holds the mask as 0/1 weights in its first rows."""
+        m = len(seeds)
+        self.a[:m] = seeds
+        np.matmul(self.a[:size], self.X.T, out=self.g[:size])
+        s_sq = (seeds * seeds).sum(1)
+        step = len(self.s)
+        for lo in range(0, m, step):  # a few rows at a time, so that S stays in cache
+            g = self.g[lo:min(lo + step, m)]
+            s = self.s[:len(g)]
+            g *= 2.0
+            np.add(s_sq[lo:lo + len(g), None], self.x_sq, out=s)
+            s -= g
+            np.copyto(g, np.less_equal(s, self.bw_sq, out=self.within[lo:lo + len(g)]))
+        return self.within[:m]
+
+    def count(self, seeds: np.ndarray, sums: bool = False):
+        """Each seed's neighbour count and, with ``sums``, its neighbours' sum
+        (rows without a neighbour get an unspecified sum)."""
+        n, d = seeds.shape
+        hits = np.empty(n, dtype=np.int64)
+        total = np.empty((n, d)) if sums else None
+        full = n - n % SHIFT_CHUNK
+        for lo, hi in ((0, full), (full, n)):  # the full chunks, then the short one
+            if hi == lo:
+                continue
+            size = min(SHIFT_CHUNK, hi - lo)
+            first, inverse = _distinct(seeds[lo:hi])
+            first += lo
+            h = np.empty(len(first), dtype=np.int64)
+            t = np.empty((len(first), d))
+            for start in range(0, len(first), size):
+                take = first[start:start + size]
+                within = self._within(seeds[take], size)
+                h[start:start + len(take)] = np.count_nonzero(within, axis=1)
+                if sums:
+                    t[start:start + len(take)] = (self.g[:size] @ self.X)[:len(take)]
+            hits[lo:hi] = h[inverse]
+            if sums:
+                total[lo:hi] = t[inverse]
+        if sums:
+            # a chunk with a seed that has no neighbour summed only the others,
+            # by a product of fewer rows; such chunks are formed as they were
+            for start in range(0, n, SHIFT_CHUNK):
+                hit = hits[start:start + SHIFT_CHUNK] > 0
+                if hit.any() and not hit.all():
+                    chunk = seeds[start:start + SHIFT_CHUNK]
+                    w = self.g[:np.count_nonzero(hit)]
+                    np.copyto(w, self._within(chunk, len(chunk))[hit])
+                    total[start + np.flatnonzero(hit)] = w @ self.X
+        return (hits, total) if sums else hits
+
+
 def meanshift_fit(X: np.ndarray, cfg: MeanShiftConfig) -> ClusterModel:
     """Flat-kernel mean shift: iterate seeds to local neighborhood means, then merge modes."""
     t0 = time.perf_counter()
@@ -474,42 +586,36 @@ def meanshift_fit(X: np.ndarray, cfg: MeanShiftConfig) -> ClusterModel:
     else:
         seeds = X.copy()
 
+    hoods = _Neighbourhoods(X, bandwidth, len(seeds))
     stop = 1e-3 * bandwidth
     active = np.ones(len(seeds), dtype=bool)
     for _ in range(MAX_ITER):
-        if not active.any():
-            break
         moving = np.flatnonzero(active)
-        for start in range(0, len(moving), 256):
-            sel = moving[start:start + 256]
-            d2 = _sq_dists_to(seeds[sel], X)
-            within = d2 <= bandwidth * bandwidth
-            hits = within.sum(axis=1)
-            means = seeds[sel].copy()
-            nz = hits > 0
-            means[nz] = (within[nz].astype(np.float64) @ X) / hits[nz, None]
-            moved = np.sqrt(((means - seeds[sel]) ** 2).sum(-1))
-            seeds[sel] = means
-            active[sel] = moved >= stop
+        if not len(moving):
+            break
+        rows = seeds[moving]
+        hits, sums = hoods.count(rows, sums=True)
+        means = rows.copy()
+        nz = hits > 0
+        means[nz] = sums[nz] / hits[nz, None]
+        moved = np.sqrt(((means - rows) ** 2).sum(-1))
+        seeds[moving] = means
+        active[moving] = moved >= stop
 
-    centroids = _merge_modes(seeds, X, bandwidth)
+    centroids = _merge_modes(seeds, hoods.count(seeds), bandwidth)
     assignments, distances = _nearest(X, centroids)
     inertia = float(np.sum(distances * distances))
     return ClusterModel("meanshift", centroids, assignments, distances, inertia,
-                        time.perf_counter() - t0)
+                        time.perf_counter() - t0, bandwidth=float(bandwidth))
 
 
-def _merge_modes(modes: np.ndarray, X: np.ndarray, bandwidth: float) -> np.ndarray:
+def _merge_modes(modes: np.ndarray, support: np.ndarray, bandwidth: float) -> np.ndarray:
     """Suppress near-duplicate modes, keeping better-supported ones first.
 
-    Greedy by descending neighborhood support (ties by index), so the kept
-    set is pairwise farther apart than ``MERGE_TOL * bandwidth`` and
+    Greedy by descending neighborhood ``support`` (ties by index), so the
+    kept set is pairwise farther apart than ``MERGE_TOL * bandwidth`` and
     re-merging it is a no-op.
     """
-    support = np.empty(len(modes), dtype=np.int64)
-    for start in range(0, len(modes), 256):
-        d2 = _sq_dists_to(modes[start:start + 256], X)
-        support[start:start + 256] = (d2 <= bandwidth * bandwidth).sum(axis=1)
     order = np.lexsort((np.arange(len(modes)), -support))
     radius = MERGE_TOL * bandwidth
     kept: list[np.ndarray] = []

@@ -20,7 +20,7 @@ from selftrain.bench import (BACKBONES, EXIT_PARTIAL, ComparisonReport, ConfigEr
                              validate_config)
 from selftrain.classifiers import SoftmaxSGD
 from selftrain.cli import main
-from selftrain.clustering import CONFIGS, METHODS
+from selftrain.clustering import CONFIGS, METHODS, SUBSAMPLE, estimate_bandwidth
 from selftrain.data import apply_standardize, make_blobs, split_ssl, standardize
 from selftrain.querylist import BatchSchedule
 from selftrain.training import SelfTrainConfig
@@ -346,14 +346,34 @@ class TestRun:
             name = f"ist-{method.replace('_', '-')}_seed1.summary.json"
             cluster = json.loads(
                 (tmp_path / "out" / "trajectories" / name).read_text())["cluster"]
-            assert set(cluster) == {"method", "k", "converged", "lloyd_passes"}
+            assert set(cluster) == {"method", "k", "converged", "lloyd_passes", "bandwidth"}
             assert cluster["method"] == method
             assert cluster["k"] >= 1
             if method == "kmeans":
                 assert cluster["converged"] is True and cluster["lloyd_passes"] >= 1
             else:
                 assert cluster["lloyd_passes"] is None
+            if method != "meanshift":
+                assert cluster["bandwidth"] is None
         assert cluster["converged"] is None  # mean shift has no stopping criterion
+        # the automatic bandwidth, estimated on the standardized unlabeled rows
+        _, unlabeled, _ = bench._prepare_split(validate_config(tiny_doc(tmp_path)), 1)
+        scaled, _ = standardize(unlabeled.features)
+        assert cluster["bandwidth"] == estimate_bandwidth(scaled, 0.3, SUBSAMPLE, seed=1)
+
+    def test_report_cells_carry_cluster_diagnostics(self, tmp_path):
+        doc = tiny_doc(tmp_path / "out", seeds=(1,), methods=("kmeans", "meanshift"))
+        _, report = run(validate_config(doc))
+        cells = {c["method"]: c for c in report["cells"]}
+        assert cells["st"]["cluster"] is None
+        for name in ("ist-kmeans", "ist-meanshift"):
+            summary = json.loads((tmp_path / "out" / "trajectories" /
+                                  f"{name}_seed1.summary.json").read_text())
+            assert cells[name]["cluster"] == summary["cluster"]
+        assert cells["ist-meanshift"]["cluster"]["bandwidth"] > 0
+        assert json.loads((tmp_path / "out" / "report.json").read_text()) == report
+        # report.csv keeps its columns
+        assert "cluster" not in read_csv_rows(tmp_path / "out" / "report.csv")[0]
 
     def test_standardize_fits_the_train_rows_and_scales_the_test_rows(self, tmp_path,
                                                                         monkeypatch):
@@ -397,6 +417,7 @@ class TestRun:
         assert code == 3
         assert all(c["status"] == "failed" for c in report["cells"])
         assert all("learning_rate" in c["error"] for c in report["cells"])
+        assert all(c["cluster"] is None for c in report["cells"])
 
     def test_dead_worker_fails_its_cell_only(self, tmp_path, monkeypatch):
         class DyingExecutor:

@@ -1,0 +1,202 @@
+"""Bit-exactness of mean shift's neighbourhood kernel against the loop it replaced.
+
+``meanshift_fit`` finds each seed's neighbourhood in reused buffers and takes
+each distinct seed once per product shape. The reference below is the loop
+it replaced, kept verbatim: fresh gram-identity distances and a 0/1 weight
+matrix per chunk of 256 seeds, every moving seed shifted and every mode's
+support counted. Their results must agree byte for byte.
+
+Identical seeds share one row of a product instead of each taking its own,
+so these tests also check that a row of a matrix product does not depend on
+its place or its mates among rows of the same count, for the BLAS in use.
+That holds only in the large: OpenBLAS can set the last bit of a product's
+last few rows otherwise, which changes a fit only where that bit decides
+whether a point lies within the bandwidth.
+"""
+
+import time
+
+import numpy as np
+import pytest
+
+from selftrain import clustering
+from selftrain.clustering import (MAX_ITER, MERGE_TOL, SHIFT_SUBSAMPLE, SUBSAMPLE,
+                                  ClusterModel, MeanShiftConfig, _nearest,
+                                  estimate_bandwidth, meanshift_fit)
+from selftrain.data import make_blobs
+
+
+def reference_sq_dists_to(rows, X):
+    d2 = (rows * rows).sum(1)[:, None] + (X * X).sum(1)[None, :] - 2.0 * (rows @ X.T)
+    np.maximum(d2, 0.0, out=d2)
+    return d2
+
+
+def reference_meanshift_fit(X, cfg):
+    t0 = time.perf_counter()
+    X = np.asarray(X, dtype=np.float64)
+    n = X.shape[0]
+    if n < 1:
+        raise ValueError("need at least one point")
+    bandwidth = cfg.bandwidth
+    if bandwidth is None:
+        bandwidth = estimate_bandwidth(X, 0.3, SUBSAMPLE, cfg.seed)
+
+    rng = np.random.default_rng(cfg.seed)
+    if n > SHIFT_SUBSAMPLE:
+        seeds = X[rng.choice(n, size=SHIFT_SUBSAMPLE, replace=False)].copy()
+    else:
+        seeds = X.copy()
+
+    stop = 1e-3 * bandwidth
+    active = np.ones(len(seeds), dtype=bool)
+    for _ in range(MAX_ITER):
+        if not active.any():
+            break
+        moving = np.flatnonzero(active)
+        for start in range(0, len(moving), 256):
+            sel = moving[start:start + 256]
+            d2 = reference_sq_dists_to(seeds[sel], X)
+            within = d2 <= bandwidth * bandwidth
+            hits = within.sum(axis=1)
+            means = seeds[sel].copy()
+            nz = hits > 0
+            means[nz] = (within[nz].astype(np.float64) @ X) / hits[nz, None]
+            moved = np.sqrt(((means - seeds[sel]) ** 2).sum(-1))
+            seeds[sel] = means
+            active[sel] = moved >= stop
+
+    centroids = reference_merge_modes(seeds, X, bandwidth)
+    assignments, distances = _nearest(X, centroids)
+    inertia = float(np.sum(distances * distances))
+    return ClusterModel("meanshift", centroids, assignments, distances, inertia,
+                        time.perf_counter() - t0)
+
+
+def reference_merge_modes(modes, X, bandwidth):
+    support = np.empty(len(modes), dtype=np.int64)
+    for start in range(0, len(modes), 256):
+        d2 = reference_sq_dists_to(modes[start:start + 256], X)
+        support[start:start + 256] = (d2 <= bandwidth * bandwidth).sum(axis=1)
+    order = np.lexsort((np.arange(len(modes)), -support))
+    radius = MERGE_TOL * bandwidth
+    kept = []
+    for i in order:
+        m = modes[i]
+        if all(np.sqrt(((m - c) ** 2).sum()) > radius for c in kept):
+            kept.append(m)
+    return np.asarray(kept)
+
+
+def reference_counts(seeds, X, bandwidth):
+    """Per-chunk neighbour counts and sums, as the reference loop forms them."""
+    hits = np.empty(len(seeds), dtype=np.int64)
+    sums = np.zeros(seeds.shape)
+    for start in range(0, len(seeds), 256):
+        within = reference_sq_dists_to(seeds[start:start + 256], X) <= bandwidth * bandwidth
+        h = within.sum(axis=1)
+        nz = h > 0
+        hits[start:start + 256] = h
+        sums[start + np.flatnonzero(nz)] = within[nz].astype(np.float64) @ X
+    return hits, sums
+
+
+def assert_same_fit(X, bandwidth, seed=0):
+    got = meanshift_fit(X, MeanShiftConfig(bandwidth=bandwidth, seed=seed))
+    want = reference_meanshift_fit(X, MeanShiftConfig(bandwidth=bandwidth, seed=seed))
+    assert got.centroids.tobytes() == want.centroids.tobytes()
+    assert np.array_equal(got.assignments, want.assignments)
+    assert got.distances.tobytes() == want.distances.tobytes()
+    assert got.inertia == want.inertia
+    return got
+
+
+def repeated_rows(n, d, distinct, seed):
+    """n rows drawn from ``distinct`` rows, so identical seeds exist from pass 1."""
+    rng = np.random.default_rng(seed)
+    base = rng.normal(size=(distinct, d)) * 2.0
+    return base[rng.integers(distinct, size=n)]
+
+
+@pytest.mark.parametrize("n", [1, 2, 255, 256, 257, 513, SHIFT_SUBSAMPLE])
+@pytest.mark.parametrize("d", [2, 5, 50])
+def test_duplicated_rows_collapse_at_pass_one(n, d):
+    # chunk counts on both sides of a multiple of 256, and a chunk of one row
+    X = repeated_rows(n, d, max(1, n // 7), seed=n + d)
+    for bandwidth in (0.5, 3.0):
+        assert_same_fit(X, bandwidth)
+
+
+@pytest.fixture(scope="module")
+def wide_rows():
+    """50-D blobs with more rows than mean shift takes seeds from."""
+    X = make_blobs(10, 150, 50, 1.0, seed=7).features
+    assert len(X) > SHIFT_SUBSAMPLE
+    return X
+
+
+def test_wide_rows_at_the_estimated_bandwidth(wide_rows):
+    assert assert_same_fit(wide_rows, None, seed=1).k == 1
+
+
+def test_wide_rows_at_a_bandwidth_that_finds_several_modes(wide_rows):
+    assert assert_same_fit(wide_rows, 6.0, seed=1).k > 1
+
+
+def test_rows_that_differ_only_in_the_sign_of_a_zero():
+    base = np.array([[0.0, 1.0, 2.0], [-0.0, 1.0, 2.0], [0.0, -0.0, 5.0], [0.0, 0.0, 5.0]])
+    X = base[np.arange(300) % 4]
+    first, inverse = clustering._distinct(X)
+    assert list(first) == [0, 1, 2, 3]
+    assert np.array_equal(inverse, np.arange(300) % 4)
+    for bandwidth in (0.1, 4.0):
+        assert_same_fit(X, bandwidth)
+
+
+def test_seeds_without_a_neighbour_stay_where_they_are():
+    # Near 1e7 per column the gram identity's round-off dwarfs a bandwidth of
+    # 0.5, so a far row misses even itself unless that rounds to <= 0; far
+    # rows that do not miss are drawn again. The first chunk's one near row,
+    # c, is then its only seed with neighbours, which the reference sums by a
+    # matrix-vector product, and the second chunk sums 8 of its 99 seeds.
+    # The near rows are c and c +- four offsets, so c's first mean is within
+    # the stop of c and is its mode; the others reach it a pass later.
+    # Each far row's neighbourhood turns on its last bit, which a BLAS may
+    # set by the row's place in a product, so the near rows that collapse
+    # come after every far row of their chunk and move no far row's place.
+    rng = np.random.default_rng(3)
+
+    def far(k):
+        return 1e7 + rng.normal(size=(k, 50)) * 1e3
+
+    c = rng.normal(size=50) * 0.02
+    offsets = rng.normal(size=(4, 50)) * 0.02
+    X = np.vstack([far(255), c, far(91), c + offsets, c - offsets])
+    far_rows = np.r_[0:255, 256:347]
+    for _ in range(200):
+        hits, _ = reference_counts(X, X, 0.5)
+        again = far_rows[hits[far_rows] > 0]
+        if not len(again):
+            break
+        X[again] = far(len(again))
+    assert np.count_nonzero(hits[:256]) == 1 and np.count_nonzero(hits[256:]) == 8
+    model = assert_same_fit(X, 0.5)
+    assert model.k == len(far_rows) + 1
+
+
+@pytest.mark.parametrize("n", [3, 256, 257, 700])
+def test_counts_and_sums_match_the_chunked_products(n):
+    # copies of 5 rows, then distinct ones, so that at 257 the last row is
+    # alone in its chunk and taken by matrix-vector products
+    rng = np.random.default_rng(n)
+    X = rng.normal(size=(400, 20)) * 3.0
+    seeds = np.vstack([repeated_rows(n - n // 2, 20, 5, seed=n),
+                       X[rng.choice(400, size=n // 2, replace=False)]])
+    want_hits, want_sums = reference_counts(seeds, X, 18.0)
+    assert np.median(want_hits) > 20  # sums of many rows, whose order shows
+    hoods = clustering._Neighbourhoods(X, 18.0, len(seeds))
+    hits, sums = hoods.count(seeds, sums=True)
+    assert np.array_equal(hits, want_hits)
+    hit = hits > 0
+    assert sums[hit].tobytes() == want_sums[hit].tobytes()
+    assert np.array_equal(hoods.count(seeds), want_hits)
