@@ -4,10 +4,12 @@ a warm-started linear mini-batch softmax classifier.
 Both accept per-sample weights and emit row-stochastic probability matrices.
 Argmax ties resolve to the lowest class index.
 
-Work along the class axis (the row max of ``softmax``, the top class of a
-probability row) is done as whole-array passes over the class columns, one
-per class, rather than as a reduction per row: rows are many and classes
-few. Each pass gives the row-wise reduction's result bit for bit.
+Work along the class axis (the row max and row sum of ``softmax``, the top
+class of a probability row) is done as whole-array passes over the class
+columns, one per class, rather than as a reduction per row: rows are many and
+classes few. Each pass gives the row-wise reduction's result bit for bit. The
+row sum is a column fold only below 8 classes, where numpy itself adds the
+columns one by one (``clustering._row_sum``).
 """
 
 from __future__ import annotations
@@ -17,6 +19,14 @@ from abc import ABC, abstractmethod
 from dataclasses import dataclass
 
 import numpy as np
+
+from .clustering import _row_sum
+
+# Bytes of embedded rows one scoring product reads, which fit in a core's L2
+# cache: 128 rows at width 512, 1,024 at width 64. Products this small stay
+# under OpenBLAS's small-matrix size, which skips packing, and take up to about
+# half the time of 4096-row ones.
+SCORE_BLOCK = 1 << 19
 
 
 def _row_max(a: np.ndarray) -> np.ndarray:
@@ -31,9 +41,7 @@ def _softmax_into(z: np.ndarray) -> np.ndarray:
     """Softmax of the rows of float64 ``z``, computed in ``z`` itself."""
     z -= _row_max(z)[:, None]
     np.exp(z, out=z)
-    # numpy's own row sum: it adds 8 or more columns pairwise, which a column
-    # fold would not reproduce bit for bit
-    z /= z.sum(axis=1, keepdims=True)
+    z /= _row_sum(z)[:, None]
     return z
 
 
@@ -41,7 +49,8 @@ def softmax(logits: np.ndarray) -> np.ndarray:
     """Row-wise softmax of ``logits``, which is left unchanged.
 
     Bit-identical to ``z = logits - logits.max(1)``, ``exp(z)``,
-    ``z / z.sum(1)``; the row max is taken by column passes.
+    ``z / z.sum(1)``; the row max, and below 8 classes the row sum, are taken
+    by column passes.
     """
     return _softmax_into(np.array(logits, dtype=np.float64))
 
@@ -55,8 +64,9 @@ def top_class(proba: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     conf = proba[:, 0].copy()
     label = np.zeros(len(proba), dtype=np.intp)
     for j in range(1, proba.shape[1]):
-        # strictly greater, so an equal later column never takes the label
-        np.copyto(label, j, where=proba[:, j] > conf)
+        # label < j, so the maximum sets it to j exactly where column j is
+        # strictly greater: an equal later column never takes the label
+        np.maximum(label, j * (proba[:, j] > conf), out=label)
         np.maximum(conf, proba[:, j], out=conf)
     return conf, label
 
@@ -143,8 +153,12 @@ class RandomFeatureRidge(ClassifierModel):
     or weight and subtracts the rows that left or changed, then re-solves.
     It sums every chosen row afresh instead when the matrix is another one,
     when ``rows`` repeats a row, or when the changed rows are at least as
-    many as the chosen ones. Scores pass through a temperature-scaled softmax
-    to produce calibrated-enough probabilities for confidence thresholding.
+    many as the chosen ones. Scoring multiplies the weights by blocks of
+    ``SCORE_BLOCK`` bytes of embedded rows, far fewer rows than the fit's
+    blocks, each a view of ``H`` or gathered into one reused buffer; a score
+    can depend in its last bits on its block's row count. Scores pass through
+    a temperature-scaled softmax to produce calibrated-enough probabilities
+    for confidence thresholding.
     """
 
     block_rows = 4096
@@ -196,14 +210,14 @@ class RandomFeatureRidge(ClassifierModel):
                 raise IndexError(f"row index out of range for {len(H)} embedded rows")
         return H, rows
 
-    def _blocks(self, H: np.ndarray, rows: np.ndarray | None):
-        """Yield ``(start, stop, H_block)`` over the chosen rows of a checked ``H``.
+    def _blocks(self, H: np.ndarray, rows: np.ndarray | None, step: int):
+        """Yield ``(start, stop, H_block)`` over the chosen rows of a checked ``H``,
+        ``step`` rows at a time.
 
         Without ``rows`` the blocks are views; otherwise they are gathered
         into one reused block-sized buffer, valid until the next block.
         """
         n = len(H) if rows is None else len(rows)
-        step = self.block_rows
         buf = None if rows is None else np.empty((min(step, n), self.hidden_width))
         for start in range(0, n, step):
             stop = min(start + step, n)
@@ -268,7 +282,7 @@ class RandomFeatureRidge(ClassifierModel):
         """Add the chosen rows' ``H'WH`` to ``gram`` and ``H'WY`` to ``target``."""
         n = len(H) if rows is None else len(rows)
         weighted = np.empty((min(self.block_rows, n), self.hidden_width))
-        for start, stop, Hb in self._blocks(H, rows):
+        for start, stop, Hb in self._blocks(H, rows, self.block_rows):
             Hw = np.multiply(Hb, w[start:stop, None], out=weighted[:stop - start])
             gram += Hb.T @ Hw
             target += Hw.T @ one_hot(y[start:stop], self.class_count)
@@ -278,7 +292,8 @@ class RandomFeatureRidge(ClassifierModel):
             raise ValueError("model is not fitted")
         H, rows = self._checked(H, rows)
         scores = np.empty((len(H) if rows is None else len(rows), self.class_count))
-        for start, stop, Hb in self._blocks(H, rows):
+        step = max(1, SCORE_BLOCK // (8 * self.hidden_width))
+        for start, stop, Hb in self._blocks(H, rows, step):
             np.matmul(Hb, self.weights, out=scores[start:stop])
         return scores
 

@@ -618,12 +618,17 @@ def _merge_modes(modes: np.ndarray, support: np.ndarray, bandwidth: float) -> np
     """
     order = np.lexsort((np.arange(len(modes)), -support))
     radius = MERGE_TOL * bandwidth
-    kept: list[np.ndarray] = []
+    kept = np.empty_like(modes)
+    diff = np.empty_like(modes)
+    k = 0
     for i in order:
         m = modes[i]
-        if all(np.sqrt(((m - c) ** 2).sum()) > radius for c in kept):
-            kept.append(m)
-    return np.asarray(kept)
+        # numpy sums each contiguous row of diff as it sums a lone row
+        sq = np.square(np.subtract(m, kept[:k], out=diff[:k]), out=diff[:k]).sum(1)
+        if (np.sqrt(sq) > radius).all():
+            kept[k] = m
+            k += 1
+    return kept[:k].copy()
 
 
 class _CFEntry:

@@ -104,9 +104,12 @@ class PseudoPool:
         outside = (rows < 0) | (rows >= len(self.admitted))
         if outside.any():
             raise ValueError(f"row {int(rows[outside][0])} is not an unlabeled row")
-        repeat = np.ones(len(rows), dtype=bool)
-        repeat[np.unique(rows, return_index=True)[1]] = False
-        repeat |= self.admitted[rows] >= 0
+        repeat = self.admitted[rows] >= 0
+        ordered = np.sort(rows)
+        if (ordered[1:] == ordered[:-1]).any():
+            # a stable sort keeps equal rows in their given order: all but the first repeat
+            order = np.argsort(rows, kind="stable")
+            repeat[order[1:][rows[order[1:]] == rows[order[:-1]]]] = True
         if repeat.any():
             raise ValueError(f"row {int(rows[repeat][0])} already admitted")
         self.admitted[rows] = round_index

@@ -200,3 +200,23 @@ def test_counts_and_sums_match_the_chunked_products(n):
     hit = hits > 0
     assert sums[hit].tobytes() == want_sums[hit].tobytes()
     assert np.array_equal(hoods.count(seeds), want_hits)
+
+
+@pytest.mark.parametrize("d", [2, 5, 50])
+def test_merge_decides_modes_at_the_radius_as_the_loop_did(d):
+    # modes within a few ulps of the merge radius from the first one, which
+    # every other mode meets first: a distance summed in another order than
+    # the loop's would merge some of them differently
+    rng = np.random.default_rng(d)
+    bandwidth = 2.0
+    radius = MERGE_TOL * bandwidth
+    centre = rng.normal(size=d)
+    u = rng.normal(size=(600, d))
+    u /= np.sqrt((u * u).sum(1))[:, None]
+    scale = radius * (1.0 + np.finfo(float).eps * rng.integers(-4, 5, 600))
+    modes = np.vstack([centre, centre + u * scale[:, None]])
+    # one point, within the bandwidth of every mode: all supports tie at 1
+    want = reference_merge_modes(modes, centre[None], bandwidth)
+    got = clustering._merge_modes(modes, np.ones(len(modes), dtype=np.int64), bandwidth)
+    assert got.tobytes() == want.tobytes()
+    assert 1 < len(got) < len(modes)  # some merged, some kept

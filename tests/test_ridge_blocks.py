@@ -1,20 +1,23 @@
-"""Property tests: the ridge fit accumulated over row blocks against one GEMM.
+"""Property tests: the ridge fit and scores formed over row blocks against one GEMM.
 
 ``RandomFeatureRidge.fit_embedded`` sums the gram ``H'(H*w)`` and target
 ``(H*w)'Y`` block by block, and a refit on the same embedded matrix updates
 the sums of the previous fit by the rows that changed. The reference gathers
 every chosen row and forms both with a single product. Row counts straddle
-the block size ``B``.
+the block size ``B``. Scoring runs over blocks of its own size, set by
+``classifiers.SCORE_BLOCK`` bytes; the fit's blocks stay ``block_rows`` rows.
 """
 
 import gc
 import weakref
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from selftrain.classifiers import RandomFeatureRidge, one_hot
+from selftrain import classifiers
+from selftrain.classifiers import RandomFeatureRidge, one_hot, softmax
 from selftrain.data import make_blobs, split_ssl
 from selftrain.training import SelfTrainConfig, st_train
 
@@ -233,3 +236,89 @@ def test_fitted_model_does_not_keep_the_run_embedding_alive():
     assert model._held is not None  # the last fit's sums, ready for a refit
     assert len(embedded) == 3  # training, test and round 0's labeled rows
     assert all(ref() is None for ref in embedded)
+
+
+def score_rows(width):
+    """Rows per scoring block at ``width`` embedded features."""
+    return max(1, classifiers.SCORE_BLOCK // (8 * width))
+
+
+@st.composite
+def scored_pools(draw):
+    width = draw(st.integers(1, 16))
+    block = draw(st.sampled_from([1, 3, 8, 64, score_rows(width)]))
+    return {
+        "width": width,
+        "block": block,
+        "n": draw(st.sampled_from([1, block - 1, block, block + 1, 3 * block + 7]).filter(
+            lambda n: n >= 1)),
+        "share": draw(st.sampled_from([0.0, 0.2, 0.6, 1.0])),
+        "shuffled": draw(st.booleans()),
+        "class_count": draw(st.integers(2, 12)),
+        "input_dim": draw(st.integers(1, 6)),
+        "temperature": draw(st.sampled_from([0.05, 0.2, 1.0])),
+        "seed": draw(st.integers(0, 2**32 - 1)),
+    }
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(scored_pools())
+def test_blocked_scores_match_single_gemm(case):
+    rng = np.random.default_rng(case["seed"])
+    C, width, n = case["class_count"], case["width"], case["n"]
+    model = RandomFeatureRidge(C, case["input_dim"], hidden_width=width,
+                               temperature=case["temperature"], seed=case["seed"] % 1000)
+    H = model.embed(rng.normal(size=(n, case["input_dim"])) * 2.0)
+    model.fit_embedded(H, rng.integers(0, C, n))
+    members = np.sort(rng.choice(n, max(1, round(case["share"] * n)), replace=False))
+    if case["shuffled"]:
+        members = rng.permutation(members)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(classifiers, "SCORE_BLOCK", case["block"] * 8 * width)
+        for rows in (None, members):  # the whole matrix, then gathered rows
+            Hs = H if rows is None else H[rows]
+            ref = softmax(Hs @ model.weights / model.temperature)
+            got = model.predict_proba_embedded(H, rows)
+            assert got.shape == ref.shape
+            assert (np.abs(got - ref) <= 1e-12 * ref.max(axis=1, keepdims=True)).all()
+            # block by block, each score is the product of its block's rows
+            B = case["block"]
+            blocked = np.concatenate([Hs[i:i + B] @ model.weights for i in range(0, len(Hs), B)])
+            assert np.array_equal(model._scores(H, rows), blocked)
+
+
+def test_fit_sums_over_block_rows_and_scoring_over_score_block():
+    width, fit_rows = 64, RandomFeatureRidge.block_rows
+    step = score_rows(width)
+    assert step == 1024  # half a megabyte of 64-wide rows
+    model = RandomFeatureRidge(3, 4, hidden_width=width, seed=5)
+    rng = np.random.default_rng(5)
+    n = 2 * fit_rows + 100
+    H = model.embed(rng.normal(size=(n, 4)))
+    y, w = rng.integers(0, 3, n), rng.uniform(0.1, 1.0, n)
+    blocks = []
+    make_blocks = model._blocks
+
+    def spy(H, rows, step):
+        for start, stop, Hb in make_blocks(H, rows, step):
+            blocks.append(stop - start)
+            yield start, stop, Hb
+
+    model._blocks = spy
+    model.fit_embedded(H, y, w)
+    assert blocks == [fit_rows, fit_rows, 100]
+    # the sums of those blocks, in order, solve to the same bits
+    gram, target = np.zeros((width, width)), np.zeros((width, 3))
+    for start in range(0, n, fit_rows):
+        Hb = H[start:start + fit_rows]
+        Hw = Hb * w[start:start + fit_rows, None]
+        gram += Hb.T @ Hw
+        target += Hw.T @ one_hot(y[start:start + fit_rows], 3)
+    weights = np.linalg.solve(gram + model.ridge_lambda * np.eye(width), target)
+    assert np.array_equal(model.weights, weights)
+
+    for rows in (None, np.arange(0, n, 2)):
+        del blocks[:]
+        model.predict_proba_embedded(H, rows)
+        m = n if rows is None else len(rows)
+        assert blocks == [step] * (m // step) + ([m % step] if m % step else [])

@@ -123,6 +123,30 @@ class TestPseudoLabelPool:
             pool.admit([2, 1, 1], 0)
         assert len(pool) == 0
 
+    @pytest.mark.parametrize("seed", range(40))
+    def test_pool_names_the_first_offending_row(self, seed):
+        # repeats within the admission and rows admitted before, mixed: the
+        # message names the first row, in the order given, that is either
+        rng = np.random.default_rng(seed)
+        pool = PseudoPool(12)
+        before = rng.choice(12, int(rng.integers(0, 4)), replace=False)
+        pool.admit(before, 0)
+        rows = rng.integers(0, 12, int(rng.integers(1, 10)))
+        seen = set(before.tolist())
+        first = None
+        for r in rows.tolist():
+            if r in seen:
+                first = r
+                break
+            seen.add(r)
+        if first is None:
+            pool.admit(rows, 1)
+            assert len(pool) == len(before) + len(rows)
+        else:
+            with pytest.raises(ValueError, match=f"^row {first} already admitted$"):
+                pool.admit(rows, 1)
+            assert len(pool) == len(before)
+
     def test_pool_rejects_unknown_id(self):
         pool = PseudoPool(3)
         for rows in ([3], [-1], [1, 9]):
