@@ -1,8 +1,10 @@
 """Base-learner backbones: a closed-form random-feature ridge classifier and
 a warm-started linear mini-batch softmax classifier.
 
-Both accept per-sample weights and emit row-stochastic probability matrices.
-Argmax ties resolve to the lowest class index.
+Both accept per-sample weights, finite and non-negative, and emit
+row-stochastic probability matrices. Argmax ties resolve to the lowest class
+index. The ridge solves its fit in the dual, an n x n system, when it has
+fewer rows n than features, and in the primal from there up.
 
 Work along the class axis (the row max and row sum of ``softmax``, the top
 class of a probability row) is done as whole-array passes over the class
@@ -77,6 +79,24 @@ def one_hot(y: np.ndarray, class_count: int) -> np.ndarray:
     return out
 
 
+def _labels_and_weights(y, sample_weight, n: int, class_count: int):
+    """A fit's labels as int64 and weights as float64 (ones when
+    ``sample_weight`` is None), after checking both against ``n`` rows."""
+    y = np.asarray(y, dtype=np.int64)
+    if len(y) != n:
+        raise ValueError("label length does not match row count")
+    if n and (y.min() < 0 or y.max() >= class_count):
+        raise ValueError(f"labels must lie in [0, {class_count})")
+    if sample_weight is None:
+        return y, np.ones(n)
+    w = np.asarray(sample_weight, dtype=np.float64)
+    if len(w) != n:
+        raise ValueError("sample_weight length does not match row count")
+    if n and not (np.isfinite(w).all() and w.min() >= 0):
+        raise ValueError("sample_weight entries must be finite and non-negative")
+    return y, w
+
+
 class ClassifierModel(ABC):
     """Contract every backbone satisfies: weighted fit + probability prediction.
 
@@ -146,19 +166,23 @@ class RandomFeatureRidge(ClassifierModel):
 
     ``embed`` is the map ``tanh(X @ projection + bias)``; it never changes
     after construction, so callers embed their rows once and refit on the
-    cached features. The fit accumulates the gram and target over blocks of
-    ``block_rows`` rows, so it never holds a weighted copy of all rows, and
-    keeps both for the next fit. A refit on the same embedded matrix (the same
-    object, not modified in place) adds the rows that entered or changed label
-    or weight and subtracts the rows that left or changed, then re-solves.
-    It sums every chosen row afresh instead when the matrix is another one,
-    when ``rows`` repeats a row, or when the changed rows are at least as
-    many as the chosen ones. Scoring multiplies the weights by blocks of
-    ``SCORE_BLOCK`` bytes of embedded rows, far fewer rows than the fit's
-    blocks, each a view of ``H`` or gathered into one reused buffer; a score
-    can depend in its last bits on its block's row count. Scores pass through
-    a temperature-scaled softmax to produce calibrated-enough probabilities
-    for confidence thresholding.
+    cached features. A fit on fewer rows than ``hidden_width`` (counting
+    repeats) solves the ridge's n x n dual system over the gathered rows
+    (Saunders, Gammerman & Vovk 1998) and holds no sums. From ``hidden_width``
+    rows up, the fit solves the width x width primal system: it accumulates
+    the gram and target over blocks of ``block_rows`` rows, so it never holds
+    a weighted copy of all rows, and keeps both for the next fit. A primal
+    refit on the same embedded matrix (the same object, not modified in
+    place) adds the rows that entered or changed label or weight and
+    subtracts the rows that left or changed, then re-solves. It sums every
+    chosen row afresh instead after a dual fit, when the matrix is another
+    one, when ``rows`` repeats a row, or when the changed rows are at least as
+    many as the chosen ones. Sample weights must be finite and non-negative.
+    Scoring multiplies the weights by blocks of ``SCORE_BLOCK`` bytes of
+    embedded rows, far fewer rows than the fit's blocks, each a view of ``H``
+    or gathered into one reused buffer; a score can depend in its last bits on
+    its block's row count. Scores pass through a temperature-scaled softmax to
+    produce calibrated-enough probabilities for confidence thresholding.
     """
 
     block_rows = 4096
@@ -233,26 +257,40 @@ class RandomFeatureRidge(ClassifierModel):
         return self.fit_embedded(self.embed(X), y, sample_weight)
 
     def fit_embedded(self, H, y, sample_weight=None, rows=None):
-        self.weights = np.linalg.solve(*self._normal_equations(H, y, sample_weight, rows))
+        H, rows = self._checked(H, rows)
+        n = len(H) if rows is None else len(rows)
+        y, w = _labels_and_weights(y, sample_weight, n, self.class_count)
+        if n < self.hidden_width:
+            # the next primal fit sums afresh
+            self._held = None
+            self.weights = self._dual_weights(H, y, w, rows)
+        else:
+            self.weights = np.linalg.solve(*self._normal_equations(H, y, w, rows))
         return self
 
-    def _normal_equations(self, H, y, sample_weight, rows):
-        """The ridge gram ``H'WH + lambda*I`` and target ``H'WY`` over the chosen rows.
+    def _dual_weights(self, H, y, w, rows):
+        """``H_s'a`` where ``(w*K + lambda*I) a = w*Y`` and ``K = H_s H_s'``, over
+        the chosen rows ``H_s``.
+
+        The primal system's minimiser, by an n x n solve. Scaling by unit
+        weights is exact, so then ``a`` is ``solve(K + lambda*I, Y)`` bit for
+        bit.
+        """
+        Hs = H if rows is None else H[rows]
+        K = Hs @ Hs.T
+        K *= w[:, None]
+        K.flat[::len(K) + 1] += self.ridge_lambda
+        alpha = np.linalg.solve(K, one_hot(y, self.class_count) * w[:, None])
+        return Hs.T @ alpha
+
+    def _normal_equations(self, H, y, w, rows):
+        """The ridge gram ``H'WH + lambda*I`` and target ``H'WY`` over the chosen
+        rows, from arguments checked as ``fit_embedded`` checks them.
 
         Updates the sums held from the previous call where that costs fewer
         rows than summing the chosen ones afresh, and holds the result.
         """
-        H, rows = self._checked(H, rows)
         n = len(H) if rows is None else len(rows)
-        y = np.asarray(y, dtype=np.int64)
-        if len(y) != n:
-            raise ValueError("label length does not match row count")
-        if n and (y.min() < 0 or y.max() >= self.class_count):
-            raise ValueError(f"labels must lie in [0, {self.class_count})")
-        w = np.ones(n) if sample_weight is None else np.asarray(sample_weight, dtype=np.float64)
-        if len(w) != n:
-            raise ValueError("sample_weight length does not match row count")
-
         label = np.full(len(H), -1, dtype=np.int64)
         weight = np.zeros(len(H))
         chosen = slice(None) if rows is None else rows
@@ -357,13 +395,11 @@ class SoftmaxSGD(ClassifierModel):
 
     def fit(self, X, y, sample_weight=None):
         X = self._check(X)
-        y = np.asarray(y, dtype=np.int64)
         n = len(X)
-        w = np.ones(n) if sample_weight is None else np.asarray(sample_weight, dtype=np.float64)
-        if len(y) != n or len(w) != n:
-            raise ValueError("label / weight length does not match row count")
-        if n and (y.min() < 0 or y.max() >= self.class_count):
-            raise ValueError(f"labels must lie in [0, {self.class_count})")
+        y, w = _labels_and_weights(y, sample_weight, n, self.class_count)
+        # the loss is a weighted mean
+        if not w.sum() > 0:
+            raise ValueError("sample_weight must have a positive total")
         if self.epochs == 0:
             return self
 

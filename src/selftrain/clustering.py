@@ -550,7 +550,9 @@ class _Neighbourhoods:
             for start in range(0, len(first), size):
                 take = first[start:start + size]
                 within = self._within(seeds[take], size)
-                h[start:start + len(take)] = np.count_nonzero(within, axis=1)
+                # row by row: along an axis, count_nonzero sums the mask
+                # as integers, about three times as slow
+                h[start:start + len(take)] = [np.count_nonzero(row) for row in within]
                 if sums:
                     t[start:start + len(take)] = (self.g[:size] @ self.X)[:len(take)]
             hits[lo:hi] = h[inverse]

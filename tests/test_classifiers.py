@@ -351,6 +351,40 @@ class TestSoftmaxSGD:
         assert np.mean(model.predict(X) == y) == 1.0
 
 
+BAD_WEIGHTS = {"nan": [1.0, np.nan, 1.0, 1.0], "inf": [1.0, 1.0, np.inf, 1.0],
+               "negative": [1.0, -0.5, 1.0, 1.0]}
+
+
+class TestSampleWeightsChecked:
+    @pytest.mark.parametrize("bad", sorted(BAD_WEIGHTS))
+    @pytest.mark.parametrize("width", [2, 8])  # the primal, then the dual fit
+    def test_ridge_rejects_non_finite_or_negative_weights(self, bad, width):
+        model = RandomFeatureRidge(2, 2, hidden_width=width, seed=0)
+        X = np.random.default_rng(0).normal(size=(4, 2))
+        with pytest.raises(ValueError, match="sample_weight"):
+            model.fit(X, np.array([0, 1, 0, 1]), np.array(BAD_WEIGHTS[bad]))
+        assert model.weights is None
+
+    @pytest.mark.parametrize("bad", sorted(BAD_WEIGHTS))
+    def test_sgd_rejects_non_finite_or_negative_weights(self, bad):
+        model = SoftmaxSGD(2, 2, seed=0)
+        X = np.random.default_rng(0).normal(size=(4, 2))
+        with pytest.raises(ValueError, match="sample_weight"):
+            model.fit(X, np.array([0, 1, 0, 1]), np.array(BAD_WEIGHTS[bad]))
+        assert not model.weights.any()
+
+    def test_sgd_rejects_a_zero_weight_total(self):
+        model = SoftmaxSGD(2, 2, seed=0)
+        X = np.random.default_rng(0).normal(size=(4, 2))
+        with pytest.raises(ValueError, match="sample_weight must have a positive total"):
+            model.fit(X, np.array([0, 1, 0, 1]), np.zeros(4))
+
+    def test_ridge_fits_zero_weights_to_zero(self):
+        model = RandomFeatureRidge(2, 2, hidden_width=8, seed=0)
+        model.fit(np.ones((4, 2)), np.array([0, 1, 0, 1]), np.zeros(4))
+        assert not model.weights.any()
+
+
 class TestProbabilityRows:
     def test_rows_stochastic_for_both_backbones(self):
         rng = np.random.default_rng(11)

@@ -6,6 +6,9 @@ the sums of the previous fit by the rows that changed. The reference gathers
 every chosen row and forms both with a single product. Row counts straddle
 the block size ``B``. Scoring runs over blocks of its own size, set by
 ``classifiers.SCORE_BLOCK`` bytes; the fit's blocks stay ``block_rows`` rows.
+A fit on fewer rows than ``hidden_width`` solves the n x n dual system
+instead, sums no gram and holds nothing; its weights are checked against the
+same primal reference.
 """
 
 import gc
@@ -185,8 +188,9 @@ def test_refits_on_one_matrix_match_single_gemm(case):
 
         now = {int(r): (int(a), float(b)) for r, a, b in zip(rows, y, w)}
         repeated = len(now) < len(rows)
-        expected = len(rows)
-        if fitted is not None and not repeated:
+        dual = len(rows) < case["width"]
+        expected = 0 if dual else len(rows)  # a dual fit sums no gram
+        if fitted is not None and not repeated and not dual:
             # an update subtracts the rows that left or changed and adds the
             # rows that entered or changed, when that is fewer than a fresh sum
             change = sum(fitted[r] != now.get(r) for r in fitted) + \
@@ -195,16 +199,25 @@ def test_refits_on_one_matrix_match_single_gemm(case):
         del summed[:]
         model.fit_embedded(H, y, w, rows)
         assert sum(summed) == expected
+        assert (model._held is None) == (dual or repeated)
+        # after a dual fit, the reference check's own call holds this set's sums
         fitted = None if repeated else now
         assert_matches_reference(model, H, y, w, rows, case)
 
 
-def test_refit_sums_afresh_once_the_change_is_as_large_as_the_set():
-    model = RandomFeatureRidge(2, 3, hidden_width=4, seed=0)
-    H = model.embed(np.random.default_rng(0).normal(size=(8, 3)))
+def counting_accumulate(model):
+    """Record the rows of every ``_accumulate`` call of ``model``."""
     summed = []
     accumulate = model._accumulate
     model._accumulate = lambda *args: (summed.append(list(args[-1])), accumulate(*args))
+    return summed
+
+
+def test_refit_sums_afresh_once_the_change_is_as_large_as_the_set():
+    # every fit has at least hidden_width rows, so every fit is primal
+    model = RandomFeatureRidge(2, 3, hidden_width=2, seed=0)
+    H = model.embed(np.random.default_rng(0).normal(size=(8, 3)))
+    summed = counting_accumulate(model)
 
     def rows_summed(rows):
         del summed[:]
@@ -218,6 +231,103 @@ def test_refit_sums_afresh_once_the_change_is_as_large_as_the_set():
     assert rows_summed([0, 2, 3, 4]) == [[], [4]]  # subtract none, add one
     assert rows_summed([4, 3, 2, 0]) == [[], []]  # the same set, in another order
     assert rows_summed([4, 3, 1, 0]) == [[2], [1]]
+
+
+@st.composite
+def dual_fits(draw):
+    width = draw(st.integers(2, 64))
+    return {
+        "width": width,
+        "rows": draw(st.integers(1, width - 1)),
+        "n": draw(st.integers(1, 80)),
+        "repeats": draw(st.booleans()),
+        "class_count": draw(st.integers(2, 5)),
+        "input_dim": draw(st.integers(1, 6)),
+        "ridge_lambda": draw(st.sampled_from([0.1, 1.0, 10.0])),
+        "seed": draw(st.integers(0, 2**32 - 1)),
+    }
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(dual_fits())
+def test_dual_fit_matches_the_primal_solve(case):
+    rng = np.random.default_rng(case["seed"])
+    C, k = case["class_count"], case["rows"]
+    model = RandomFeatureRidge(C, case["input_dim"], hidden_width=case["width"],
+                               ridge_lambda=case["ridge_lambda"], seed=case["seed"] % 1000)
+    H = model.embed(rng.normal(size=(case["n"], case["input_dim"])) * 2.0)
+    if case["repeats"]:
+        rows = rng.integers(0, case["n"], k)
+    else:
+        rows = rng.permutation(np.resize(np.arange(case["n"]), k))
+    y = rng.integers(0, C, k)
+    w = rng.uniform(0.01, 1.0, k)
+    model._accumulate = None  # a dual fit sums no gram
+    model.fit_embedded(H, y, w, rows)
+    assert model._held is None
+    ref_gram, ref_target = reference_normal_equations(H, y, w, rows, C, case["ridge_lambda"])
+    ref_weights = np.linalg.solve(ref_gram, ref_target)
+    assert np.abs(model.weights - ref_weights).max() <= 1e-10 * np.abs(ref_weights).max()
+    residual = np.linalg.norm(ref_gram @ model.weights - ref_target)
+    assert residual <= 1e-6 * np.linalg.norm(ref_target)
+
+
+def test_unit_weight_dual_fit_is_the_plain_dual_solve():
+    width, lam = 32, 0.01
+    model = RandomFeatureRidge(4, 3, hidden_width=width, ridge_lambda=lam, seed=2)
+    rng = np.random.default_rng(2)
+    H = model.embed(rng.normal(size=(50, 3)))
+    for rows in (None, rng.integers(0, 50, 31), np.arange(0, 50, 2)):
+        Hs = H[:31] if rows is None else H[rows]
+        y = rng.integers(0, 4, len(Hs))
+        alpha = np.linalg.solve(Hs @ Hs.T + lam * np.eye(len(Hs)), one_hot(y, 4))
+        expected = Hs.T @ alpha
+        for w in (None, np.ones(len(Hs))):
+            if rows is None:
+                model.fit_embedded(Hs, y, w)
+            else:
+                model.fit_embedded(H, y, w, rows)
+            assert np.array_equal(model.weights, expected)
+
+
+def test_fits_below_hidden_width_rows_are_dual():
+    width = 6
+    model = RandomFeatureRidge(3, 2, hidden_width=width, seed=4)
+    H = model.embed(np.random.default_rng(4).normal(size=(20, 2)))
+    summed = counting_accumulate(model)
+    y = np.arange(20) % 3
+    model.fit_embedded(H, y[:width], rows=np.arange(width))
+    assert summed == [list(range(width))] and model._held is not None
+    del summed[:]
+    model.fit_embedded(H, y[:width - 1], rows=np.arange(width - 1))
+    assert summed == [] and model._held is None
+    # repeats count: width rows over fewer distinct ones are primal, held by none
+    model.fit_embedded(H, y[:width], rows=np.zeros(width, dtype=np.intp))
+    assert summed == [[0] * width] and model._held is None
+    del summed[:]
+    model.fit_embedded(H[:width - 1], y[:width - 1])
+    assert summed == [] and model._held is None
+
+
+def test_primal_fit_after_a_dual_fit_sums_afresh_then_updates():
+    model = RandomFeatureRidge(2, 3, hidden_width=4, seed=0)
+    H = model.embed(np.random.default_rng(0).normal(size=(12, 3)))
+    summed = counting_accumulate(model)
+
+    def rows_summed(rows):
+        del summed[:]
+        model.fit_embedded(H, np.arange(len(rows)) % 2, np.ones(len(rows)), np.array(rows))
+        return summed
+
+    assert rows_summed([0, 1, 2, 3, 4, 5]) == [[0, 1, 2, 3, 4, 5]]
+    assert rows_summed([0, 1, 2]) == []  # dual
+    # the dual fit dropped the sums held for these six rows: summed afresh
+    assert rows_summed([0, 1, 2, 3, 4, 5]) == [[0, 1, 2, 3, 4, 5]]
+    assert rows_summed([0, 1, 2, 3, 4, 5, 6]) == [[], [6]]  # subtract none, add one
+    ref_gram, ref_target = reference_normal_equations(
+        H, np.arange(7) % 2, np.ones(7), np.arange(7), 2, model.ridge_lambda)
+    ref_weights = np.linalg.solve(ref_gram, ref_target)
+    assert np.abs(model.weights - ref_weights).max() <= 1e-10 * np.abs(ref_weights).max()
 
 
 def test_fitted_model_does_not_keep_the_run_embedding_alive():
