@@ -6,12 +6,14 @@ row-stochastic probability matrices. Argmax ties resolve to the lowest class
 index. The ridge solves its fit in the dual, an n x n system, when it has
 fewer rows n than features, and in the primal from there up.
 
-Work along the class axis (the row max and row sum of ``softmax``, the top
-class of a probability row) is done as whole-array passes over the class
-columns, one per class, rather than as a reduction per row: rows are many and
-classes few. Each pass gives the row-wise reduction's result bit for bit. The
-row sum is a column fold only below 8 classes, where numpy itself adds the
-columns one by one (``clustering._row_sum``).
+Work along the class axis (the max and sum of ``softmax``, the top class of
+a probability row) is done as whole-array passes over the classes, one or a
+few per class, rather than as a reduction per row: rows are many and classes
+few. Each pass gives the row-wise reduction's result bit for bit; the sum
+follows numpy's own order at every class count (``clustering._column_sum``).
+The ridge scores into a class-major buffer, one contiguous row per class, so
+these passes read contiguous memory, and returns the (rows, classes)
+transpose of that buffer, whose columns are contiguous.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .clustering import _row_sum
+from .clustering import _column_sum
 
 # Bytes of embedded rows one scoring product reads, which fit in a core's L2
 # cache: 128 rows at width 512, 1,024 at width 64. Products this small stay
@@ -31,19 +33,21 @@ from .clustering import _row_sum
 SCORE_BLOCK = 1 << 19
 
 
-def _row_max(a: np.ndarray) -> np.ndarray:
-    """``a.max(axis=1)`` as a fold of ``np.maximum`` over the columns."""
-    top = a[:, 0].copy()
-    for j in range(1, a.shape[1]):
-        np.maximum(top, a[:, j], out=top)
-    return top
-
-
 def _softmax_into(z: np.ndarray) -> np.ndarray:
-    """Softmax of the rows of float64 ``z``, computed in ``z`` itself."""
-    z -= _row_max(z)[:, None]
+    """Softmax over the classes of float64 ``z``, which holds one class per row,
+    computed in ``z`` itself.
+
+    Bit-identical to the row-wise softmax of ``z.T``: ``z.T - z.T.max(1)``,
+    ``exp``, ``/ z.T.sum(1)``. The max is a fold of ``np.maximum`` over the
+    class rows and the sum ``_column_sum``, so every step is a pass over
+    whole class rows, contiguous when ``z`` is.
+    """
+    top = z[0].copy()
+    for j in range(1, len(z)):
+        np.maximum(top, z[j], out=top)
+    z -= top
     np.exp(z, out=z)
-    z /= _row_sum(z)[:, None]
+    z /= _column_sum(z)
     return z
 
 
@@ -51,17 +55,20 @@ def softmax(logits: np.ndarray) -> np.ndarray:
     """Row-wise softmax of ``logits``, which is left unchanged.
 
     Bit-identical to ``z = logits - logits.max(1)``, ``exp(z)``,
-    ``z / z.sum(1)``; the row max, and below 8 classes the row sum, are taken
-    by column passes.
+    ``z / z.sum(1)``; the row max and the row sum are taken by passes over
+    the class columns.
     """
-    return _softmax_into(np.array(logits, dtype=np.float64))
+    z = np.array(logits, dtype=np.float64)
+    _softmax_into(z.T)
+    return z
 
 
 def top_class(proba: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Each row's largest entry and the first column holding it.
 
     Equals ``(proba.max(axis=1), proba.argmax(axis=1))`` on rows without NaN,
-    ties going to the lowest class index, but takes both by column passes.
+    ties going to the lowest class index, but takes both by column passes,
+    which read contiguous memory on the ridge's class-major probabilities.
     """
     conf = proba[:, 0].copy()
     label = np.zeros(len(proba), dtype=np.intp)
@@ -181,8 +188,11 @@ class RandomFeatureRidge(ClassifierModel):
     Scoring multiplies the weights by blocks of ``SCORE_BLOCK`` bytes of
     embedded rows, far fewer rows than the fit's blocks, each a view of ``H``
     or gathered into one reused buffer; a score can depend in its last bits on
-    its block's row count. Scores pass through a temperature-scaled softmax to
-    produce calibrated-enough probabilities for confidence thresholding.
+    its block's row count. Each block's scores are copied, transposed, into
+    one class-major buffer. Scores pass through a temperature-scaled softmax,
+    one pass per class row, to produce calibrated-enough probabilities for
+    confidence thresholding; ``predict_proba`` returns them as the (rows,
+    classes) transpose of that buffer.
     """
 
     block_rows = 4096
@@ -326,22 +336,26 @@ class RandomFeatureRidge(ClassifierModel):
             target += Hw.T @ one_hot(y[start:stop], self.class_count)
 
     def _scores(self, H, rows=None) -> np.ndarray:
+        """The chosen rows' (rows, classes) scores, as the transpose of a
+        contiguous class-major array."""
         if self.weights is None:
             raise ValueError("model is not fitted")
         H, rows = self._checked(H, rows)
-        scores = np.empty((len(H) if rows is None else len(rows), self.class_count))
+        n = len(H) if rows is None else len(rows)
+        scores = np.empty((self.class_count, n))
         step = max(1, SCORE_BLOCK // (8 * self.hidden_width))
+        block = np.empty((min(step, n), self.class_count))
         for start, stop, Hb in self._blocks(H, rows, step):
-            np.matmul(Hb, self.weights, out=scores[start:stop])
-        return scores
+            scores[:, start:stop] = np.matmul(Hb, self.weights, out=block[:stop - start]).T
+        return scores.T
 
     def predict_proba(self, X):
         return self.predict_proba_embedded(self.embed(X))
 
     def predict_proba_embedded(self, H, rows=None):
-        scores = self._scores(H, rows)
-        scores /= self.temperature
-        return _softmax_into(scores)
+        z = self._scores(H, rows).T
+        z /= self.temperature
+        return _softmax_into(z).T
 
 
 def _softmax_loss(W: np.ndarray, b: np.ndarray, X: np.ndarray, y: np.ndarray,
@@ -425,4 +439,6 @@ class SoftmaxSGD(ClassifierModel):
 
     def predict_proba(self, X):
         X = self._check(X)
-        return _softmax_into(X @ self.weights + self.bias)
+        z = X @ self.weights + self.bias
+        _softmax_into(z.T)
+        return z

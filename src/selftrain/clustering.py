@@ -8,6 +8,15 @@ synthesized per-cluster centroids.
 
 All distances are plain Euclidean in whatever feature space the caller
 supplies; this module never rescales its input.
+
+A k-means fit takes one column-major copy of its rows (``_Rows``), so the
+passes that reduce across a row's few columns read each column as a
+contiguous row: the k-means++ distances, the nearest centroid and, on narrow
+rows, the cluster sums. Rows assigned only once (``assign``, a mini-batch
+sample, mean shift's final assignment) are read through the transposed view
+instead, uncopied. Sums across columns come from ``_column_sum``, which
+repeats numpy's own order of additions for a row at every width, so the
+outputs are those of numpy's row-wise reductions bit for bit.
 """
 
 from __future__ import annotations
@@ -132,20 +141,59 @@ def _sq_dists_to(rows: np.ndarray, X: np.ndarray) -> np.ndarray:
     return d2
 
 
-# Rows narrower than this many columns are reduced by passes over their
-# columns. numpy sums fewer than 8 elements one by one onto +0.0 and from 8
-# on switches to an 8-way unrolled pairwise sum, so only below 8 is a left
-# fold over the columns its bit-exact twin.
+# numpy sums a contiguous row of fewer than 8 elements one by one onto +0.0.
+# From 8 to 128 it adds every 8th element into each of eight accumulators,
+# adds those pairwise and then the rest one by one; above 128 it splits the
+# row at a multiple of 8 near its middle and adds the two halves' sums
+# (pairwise summation). So only on rows narrower than 8 columns is a left fold
+# over the columns numpy's sum, and there the nearest centroid needs no GEMM.
 _NARROW = 8
+_PAIRWISE_BLOCK = 128
 
 
-def _row_sum(a: np.ndarray) -> np.ndarray:
-    """``a.sum(axis=1)`` bit for bit; a left fold over the columns of narrow rows."""
-    if a.shape[1] >= _NARROW:
-        return a.sum(axis=1)
-    out = a[:, 0] + 0.0  # numpy starts from +0.0, which turns -0.0 into +0.0
-    for c in range(1, a.shape[1]):
-        out += a[:, c]
+def _column_sum(cols: np.ndarray) -> np.ndarray:
+    """The sum of the rows of ``cols``, bit for bit numpy's ``a.sum(axis=1)`` for
+    the row-major matrix ``a`` whose columns they are (``cols`` is ``a.T``).
+
+    Each of numpy's steps on a row of ``a`` is taken here as one pass over
+    whole rows of ``cols``, contiguous when ``cols`` is. Each accumulator
+    starts as its first row plus +0.0, which turns -0.0 into +0.0 as numpy's
+    start from +0.0 does; no other result can tell the two apart.
+
+    The order is numpy's private one, not part of its API: the equality holds
+    as far as ``tests/test_column_kernels.py`` and
+    ``tests/test_contiguous_axis.py`` check it, at the numpy they run on
+    (CI runs them at the oldest numpy allowed too). Should numpy change its
+    order, the results drift by a few ulps from numpy's and those tests fail.
+    """
+    return _pairwise(cols, 0, len(cols))
+
+
+def _pairwise(cols: np.ndarray, lo: int, m: int) -> np.ndarray:
+    """numpy's pairwise sum of rows ``lo`` to ``lo + m`` of ``cols``, elementwise."""
+    if m < _NARROW:
+        out = cols[lo] + 0.0
+        for c in range(lo + 1, lo + m):
+            out += cols[c]
+        return out
+    if m <= _PAIRWISE_BLOCK:
+        stop = lo + m - m % 8
+        acc = cols[lo:lo + 8] + 0.0  # the eight accumulators
+        for c in range(lo + 8, stop, 8):
+            acc += cols[c:c + 8]
+        acc[0] += acc[1]
+        acc[2] += acc[3]
+        acc[0] += acc[2]
+        acc[4] += acc[5]
+        acc[6] += acc[7]
+        acc[4] += acc[6]
+        out = acc[0] + acc[4]
+        for c in range(stop, lo + m):
+            out += cols[c]
+        return out
+    half = m // 2 - m // 2 % 8
+    out = _pairwise(cols, lo, half)
+    out += _pairwise(cols, lo + half, m - half)
     return out
 
 
@@ -165,7 +213,33 @@ def _column_argmin(p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return a, best
 
 
-def _nearest(X: np.ndarray, centroids: np.ndarray):
+def _slack(d: int) -> float:
+    """``_nearest``'s round-off bound on rows of ``d`` columns, per unit of ``|x|^2 + |c|^2``."""
+    return 8.0 * (d + 2) * np.finfo(np.float64).eps
+
+
+class _Rows:
+    """The rows of one fit, held row-major (``X``) and column-major (``cols``),
+    so that a pass over columns reads contiguous memory.
+
+    ``cols`` is ``X.T`` copied once when the rows are ``reused``, as a fit's
+    are on every pass; rows assigned once keep the transposed view, since
+    the copy costs more than the one pass saves. On rows of 8 or more
+    columns ``x_slack`` holds each row's share of ``_nearest``'s round-off
+    bound, also taken once.
+    """
+
+    def __init__(self, X: np.ndarray, reused: bool = True):
+        self.X = X
+        self.cols = np.ascontiguousarray(X.T) if reused else X.T
+        d = X.shape[1]
+        self.x_slack = None
+        if d >= _NARROW:
+            self.x_slack = (_slack(d) * np.einsum("ij,ij->i", X, X)
+                            + np.finfo(np.float64).tiny)
+
+
+def _nearest(rows: _Rows, centroids: np.ndarray):
     """Nearest centroid per row, ties to the lowest centroid index.
 
     Exactness contract: assignments and distances are bit-identical to the
@@ -175,16 +249,17 @@ def _nearest(X: np.ndarray, centroids: np.ndarray):
 
     Rows narrower than 8 columns take the brute force itself: each centroid's
     row of a ``(k, rows)`` block folds ``(col - c) ** 2`` over the columns
-    from left to right, which below 8 columns is numpy's own sum bit for bit
-    (see ``_row_sum``; a square is never -0.0, so the fold may start from the
+    from left to right, each column read as a contiguous row of ``cols``,
+    which below 8 columns is numpy's own sum bit for bit (see
+    ``_column_sum``; a square is never -0.0, so the fold may start from the
     first), and ``_column_argmin`` gives the argmin and its value, whose root
     is the distance. Unlike argmin's, its fold lets no NaN win.
 
-    Wider rows cost one GEMM per chunk. The gram identity gives
-    ``p = |c|^2 - 2 x.c``, the squared distance less the row's own ``|x|^2``
-    (the same for every centroid), and its argmin ``j``. With
-    ``s = |x|^2 + |c|^2`` and ``u = eps / 2``, in whatever order the BLAS
-    sums:
+    Wider rows cost one GEMM per chunk, ``(k, d)`` by the chunk's ``(d, rows)``
+    columns. The gram identity gives ``p = |c|^2 - 2 x.c``, the squared
+    distance less the row's own ``|x|^2`` (the same for every centroid), and
+    its argmin ``j``. With ``s = |x|^2 + |c|^2`` and ``u = eps / 2``, in
+    whatever order the BLAS sums:
 
     - ``|c|^2`` errs by at most ``d u |c|^2`` and ``2 x.c`` by at most
       ``2 d u |x||c| <= d u s``; the final addition adds ``u |p| <= 2 u s``;
@@ -194,9 +269,9 @@ def _nearest(X: np.ndarray, centroids: np.ndarray):
       and ``D <= 2 s``, so within ``(d + 2) eps s``.
 
     Less ``|x|^2``, the brute force's value is within ``2 (d + 2) eps s`` of
-    ``p``. The bound ``e = 8 (d + 2) eps s`` leaves a factor of four for
-    second-order terms, for the computed norms inside ``s`` and for the
-    rounding of the check itself; the smallest normal float added on top
+    ``p``. The bound ``e = 8 (d + 2) eps s`` (``_slack``) leaves a factor of
+    four for second-order terms, for the computed norms inside ``s`` and for
+    the rounding of the check itself; the smallest normal float added on top
     covers underflow, where each operation errs by at most half a subnormal
     instead. A row is certain when every other centroid's ``p - e`` lies
     strictly above ``p_j + e_j``: then ``j`` is the brute force's unique
@@ -208,52 +283,52 @@ def _nearest(X: np.ndarray, centroids: np.ndarray):
     exactly as ``sqrt(((x - c_j) ** 2).sum())``, the brute force's own sum
     over the contiguous last axis.
     """
+    X, cols = rows.X, rows.cols
     n, d = X.shape
+    k = len(centroids)
     assignments = np.empty(n, dtype=np.int64)
     distances = np.empty(n, dtype=np.float64)
     if d < _NARROW:
+        block = np.empty((k, min(NARROW_CHUNK, n)))  # reused, as diff is below
+        term = np.empty(block.shape[1])
         for start in range(0, n, NARROW_CHUNK):
-            cols = X[start:start + NARROW_CHUNK].T.copy()  # (d, rows): each column contiguous
-            block = np.empty((len(centroids), cols.shape[1]))
+            stop = min(start + NARROW_CHUNK, n)
+            b, t = block[:, :stop - start], term[:stop - start]
             for j, c in enumerate(centroids):
-                np.square(cols[0] - c[0], out=block[j])
+                np.square(np.subtract(cols[0, start:stop], c[0], out=b[j]), out=b[j])
                 for i in range(1, d):
-                    block[j] += np.square(cols[i] - c[i])
-            a, best = _column_argmin(block)
-            assignments[start:start + NARROW_CHUNK] = a
-            distances[start:start + NARROW_CHUNK] = np.sqrt(best)
+                    b[j] += np.square(np.subtract(cols[i, start:stop], c[i], out=t), out=t)
+            a, best = _column_argmin(b)
+            assignments[start:stop] = a
+            distances[start:stop] = np.sqrt(best)
         return assignments, distances
 
     c_sq = np.einsum("ij,ij->i", centroids, centroids)
-    slack = 8.0 * (d + 2) * np.finfo(np.float64).eps
-    c_slack = slack * c_sq
-    tiny = np.finfo(np.float64).tiny
-    minus_2ct = -2.0 * centroids.T
+    c_slack = _slack(d) * c_sq
+    minus_2c = -2.0 * centroids
     diff = np.empty((min(WIDE_CHUNK, n), d))  # reused: a fresh array per chunk costs page faults
     for start in range(0, n, WIDE_CHUNK):
-        rows = X[start:start + WIDE_CHUNK]
-        r = np.arange(len(rows))
-        p = rows @ minus_2ct
-        p += c_sq
-        a = p.argmin(axis=1)
+        stop = min(start + WIDE_CHUNK, n)
+        r = np.arange(stop - start)
+        p = minus_2c @ cols[:, start:stop]
+        p += c_sq[:, None]
+        a, best = _column_argmin(p)
         # p_l - e_l > p_j + e_j for l != j, the row's share of both e moved right
-        x_slack = slack * np.einsum("ij,ij->i", rows, rows) + tiny
-        upper = p[r, a] + c_slack[a] + 2.0 * x_slack
-        p -= c_slack
-        p[r, a] = np.inf
-        runner_up = p[r, p.argmin(axis=1)]
-        unsure = np.flatnonzero(~(runner_up > upper))
+        upper = best + c_slack[a] + 2.0 * rows.x_slack[start:stop]
+        p -= c_slack[:, None]
+        p[a, r] = np.inf
+        unsure = np.flatnonzero(~(p.min(axis=0) > upper))
+        chunk = X[start:stop]
         if len(unsure):
-            sub = rows[unsure]
-            exact = np.empty((len(unsure), len(centroids)))
+            sub = chunk[unsure]
+            exact = np.empty((len(unsure), k))
             for j, c in enumerate(centroids):
                 exact[:, j] = ((sub - c) ** 2).sum(1)
             a[unsure] = exact.argmin(axis=1)
-        sq = np.subtract(rows, centroids[a], out=diff[:len(rows)])
+        sq = np.subtract(chunk, centroids[a], out=diff[:len(chunk)])
         np.square(sq, out=sq)
-        sq = sq.sum(1)
-        assignments[start:start + WIDE_CHUNK] = a
-        distances[start:start + WIDE_CHUNK] = np.sqrt(sq)
+        assignments[start:stop] = a
+        distances[start:stop] = np.sqrt(sq.sum(1))
     return assignments, distances
 
 
@@ -268,19 +343,20 @@ def assign(model: ClusterModel, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     # the fits see only rows a Dataset has checked; rows from outside come through here
     if not (np.isfinite(X).all() and np.isfinite(model.centroids).all()):
         raise ValueError("rows and centroids must be finite")
-    return _nearest(X, model.centroids)
+    return _nearest(_Rows(X, reused=False), model.centroids)
 
 
-def _init_centroids(X: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
+def _init_centroids(rows: _Rows, k: int, rng: np.random.Generator) -> np.ndarray:
     """k-means++: each seed drawn in proportion to squared distance from the chosen set."""
+    X, cols = rows.X, rows.cols
     n = X.shape[0]
     centroids = np.empty((k, X.shape[1]), dtype=np.float64)
-    sq = np.empty_like(X)  # reused for every seed's squared differences
+    sq = np.empty_like(cols)  # reused for every seed's squared differences, by column
 
     def sq_dists(c: np.ndarray) -> np.ndarray:
-        np.subtract(X, c, out=sq)
+        np.subtract(cols, c[:, None], out=sq)
         np.square(sq, out=sq)
-        return _row_sum(sq)
+        return _column_sum(sq)
 
     centroids[0] = X[rng.integers(n)]
     closest = sq_dists(centroids[0])
@@ -295,7 +371,7 @@ def _init_centroids(X: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarr
     return centroids
 
 
-def _member_sums(X: np.ndarray, assignments: np.ndarray,
+def _member_sums(rows: _Rows, assignments: np.ndarray,
                  k: int) -> tuple[np.ndarray, np.ndarray]:
     """Each cluster's member count and the sum of its rows, ``X[assignments == j].sum(0)``.
 
@@ -305,11 +381,12 @@ def _member_sums(X: np.ndarray, assignments: np.ndarray,
     numpy, and on wide rows the masks cost less, so both keep them.
     """
     counts = np.bincount(assignments, minlength=k)
+    X = rows.X
     d = X.shape[1]
     if 1 < d < _NARROW:
         sums = np.empty((k, d))
         for c in range(d):
-            sums[:, c] = np.bincount(assignments, weights=X[:, c], minlength=k)
+            sums[:, c] = np.bincount(assignments, weights=rows.cols[c], minlength=k)
         return sums, counts
     sums = np.zeros((k, d))
     for j in np.flatnonzero(counts):
@@ -317,10 +394,10 @@ def _member_sums(X: np.ndarray, assignments: np.ndarray,
     return sums, counts
 
 
-def _mean_update(X: np.ndarray, assignments: np.ndarray, distances: np.ndarray,
+def _mean_update(rows: _Rows, assignments: np.ndarray, distances: np.ndarray,
                  centroids: np.ndarray) -> np.ndarray:
     """Cluster-mean step; empty clusters are reseeded at the farthest point."""
-    sums, counts = _member_sums(X, assignments, centroids.shape[0])
+    sums, counts = _member_sums(rows, assignments, centroids.shape[0])
     new = centroids.copy()
     filled = counts > 0
     new[filled] = sums[filled] / counts[filled, None]
@@ -328,7 +405,7 @@ def _mean_update(X: np.ndarray, assignments: np.ndarray, distances: np.ndarray,
         taken = distances.copy()
         for j in np.flatnonzero(~filled):
             far = int(np.argmax(taken))
-            new[j] = X[far]
+            new[j] = rows.X[far]
             taken[far] = -1.0
     return new
 
@@ -344,14 +421,15 @@ def kmeans_fit(X: np.ndarray, cfg: KMeansConfig) -> ClusterModel:
         raise ValueError(f"need at least k={k} points, got {X.shape[0]}")
     rng = np.random.default_rng(cfg.seed)
 
-    centroids = _init_centroids(X, k, rng)
-    assignments, distances = _nearest(X, centroids)
+    rows = _Rows(X)
+    centroids = _init_centroids(rows, k, rng)
+    assignments, distances = _nearest(rows, centroids)
     inertia = float(np.sum(distances * distances))
     history = [inertia]
     converged = False
     for _ in range(MAX_ITER):
-        centroids = _mean_update(X, assignments, distances, centroids)
-        assignments, distances = _nearest(X, centroids)
+        centroids = _mean_update(rows, assignments, distances, centroids)
+        assignments, distances = _nearest(rows, centroids)
         new_inertia = float(np.sum(distances * distances))
         history.append(new_inertia)
         improvement = inertia - new_inertia
@@ -384,7 +462,8 @@ def minibatch_kmeans_fit(X: np.ndarray, cfg: MiniBatchKMeansConfig) -> ClusterMo
         raise ValueError(f"need at least k={k} points, got {n}")
     rng = np.random.default_rng(cfg.seed)
 
-    centroids = _init_centroids(X, k, rng)
+    every = _Rows(X)
+    centroids = _init_centroids(every, k, rng)
     counts = np.zeros(k, dtype=np.float64)
     batch = min(BATCH_SIZE, n)
     smoothed = None
@@ -393,8 +472,8 @@ def minibatch_kmeans_fit(X: np.ndarray, cfg: MiniBatchKMeansConfig) -> ClusterMo
     converged = False
     previous = None
     for _ in range(MAX_ITER):
-        idx = rng.choice(n, size=batch, replace=False) if batch < n else np.arange(n)
-        rows = X[idx]
+        rows = (_Rows(X[rng.choice(n, size=batch, replace=False)], reused=False)
+                if batch < n else every)
         a, d = _nearest(rows, centroids)
         if batch == n and previous is not None and np.array_equal(a, previous):
             converged = True
@@ -423,14 +502,14 @@ def minibatch_kmeans_fit(X: np.ndarray, cfg: MiniBatchKMeansConfig) -> ClusterMo
         # steps move each centroid to the mean of its members, until no row
         # changes cluster (one step alone can still move rows)
         for _ in range(MAX_ITER):
-            centroids = _mean_update(X, a, d, centroids)
+            centroids = _mean_update(every, a, d, centroids)
             moved = a
-            a, d = _nearest(X, centroids)
+            a, d = _nearest(every, centroids)
             if np.array_equal(a, moved):
                 break
         else:
             converged = False
-    assignments, distances = _nearest(X, centroids)
+    assignments, distances = _nearest(every, centroids)
     inertia = float(np.sum(distances * distances))
     return ClusterModel("minibatch_kmeans", centroids, assignments, distances, inertia,
                         time.perf_counter() - t0, converged=converged)
@@ -605,7 +684,7 @@ def meanshift_fit(X: np.ndarray, cfg: MeanShiftConfig) -> ClusterModel:
         active[moving] = moved >= stop
 
     centroids = _merge_modes(seeds, hoods.count(seeds), bandwidth)
-    assignments, distances = _nearest(X, centroids)
+    assignments, distances = _nearest(_Rows(X, reused=False), centroids)
     inertia = float(np.sum(distances * distances))
     return ClusterModel("meanshift", centroids, assignments, distances, inertia,
                         time.perf_counter() - t0, bandwidth=float(bandwidth))

@@ -237,17 +237,19 @@ def pseudo_label_pool(model: ClassifierModel, pool: PseudoPool, unlabeled: Unlab
     if len(pool.admitted) != unlabeled.n_u:
         raise ValueError(f"pool covers {len(pool.admitted)} rows but the unlabeled set "
                          f"has {unlabeled.n_u}")
-    members = pool.member_rows()
-    if len(members):
+    # a whole pool is scored and written by whole arrays
+    whole = len(pool) == unlabeled.n_u
+    members = slice(None) if whole else pool.member_rows()
+    if len(pool):
         if embedded is None:
             embedded = model.embed(unlabeled.features)
-        whole = len(members) == unlabeled.n_u
         conf, labels = top_class(
             model.predict_proba_embedded(embedded, None if whole else members))
         pool.labels[members] = labels
         pool.confidence[members] = conf
 
-    selected = pool.selected = members[pool.confidence[members] >= confidence_threshold]
+    # rows outside the pool keep a NaN confidence, which clears no threshold
+    selected = pool.selected = np.flatnonzero(pool.confidence >= confidence_threshold)
     return selected, pool.labels[selected]
 
 
@@ -392,9 +394,9 @@ def ist_train(labeled: LabeledSet, unlabeled: UnlabeledSet, test: Dataset,
     if cfg.mode != "ist":
         raise ValueError("ist_train requires cfg.mode == 'ist'")
 
-    scaled, _ = standardize(unlabeled.features)
-    model = fit_cluster(cfg.cluster_method, scaled, cfg.cluster_config,
-                        k=labeled.class_count, seed=cfg.seed)
+    # the standardized copy lives only as long as the fit
+    model = fit_cluster(cfg.cluster_method, standardize(unlabeled.features)[0],
+                        cfg.cluster_config, k=labeled.class_count, seed=cfg.seed)
     qlist = build_query_list(model, unlabeled)
     sizes = [len(batch) for batch in partition_batches(qlist, cfg.schedule)]
     batches = np.split(qlist.rows, np.cumsum(sizes)[:-1])

@@ -177,7 +177,7 @@ class TestMiniBatchKMeans:
         nearest = clustering._nearest
 
         def counted(rows, centroids):
-            passes.append(len(rows))
+            passes.append(len(rows.X))
             return nearest(rows, centroids)
 
         monkeypatch.setattr(clustering, "_nearest", counted)

@@ -21,7 +21,7 @@ import pytest
 
 from selftrain import clustering
 from selftrain.clustering import (MAX_ITER, MERGE_TOL, SHIFT_SUBSAMPLE, SUBSAMPLE,
-                                  ClusterModel, MeanShiftConfig, _nearest,
+                                  ClusterModel, MeanShiftConfig, _nearest, _Rows,
                                   estimate_bandwidth, meanshift_fit)
 from selftrain.data import make_blobs
 
@@ -67,7 +67,7 @@ def reference_meanshift_fit(X, cfg):
             active[sel] = moved >= stop
 
     centroids = reference_merge_modes(seeds, X, bandwidth)
-    assignments, distances = _nearest(X, centroids)
+    assignments, distances = _nearest(_Rows(X), centroids)
     inertia = float(np.sum(distances * distances))
     return ClusterModel("meanshift", centroids, assignments, distances, inertia,
                         time.perf_counter() - t0)

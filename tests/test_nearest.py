@@ -104,9 +104,10 @@ def test_nearest_and_assign_match_the_broadcast_cube(case):
     chunk = case["chunk"]
     with mock.patch.multiple(clustering, NARROW_CHUNK=chunk or NARROW_CHUNK,
                              WIDE_CHUNK=chunk or WIDE_CHUNK):
-        assert_bit_equal(clustering._nearest(X, centroids), want)
-    model = ClusterModel("kmeans", centroids, None, None, 0.0, 0.0)
-    assert_bit_equal(assign(model, X), want)
+        assert_bit_equal(clustering._nearest(clustering._Rows(X), centroids), want)
+        # assign reads the rows once, through a transposed view instead of a copy
+        model = ClusterModel("kmeans", centroids, None, None, 0.0, 0.0)
+        assert_bit_equal(assign(model, X), want)
 
 
 def test_large_common_offset_needs_the_exact_recheck():
@@ -118,7 +119,21 @@ def test_large_common_offset_needs_the_exact_recheck():
     gram = (centroids * centroids).sum(1) - 2.0 * (X @ centroids.T)
     assert np.mean(gram.argmin(1) != want[0]) > 0.5
     # ... so only the exact recheck of uncertain rows gives the right answer
-    assert_bit_equal(clustering._nearest(X, centroids), want)
+    assert_bit_equal(clustering._nearest(clustering._Rows(X), centroids), want)
+
+
+def test_far_rows_need_their_own_share_of_the_bound():
+    # centroids near the origin, rows far from it: the brute force's squared
+    # distances mostly round to a tie, which goes to centroid 0, while the gram
+    # identity separates them cleanly; the centroids' share of the bound is tiny,
+    # so only the row's own share sends these rows to the exact recheck
+    centroids = np.zeros((2, 50))
+    centroids[:, 0] = 1e-3, -1e-3
+    X = np.full((WIDE_CHUNK + 3, 50), 1e6)
+    X[:, 0] = -np.random.default_rng(6).random(len(X))
+    want = reference_nearest(X, centroids)
+    assert np.mean(want[0] == 0) > 0.5
+    assert_bit_equal(clustering._nearest(clustering._Rows(X), centroids), want)
 
 
 @pytest.mark.parametrize("d", [2, 50])
@@ -156,9 +171,13 @@ FITS = {
 @pytest.mark.parametrize("method", sorted(FITS))
 def test_fits_match_the_broadcast_cube_end_to_end(blobs, method, monkeypatch):
     got = [FITS[method](*case) for case in blobs]
-    monkeypatch.setattr(clustering, "_nearest", reference_nearest)
-    monkeypatch.setattr(clustering, "_mean_update", reference_mean_update)
-    monkeypatch.setattr(clustering, "_init_centroids", reference_init_centroids)
+    # the kernels take a fit's rows held both ways; the references read them row-major
+    monkeypatch.setattr(clustering, "_nearest",
+                        lambda rows, *rest: reference_nearest(rows.X, *rest))
+    monkeypatch.setattr(clustering, "_mean_update",
+                        lambda rows, *rest: reference_mean_update(rows.X, *rest))
+    monkeypatch.setattr(clustering, "_init_centroids",
+                        lambda rows, *rest: reference_init_centroids(rows.X, *rest))
     want = [FITS[method](*case) for case in blobs]
     for g, w in zip(got, want):
         assert g.k >= 2
