@@ -14,10 +14,25 @@ follows numpy's own order at every class count (``clustering._column_sum``).
 The ridge scores into a class-major buffer, one contiguous row per class, so
 these passes read contiguous memory, and returns the (rows, classes)
 transpose of that buffer, whose columns are contiguous.
+
+The ridge embeds and scores rows in blocks of ``SCORE_BLOCK`` bytes of
+embedded rows, and runs those blocks on the calling thread and on one worker
+thread per process (``_share_blocks``), each thread taking the next block
+left. A block's rows go through the same operations whichever thread runs
+it, and each block writes its own rows of the output, so no output depends
+on which thread ran a block or on whether a worker exists. A process on one
+CPU, or started by a process pool, runs every block on the calling thread,
+and so does a caller that the worker cost more than it gave, for a few calls
+after one in which it got too little time on a CPU (``MIN_CPU_SHARE``).
 """
 
 from __future__ import annotations
 
+import concurrent.futures
+import multiprocessing
+import os
+import threading
+import time
 import weakref
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
@@ -26,11 +41,118 @@ import numpy as np
 
 from .clustering import _column_sum
 
-# Bytes of embedded rows one scoring product reads, which fit in a core's L2
-# cache: 128 rows at width 512, 1,024 at width 64. Products this small stay
-# under OpenBLAS's small-matrix size, which skips packing, and take up to about
-# half the time of 4096-row ones.
+# Bytes of embedded rows one scoring product reads or one embedding product
+# writes, which fit in a core's L2 cache: 128 rows at width 512, 1,024 at
+# width 64. Products this small stay under OpenBLAS's small-matrix size, which
+# skips packing, and take up to about half the time of 4096-row ones.
 SCORE_BLOCK = 1 << 19
+
+# When the caller spends less than this share of its own blocks' wall time on
+# a CPU, the worker has cost it more than it gave back. With another process
+# busy on one of 2 vCPUs, three threads share two CPUs, and a thread waits for
+# the interpreter lock while the one holding it is off its CPU: shared calls
+# in `pool-2d` cells then took longer than calls on the caller alone, and the
+# caller's share fell below 0.75 in most of them; on 2 idle vCPUs, in about
+# one judged call in a thousand. The next REST_CALLS calls after such a call
+# run on the caller alone. A caller that drains for less than
+# MIN_JUDGED_SECONDS is not judged: one hand-over of the interpreter lock is a
+# large part of so short a call, and such calls tripped the rest on idle vCPUs.
+MIN_CPU_SHARE = 0.75
+REST_CALLS = 8
+MIN_JUDGED_SECONDS = 1e-3
+
+
+class _Worker:
+    """A process's one block worker thread, and how many calls to leave it idle."""
+
+    def __init__(self):
+        self.pid = os.getpid()
+        self.executor = concurrent.futures.ThreadPoolExecutor(
+            1, thread_name_prefix="selftrain-blocks")
+        self.rest = 0
+
+
+_worker_lock = threading.Lock()
+_worker: _Worker | None = None
+
+
+def _usable_cpus() -> int:
+    """The number of CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _block_worker() -> _Worker | None:
+    """This process's one worker thread, started on first use.
+
+    None, so that blocks run on the calling thread alone, in a process that
+    may run on fewer than 2 CPUs and in the processes of a process pool,
+    which would otherwise each add a thread on the same CPUs. A worker
+    inherited across a fork has no live thread, so a forked process starts
+    its own.
+    """
+    global _worker
+    if multiprocessing.parent_process() is not None or _usable_cpus() < 2:
+        return None
+    with _worker_lock:
+        if _worker is None or _worker.pid != os.getpid():
+            _worker = _Worker()
+        return _worker
+
+
+def _share_blocks(count: int, runner) -> None:
+    """Run blocks ``0..count-1`` on the calling thread and the process's worker.
+
+    ``runner()`` returns one thread's function of a block index, which may
+    own buffers. It is called here, on the calling thread, once for each
+    thread that takes part, so the buffers come from the caller's malloc
+    arena rather than one the worker would keep for itself. Each thread
+    runs the next block no thread has claimed until none is left. The first
+    exception stops the claiming and is raised here once both threads are
+    done. Without a worker, for a single block, or while the worker rests
+    (see ``MIN_CPU_SHARE``), the same loop runs on the calling thread alone.
+    A block must not share blocks itself: the worker would wait on its own
+    queue.
+    """
+    # under the GIL, each next() of a range iterator hands out a distinct index
+    claims = iter(range(count))
+    errors = []
+
+    def drain(run):
+        try:
+            for i in claims:
+                run(i)
+        except BaseException as exc:  # noqa: BLE001 - raised again in the caller below
+            errors.append(exc)
+            for _ in claims:  # leave the other thread nothing to claim
+                pass
+
+    worker = _block_worker() if count > 1 else None
+    if worker is not None and worker.rest > 0:
+        worker.rest -= 1
+        worker = None
+    if worker is None:
+        drain(runner())
+    else:
+        done = worker.executor.submit(drain, runner())
+        run = runner()
+        wall, cpu = time.perf_counter(), time.thread_time()
+        drain(run)
+        wall, cpu = time.perf_counter() - wall, time.thread_time() - cpu
+        starved = wall >= MIN_JUDGED_SECONDS and cpu < MIN_CPU_SHARE * wall
+        # a worker that has not started finds nothing left to claim
+        if not done.cancel():
+            done.result()
+        if starved:
+            worker.rest = REST_CALLS
+    if errors:
+        raise errors[0]
+
+
+def _block_rows(width: int) -> int:
+    """Rows of ``width`` float64 features in one ``SCORE_BLOCK``."""
+    return max(1, SCORE_BLOCK // (8 * width))
 
 
 def _softmax_into(z: np.ndarray) -> np.ndarray:
@@ -173,26 +295,40 @@ class RandomFeatureRidge(ClassifierModel):
 
     ``embed`` is the map ``tanh(X @ projection + bias)``; it never changes
     after construction, so callers embed their rows once and refit on the
-    cached features. A fit on fewer rows than ``hidden_width`` (counting
-    repeats) solves the ridge's n x n dual system over the gathered rows
-    (Saunders, Gammerman & Vovk 1998) and holds no sums. From ``hidden_width``
-    rows up, the fit solves the width x width primal system: it accumulates
-    the gram and target over blocks of ``block_rows`` rows, so it never holds
-    a weighted copy of all rows, and keeps both for the next fit. A primal
-    refit on the same embedded matrix (the same object, not modified in
-    place) adds the rows that entered or changed label or weight and
-    subtracts the rows that left or changed, then re-solves. It sums every
-    chosen row afresh instead after a dual fit, when the matrix is another
-    one, when ``rows`` repeats a row, or when the changed rows are at least as
-    many as the chosen ones. Sample weights must be finite and non-negative.
+    cached features. It computes the map block by block, ``SCORE_BLOCK``
+    bytes of output rows at a time, the last block taking the rest. The
+    result equals one product over all rows bit for bit wherever measured
+    (OpenBLAS 0.3.31, input widths 2-784, one and two BLAS threads). A short
+    block after long ones would not: OpenBLAS gives a short product, a
+    one-row product above all, another kernel than the same rows inside a
+    longer one.
+
+    A fit on fewer rows than ``hidden_width`` (counting repeats) solves the
+    ridge's n x n dual system over the gathered rows (Saunders, Gammerman &
+    Vovk 1998) and holds no sums. From ``hidden_width`` rows up, the fit
+    solves the width x width primal system: it accumulates the gram and
+    target over blocks of ``block_rows`` rows, so it never holds a weighted
+    copy of all rows, and keeps both for the next fit. A primal refit on the
+    same embedded matrix (the same object, not modified in place) adds the
+    rows that entered or changed label or weight and subtracts the rows that
+    left or changed, then re-solves. It sums every chosen row afresh instead
+    after a dual fit, when the matrix is another one, when ``rows`` repeats a
+    row, or when the changed rows are at least as many as the chosen ones.
+    Sample weights must be finite and non-negative. The fit's blocks run in
+    order on the calling thread, since its sums depend on their order.
+
     Scoring multiplies the weights by blocks of ``SCORE_BLOCK`` bytes of
     embedded rows, far fewer rows than the fit's blocks, each a view of ``H``
-    or gathered into one reused buffer; a score can depend in its last bits on
-    its block's row count. Each block's scores are copied, transposed, into
-    one class-major buffer. Scores pass through a temperature-scaled softmax,
-    one pass per class row, to produce calibrated-enough probabilities for
-    confidence thresholding; ``predict_proba`` returns them as the (rows,
-    classes) transpose of that buffer.
+    or gathered into a block-sized buffer; a score can depend in its last
+    bits on its block's row count. Each block's scores are copied,
+    transposed, into one class-major buffer. Embedding and scoring blocks run
+    on the calling thread and the process's worker thread (see the module
+    docstring), each thread with its own product and gather buffers; a
+    block's rows, and so its bits, are fixed by its index alone. Scores pass
+    through a temperature-scaled softmax, one pass per class row, to produce
+    calibrated-enough probabilities for confidence thresholding;
+    ``predict_proba`` returns them as the (rows, classes) transpose of that
+    buffer.
     """
 
     block_rows = 4096
@@ -228,9 +364,21 @@ class RandomFeatureRidge(ClassifierModel):
         if X.ndim != 2 or X.shape[1] != self.input_dim:
             raise ValueError(f"expected {self.input_dim} input features, got "
                              f"{X.shape[1] if X.ndim == 2 else '?'}")
-        H = X @ self.projection
-        H += self.bias
-        return np.tanh(H, out=H)
+        n = len(X)
+        H = np.empty((n, self.hidden_width))
+        step = _block_rows(self.hidden_width)
+        count = max(1, n // step)
+
+        def embed_block(i):
+            # the last block takes the rest, so no product is shorter than a block
+            rows = slice(i * step, n if i == count - 1 else (i + 1) * step)
+            Hb = H[rows]
+            np.matmul(X[rows], self.projection, out=Hb)
+            Hb += self.bias
+            np.tanh(Hb, out=Hb)
+
+        _share_blocks(count, lambda: embed_block)
+        return H
 
     def _checked(self, H: np.ndarray, rows: np.ndarray | None):
         """``H`` as float64 and ``rows`` as indices, after checking both."""
@@ -255,13 +403,17 @@ class RandomFeatureRidge(ClassifierModel):
         buf = None if rows is None else np.empty((min(step, n), self.hidden_width))
         for start in range(0, n, step):
             stop = min(start + step, n)
-            if rows is None:
-                yield start, stop, H[start:stop]
-            else:
-                # mode="clip" writes straight into buf; "raise" would buffer a copy
-                out = buf[:stop - start]
-                np.take(H, rows[start:stop], axis=0, out=out, mode="clip")
-                yield start, stop, out
+            yield start, stop, self._block(H, rows, start, stop, buf)
+
+    def _block(self, H, rows, start: int, stop: int, buf) -> np.ndarray:
+        """Chosen rows ``start:stop`` of a checked ``H``: a view without ``rows``,
+        otherwise gathered into ``buf``, of at least ``stop - start`` rows."""
+        if rows is None:
+            return H[start:stop]
+        # mode="clip" writes straight into buf; "raise" would buffer a copy
+        out = buf[:stop - start]
+        np.take(H, rows[start:stop], axis=0, out=out, mode="clip")
+        return out
 
     def fit(self, X, y, sample_weight=None):
         return self.fit_embedded(self.embed(X), y, sample_weight)
@@ -343,10 +495,20 @@ class RandomFeatureRidge(ClassifierModel):
         H, rows = self._checked(H, rows)
         n = len(H) if rows is None else len(rows)
         scores = np.empty((self.class_count, n))
-        step = max(1, SCORE_BLOCK // (8 * self.hidden_width))
-        block = np.empty((min(step, n), self.class_count))
-        for start, stop, Hb in self._blocks(H, rows, step):
-            scores[:, start:stop] = np.matmul(Hb, self.weights, out=block[:stop - start]).T
+        step = _block_rows(self.hidden_width)
+
+        def runner():
+            product = np.empty((min(step, n), self.class_count))
+            buf = None if rows is None else np.empty((min(step, n), self.hidden_width))
+
+            def score_block(i):
+                start, stop = i * step, min((i + 1) * step, n)
+                Hb = self._block(H, rows, start, stop, buf)
+                scores[:, start:stop] = np.matmul(Hb, self.weights,
+                                                  out=product[:stop - start]).T
+            return score_block
+
+        _share_blocks(-(-n // step), runner)
         return scores.T
 
     def predict_proba(self, X):

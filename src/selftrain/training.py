@@ -25,7 +25,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .classifiers import ClassifierModel, top_class
-from .clustering import ClusterModel, fit_cluster
+from .clustering import fit_cluster
 from .data import Dataset, LabeledSet, UnlabeledSet, standardize
 from .querylist import BatchSchedule, build_query_list, partition_batches
 
@@ -301,16 +301,16 @@ def _config_echo(cfg: SelfTrainConfig) -> dict:
 
 def _run_rounds(labeled: LabeledSet, unlabeled: UnlabeledSet, test: Dataset,
                 backbone: ClassifierModel, cfg: SelfTrainConfig, batches: list[np.ndarray],
-                cluster: ClusterModel | None) -> tuple[ClassifierModel, TrainingTrajectory]:
+                cluster_seconds: float = 0.0,
+                cluster: dict | None = None) -> tuple[ClassifierModel, TrainingTrajectory]:
     """Train over a pool that admits the unlabeled rows of ``batches[t]`` at round t.
 
-    ``cluster`` is IST's fitted clustering, whose time and diagnostics the
-    trajectory records; None for ST.
+    ``cluster_seconds`` and ``cluster`` are the time and the diagnostics
+    (:meth:`ClusterModel.diagnostics`) of IST's clustering, which the
+    trajectory records; 0 and None for ST.
     """
     traj = TrainingTrajectory(mode=cfg.mode, seed=cfg.seed)
-    if cluster is not None:
-        traj.cluster_seconds = cluster.fit_seconds
-        traj.cluster = cluster.diagnostics()
+    traj.cluster_seconds, traj.cluster = cluster_seconds, cluster
     traj.config_echo = _config_echo(cfg)
     truth = unlabeled.eval_labels()
     n_l = labeled.n_l
@@ -376,8 +376,7 @@ def st_train(labeled: LabeledSet, unlabeled: UnlabeledSet, test: Dataset,
     """Classical self-training: the whole unlabeled set is the pool from the start."""
     if cfg.mode != "st":
         raise ValueError("st_train requires cfg.mode == 'st'")
-    return _run_rounds(labeled, unlabeled, test, backbone, cfg,
-                       [np.arange(unlabeled.n_u)], None)
+    return _run_rounds(labeled, unlabeled, test, backbone, cfg, [np.arange(unlabeled.n_u)])
 
 
 def ist_train(labeled: LabeledSet, unlabeled: UnlabeledSet, test: Dataset,
@@ -393,11 +392,21 @@ def ist_train(labeled: LabeledSet, unlabeled: UnlabeledSet, test: Dataset,
     """
     if cfg.mode != "ist":
         raise ValueError("ist_train requires cfg.mode == 'ist'")
+    return _run_rounds(labeled, unlabeled, test, backbone, cfg,
+                       *_query_batches(labeled.class_count, unlabeled, cfg))
 
+
+def _query_batches(class_count: int, unlabeled: UnlabeledSet, cfg: SelfTrainConfig):
+    """IST's batches of unlabeled rows, and its clustering's time and diagnostics.
+
+    The cluster model and the query list go out of scope on return, so the
+    rounds hold none of their per-row arrays: only the query list's rows,
+    which the batches view.
+    """
     # the standardized copy lives only as long as the fit
     model = fit_cluster(cfg.cluster_method, standardize(unlabeled.features)[0],
-                        cfg.cluster_config, k=labeled.class_count, seed=cfg.seed)
+                        cfg.cluster_config, k=class_count, seed=cfg.seed)
     qlist = build_query_list(model, unlabeled)
     sizes = [len(batch) for batch in partition_batches(qlist, cfg.schedule)]
     batches = np.split(qlist.rows, np.cumsum(sizes)[:-1])
-    return _run_rounds(labeled, unlabeled, test, backbone, cfg, batches, model)
+    return batches, model.fit_seconds, model.diagnostics()

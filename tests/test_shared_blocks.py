@@ -1,0 +1,252 @@
+"""The ridge's embedding and scoring blocks, run on the caller and one worker thread.
+
+``RandomFeatureRidge.embed`` and ``_scores`` split their rows into blocks of
+``classifiers.SCORE_BLOCK`` bytes and hand them to ``_share_blocks``, which
+runs them on the calling thread and on the process's worker thread. A
+block's rows and operations are fixed by its index, so every output must be
+byte-identical whichever thread ran a block and whether a worker exists.
+The shared path is forced on, or off, by patching the CPU count the worker
+checks.
+"""
+
+import json
+import os
+import subprocess
+import sys
+import threading
+import time
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+import selftrain
+from selftrain import bench, classifiers
+from selftrain.classifiers import RandomFeatureRidge, _block_rows, _share_blocks
+
+
+def cpus(monkeypatch, count):
+    """Force the shared path (``count`` 2) or the inline one (1). The worker
+    starts without rest and never rests, however little CPU a call gets."""
+    monkeypatch.setattr(classifiers, "_usable_cpus", lambda: count)
+    monkeypatch.setattr(classifiers, "MIN_CPU_SHARE", 0.0)
+    worker = classifiers._block_worker()
+    if worker is not None:
+        monkeypatch.setattr(worker, "rest", 0)
+
+
+def fitted(width, class_count, n, seed=0):
+    """A fitted ridge of ``width`` features, ``n`` random 3-D rows and their
+    embedding."""
+    rng = np.random.default_rng(seed)
+    model = RandomFeatureRidge(class_count, 3, hidden_width=width, seed=seed)
+    model.fit(rng.normal(size=(40, 3)) * 2.0, rng.integers(0, class_count, 40))
+    X = rng.normal(size=(n, 3)) * 2.0
+    return model, X, model.embed(X)
+
+
+@pytest.mark.parametrize("input_dim", [2, 7, 50])
+@pytest.mark.parametrize("width", [2, 50, 64, 512, 784])
+def test_embed_equals_one_product(width, input_dim):
+    rng = np.random.default_rng(width)
+    model = RandomFeatureRidge(3, input_dim, hidden_width=width, seed=width)
+    step = _block_rows(width)
+    for n in (0, 1, step - 1, step, step + 1, 2 * step - 1, 3 * step + 5):
+        X = rng.normal(size=(n, input_dim))
+        H = model.embed(X)
+        assert H.shape == (n, width) and H.flags.c_contiguous
+        assert H.tobytes() == np.tanh(X @ model.projection + model.bias).tobytes()
+
+
+@pytest.mark.parametrize("class_count", [2, 4, 10])
+@pytest.mark.parametrize("width", [2, 50, 64, 512, 784])
+@pytest.mark.parametrize("blocks", ["0", "1", "b-1", "b", "b+1", "10b+7"])
+def test_shared_path_equals_inline_path(monkeypatch, width, class_count, blocks):
+    step = _block_rows(width)
+    n = {"0": 0, "1": 1, "b-1": step - 1, "b": step, "b+1": step + 1,
+         "10b+7": 10 * step + 7}[blocks]
+    model, X, H = fitted(width, class_count, n, seed=width + class_count)
+    rng = np.random.default_rng(n)
+    chosen = [None]
+    if n:
+        members = np.sort(rng.choice(n, max(1, n // 2), replace=False))
+        repeated = rng.integers(0, n, size=n + step // 2)
+        chosen += [members, rng.permutation(members), repeated]
+
+    outputs = {}
+    for count in (1, 2):
+        cpus(monkeypatch, count)
+        outputs[count] = [model.embed(X)]
+        for rows in chosen:
+            outputs[count] += [model._scores(H, rows), model.predict_proba_embedded(H, rows)]
+    for inline, shared in zip(outputs[1], outputs[2]):
+        assert inline.shape == shared.shape
+        assert inline.tobytes() == shared.tobytes()
+
+
+def both_threads_run_blocks():
+    """Whether the caller and the worker each run a block of one call."""
+    threads, other = set(), threading.Event()
+    caller = threading.get_ident()
+
+    def block(i):
+        threads.add(threading.get_ident())
+        if threading.get_ident() != caller:
+            other.set()
+        elif i == 0:
+            # hold the caller until the worker has taken a block of its own
+            other.wait(10)
+
+    _share_blocks(8, lambda: block)
+    return len(threads) == 2
+
+
+def test_two_threads_run_blocks_on_two_cpus(monkeypatch):
+    cpus(monkeypatch, 2)
+    assert both_threads_run_blocks()
+
+
+def test_a_starved_caller_rests_the_worker(monkeypatch):
+    """A caller that was on a CPU for less than ``MIN_CPU_SHARE`` of its
+    blocks' wall time runs the next ``REST_CALLS`` calls alone."""
+    cpus(monkeypatch, 2)
+    monkeypatch.setattr(classifiers, "MIN_CPU_SHARE", 0.75)
+    worker, caller = classifiers._block_worker(), threading.get_ident()
+    _share_blocks(8, lambda: lambda i: time.sleep(0.002))  # sleeping takes no CPU
+    assert worker.rest == classifiers.REST_CALLS
+    for _ in range(classifiers.REST_CALLS):
+        threads = set()
+        _share_blocks(8, lambda: lambda i: threads.add(threading.get_ident()))
+        assert threads == {caller}
+    assert worker.rest == 0
+    assert both_threads_run_blocks()
+
+
+def test_one_cpu_runs_every_block_on_the_caller(monkeypatch):
+    cpus(monkeypatch, 1)
+    threads = []
+    _share_blocks(50, lambda: lambda i: threads.append(threading.get_ident()))
+    assert threads == [threading.get_ident()] * 50
+
+
+@pytest.mark.parametrize("count", [1, 2])
+def test_every_block_runs_once_under_contention(monkeypatch, count):
+    """Six callers on one worker, switching threads as often as the interpreter
+    allows: a block claimed twice, or lost, breaks the counts."""
+    cpus(monkeypatch, count)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        runs = [[0] * 100 for _ in range(6)]
+
+        def share(counts):
+            def block(i):
+                counts[i] += 1
+            for _ in range(5):
+                _share_blocks(100, lambda: block)
+
+        callers = [threading.Thread(target=share, args=(counts,)) for counts in runs]
+        for t in callers:
+            t.start()
+        for t in callers:
+            t.join(60)
+        assert not any(t.is_alive() for t in callers)
+    finally:
+        sys.setswitchinterval(interval)
+    assert runs == [[5] * 100] * 6
+
+
+@pytest.mark.parametrize("count", [1, 2])
+def test_a_failing_block_reaches_the_caller(monkeypatch, count):
+    cpus(monkeypatch, count)
+    model, X, H = fitted(64, 4, 10 * _block_rows(64) + 7, seed=3)
+    want_H, want_scores = model.embed(X), model._scores(H)
+    gather = model._block
+
+    def failing(H, rows, start, stop, buf):
+        if start == 3 * _block_rows(64):
+            raise FloatingPointError("block 3")
+        return gather(H, rows, start, stop, buf)
+
+    with monkeypatch.context() as mp:
+        mp.setattr(model, "_block", failing)
+        with pytest.raises(FloatingPointError, match="block 3"):
+            model._scores(H)
+        with pytest.raises(FloatingPointError, match="block 3"):
+            model.predict_proba_embedded(H, np.arange(len(H))[::-1])
+    with monkeypatch.context() as mp:
+        real_tanh = np.tanh
+
+        def tanh(x, out=None):
+            if len(x) > _block_rows(64):  # the last block, which takes the rest
+                raise MemoryError("last block")
+            return real_tanh(x, out=out)
+
+        mp.setattr(classifiers.np, "tanh", tanh)
+        with pytest.raises(MemoryError, match="last block"):
+            model.embed(X)
+    # the next calls run every block again
+    assert model.embed(X).tobytes() == want_H.tobytes()
+    assert model._scores(H).tobytes() == want_scores.tobytes()
+
+
+def test_an_exception_on_the_worker_reaches_the_caller(monkeypatch):
+    cpus(monkeypatch, 2)
+    caller = threading.get_ident()
+    failed, ran = threading.Event(), []
+
+    def block(i):
+        if threading.get_ident() != caller:
+            failed.set()
+            raise KeyError("worker")
+        # hold the caller until the worker has failed
+        assert failed.wait(10)
+        ran.append(i)
+
+    with pytest.raises(KeyError, match="worker"):
+        _share_blocks(20, lambda: block)
+    assert len(ran) <= 1  # the failure stopped the claiming
+
+
+def test_a_worker_of_another_process_is_replaced(monkeypatch):
+    """A forked process inherits the parent's executor without its thread."""
+    cpus(monkeypatch, 2)
+    dead = classifiers.concurrent.futures.ThreadPoolExecutor(1)
+    dead.shutdown()
+    stale = classifiers._Worker()
+    stale.pid, stale.executor = os.getpid() + 1, dead
+    monkeypatch.setattr(classifiers, "_worker", stale)
+    ran = []
+    _share_blocks(10, lambda: ran.append)
+    assert sorted(ran) == list(range(10))
+    assert classifiers._worker.pid == os.getpid()
+
+
+POOL_AFTER_WORKER = """
+import json, sys
+from selftrain import bench, classifiers
+classifiers._usable_cpus = lambda: 2
+config = bench.validate_config(bench.preset_config("blobs-small", sys.argv[1]))
+bench.execute_task(config, 1, "st")
+assert classifiers._worker is not None, "the block worker did not start"
+code, doc = bench.run(config, workers=2, out_dir=sys.argv[1])
+print(json.dumps(bench.report_deterministic_view(doc)))
+"""
+
+
+def test_process_pool_after_the_worker_started(tmp_path):
+    """Pool processes forked after the block worker started still run their
+    cells, and report what an in-process run does."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(Path(selftrain.__file__).resolve().parents[1])]
+        + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    done = subprocess.run([sys.executable, "-c", POOL_AFTER_WORKER, str(tmp_path / "pool")],
+                          env=env, capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    pooled = json.loads(done.stdout.splitlines()[-1])
+    config = bench.validate_config(bench.preset_config("blobs-small", str(tmp_path / "one")))
+    _, doc = bench.run(config, workers=1, out_dir=str(tmp_path / "one"))
+    inline = json.loads(json.dumps(bench.report_deterministic_view(doc)))
+    for key in ("cells", "aggregates"):
+        assert pooled[key] == inline[key]

@@ -3,6 +3,7 @@ import csv
 import io
 import time
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -408,6 +409,29 @@ class TestIstTrain:
             before = clustering.fit_call_count()
             ist_train(labeled, unlabeled, test, backbone, cfg)
             assert clustering.fit_call_count() - before == 1
+
+    def test_rounds_hold_no_cluster_model_or_query_list(self, monkeypatch):
+        """Only the query list's rows outlive the set-up: the cluster model's
+        and the query list's other per-row arrays are freed before round 0."""
+        made, alive = [], []
+        build = training.build_query_list
+
+        def recorded(model, unlabeled):
+            qlist = build(model, unlabeled)
+            made.extend(weakref.ref(x) for x in (model, qlist, qlist.ids, qlist.distances))
+            return qlist
+
+        class Ridge(RandomFeatureRidge):
+            def embed(self, X):
+                alive.append([ref() is not None for ref in made])
+                return super().embed(X)
+
+        monkeypatch.setattr(training, "build_query_list", recorded)
+        labeled, unlabeled, test = blob_problem(seed=2)
+        cfg = SelfTrainConfig(mode="ist", rounds=4, schedule=BatchSchedule(0.2, 3), seed=2)
+        _, traj = ist_train(labeled, unlabeled, test, Ridge(4, 2, hidden_width=16, seed=2), cfg)
+        assert len(made) == 4 and alive[0] == [False] * 4
+        assert traj.cluster["method"] == "kmeans" and traj.cluster_seconds > 0
 
     def test_easy_first_exposure(self):
         labeled, unlabeled, test = blob_problem(seed=5)
