@@ -17,14 +17,24 @@ sample, mean shift's final assignment) are read through the transposed view
 instead, uncopied. Sums across columns come from ``_column_sum``, which
 repeats numpy's own order of additions for a row at every width, so the
 outputs are those of numpy's row-wise reductions bit for bit.
+
+Mean shift finds neighbourhoods by products of 256 seeds, which run on the
+calling thread and the block worker (``blocks._share_blocks``), each thread
+in its own set of buffers (``_Products``). A set costs ``256 * n * 8``
+bytes for n rows, 36.8 MB on 17,960 rows; a fit holds at most two, one per
+thread, and frees them when it returns. Each product writes only its own
+seeds' results, so the fit's outputs do not depend on which thread ran it.
 """
 
 from __future__ import annotations
 
+import itertools
 import time
 from dataclasses import dataclass, field, replace
 
 import numpy as np
+
+from .blocks import _share_blocks
 
 _FIT_CALLS = 0  # counts top-level fit_cluster dispatches, for instrumentation
 
@@ -529,16 +539,22 @@ def estimate_bandwidth(X: np.ndarray, quantile: float = 0.3, subsample: int = SU
         X = X[rng.choice(n, size=subsample, replace=False)]
         n = subsample
 
-    dists = []
+    # the distances above the diagonal go, row by row, into one array that the
+    # quantile partitions in place. A list of row arrays, its concatenation and
+    # the quantile's copy took 14.8 MB against 10 MB on 1,000 rows, and the
+    # allocator kept about 5 MB of it resident beside mean shift's products
+    flat = np.empty(n * (n - 1) // 2)
+    at = 0
     for i in range(0, n, 256):
         rows = X[i:i + 256]
         d2 = _sq_dists_to(rows, X)
         for r in range(len(rows)):
-            dists.append(np.sqrt(d2[r, i + r + 1:]))
-    flat = np.concatenate(dists) if dists else np.empty(0)
+            row = d2[r, i + r + 1:]
+            np.sqrt(row, out=flat[at:at + len(row)])
+            at += len(row)
     if flat.size == 0 or flat.max() == 0.0:
         raise ValueError("all points identical; bandwidth is undefined")
-    bw = float(np.quantile(flat, quantile))
+    bw = float(np.quantile(flat, quantile, overwrite_input=True))
     if bw == 0.0:
         bw = float(flat[flat > 0].min())
     return bw
@@ -555,6 +571,20 @@ def _distinct(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return first[order], rank[inverse.ravel()]
 
 
+class _Products:
+    """One thread's buffers for mean shift's neighbourhood products: seed rows,
+    the product G, whose rows then hold the 0/1 weights of the sums, a few
+    in-cache rows of S with a bool mask of their shape, and the sums."""
+
+    def __init__(self, rows: int, X: np.ndarray):
+        n, d = X.shape
+        self.a = np.zeros((rows, d))  # rows past the distinct ones are fill
+        self.g = np.empty((rows, n))
+        self.s = np.empty((min(rows, max(1, SHIFT_BLOCK // n)), n))
+        self.mask = np.empty(self.s.shape, dtype=bool)
+        self.sums = np.empty((rows, d))
+
+
 class _Neighbourhoods:
     """Flat-kernel neighbourhoods in X of seed rows: how many rows of X lie
     within the bandwidth of each seed, and their sum.
@@ -562,13 +592,22 @@ class _Neighbourhoods:
     The reference takes the seeds ``SHIFT_CHUNK`` at a time and forms
     ``within = _sq_dists_to(chunk, X) <= bandwidth ** 2``, its row counts,
     and ``within[hit].astype(float) @ X`` over the rows with a hit. Here
-    ``|x|^2`` is computed once, and every product reuses two float buffers
-    and one bool buffer: ``G = seeds @ X.T``, then, a few rows at a time,
-    ``G *= 2``, ``S = |s|^2 + |x|^2``, ``S -= G`` and ``S <= bandwidth ** 2``
-    are the reference's operations on the same operands in the same order
-    (its clip of S to 0 cannot change a ``<=`` test against a positive
-    square), and G's buffer then holds the 0/1 weights of the sum. S holds
-    only those few rows, which stay in cache.
+    ``|x|^2`` is computed once, and each product runs in a set of buffers
+    reused across products (``_Products``): ``G = seeds @ X.T``, then, a few
+    rows at a time, ``G *= 2``, ``S = |s|^2 + |x|^2``, ``S -= G`` and
+    ``S <= bandwidth ** 2`` are the reference's operations on the same
+    operands in the same order (its clip of S to 0 cannot change a ``<=``
+    test against a positive square). Each row's neighbours are counted from
+    that small mask, and G's buffer then holds the 0/1 weights of the sum.
+    S and the mask hold only those few rows, which stay in cache.
+
+    The products of one ``count`` call write disjoint rows of its results, so
+    they run on the calling thread and the block worker
+    (``blocks._share_blocks``), each thread taking the next product left in
+    a set of buffers of its own. A set holds ``SHIFT_CHUNK`` rows of
+    float64 for G, so each costs ``256 * len(X) * 8`` bytes (36.8 MB on
+    17,960 rows) plus the seeds and sums, ``2 * 256 * d * 8``; at most two
+    sets exist, made on the calling thread and freed with the fit.
 
     Identical seeds have identical neighbourhoods, so each distinct seed is
     taken once per product shape. Both products sum a row's terms in an
@@ -588,28 +627,38 @@ class _Neighbourhoods:
         self.X = X
         self.x_sq = (X * X).sum(1)
         self.bw_sq = bandwidth * bandwidth
-        rows = min(SHIFT_CHUNK, seeds)
-        self.a = np.zeros((rows, X.shape[1]))  # rows past the distinct ones are fill
-        self.g = np.empty((rows, len(X)))
-        self.s = np.empty((min(rows, max(1, SHIFT_BLOCK // len(X))), len(X)))
-        self.within = np.empty((rows, len(X)), dtype=bool)
+        self.rows = min(SHIFT_CHUNK, seeds)
+        self.sets: list[_Products] = []
 
-    def _within(self, seeds: np.ndarray, size: int) -> np.ndarray:
-        """Each seed's neighbourhood mask, by a product of ``size`` rows; G's
-        buffer then holds the mask as 0/1 weights in its first rows."""
-        m = len(seeds)
-        self.a[:m] = seeds
-        np.matmul(self.a[:size], self.X.T, out=self.g[:size])
+    def _sets(self):
+        """The buffer sets, one for each thread that takes part in a call, each
+        made when first asked for."""
+        for i in itertools.count():
+            if i == len(self.sets):
+                self.sets.append(_Products(self.rows, self.X))
+            yield self.sets[i]
+
+    def _within(self, buf: _Products, m: int, size: int) -> np.ndarray:
+        """The neighbour counts of the ``m`` seeds in ``buf.a``, by a product of
+        ``size`` rows; ``buf.g`` then holds their masks as 0/1 weights in its
+        first rows."""
+        seeds = buf.a[:m]
+        np.matmul(buf.a[:size], self.X.T, out=buf.g[:size])
         s_sq = (seeds * seeds).sum(1)
-        step = len(self.s)
+        counts = np.empty(m, dtype=np.int64)
+        step = len(buf.s)
         for lo in range(0, m, step):  # a few rows at a time, so that S stays in cache
-            g = self.g[lo:min(lo + step, m)]
-            s = self.s[:len(g)]
+            g = buf.g[lo:min(lo + step, m)]
+            s, mask = buf.s[:len(g)], buf.mask[:len(g)]
             g *= 2.0
             np.add(s_sq[lo:lo + len(g), None], self.x_sq, out=s)
             s -= g
-            np.copyto(g, np.less_equal(s, self.bw_sq, out=self.within[lo:lo + len(g)]))
-        return self.within[:m]
+            np.less_equal(s, self.bw_sq, out=mask)
+            # row by row: along an axis, count_nonzero sums the mask
+            # as integers, about three times as slow
+            counts[lo:lo + len(g)] = [np.count_nonzero(row) for row in mask]
+            np.copyto(g, mask)
+        return counts
 
     def count(self, seeds: np.ndarray, sums: bool = False):
         """Each seed's neighbour count and, with ``sums``, its neighbours' sum
@@ -618,6 +667,7 @@ class _Neighbourhoods:
         hits = np.empty(n, dtype=np.int64)
         total = np.empty((n, d)) if sums else None
         full = n - n % SHIFT_CHUNK
+        segments, jobs = [], []
         for lo, hi in ((0, full), (full, n)):  # the full chunks, then the short one
             if hi == lo:
                 continue
@@ -625,28 +675,44 @@ class _Neighbourhoods:
             first, inverse = _distinct(seeds[lo:hi])
             first += lo
             h = np.empty(len(first), dtype=np.int64)
-            t = np.empty((len(first), d))
+            t = np.empty((len(first), d)) if sums else None
+            segments.append((lo, hi, inverse, h, t))
             for start in range(0, len(first), size):
-                take = first[start:start + size]
-                within = self._within(seeds[take], size)
-                # row by row: along an axis, count_nonzero sums the mask
-                # as integers, about three times as slow
-                h[start:start + len(take)] = [np.count_nonzero(row) for row in within]
-                if sums:
-                    t[start:start + len(take)] = (self.g[:size] @ self.X)[:len(take)]
+                rows = slice(start, start + size)
+                jobs.append((first[rows], size, h[rows], t[rows] if sums else None))
+
+        def runner():
+            buf = next(sets)
+
+            def product(i):
+                take, size, h, t = jobs[i]
+                # mode="clip" writes straight into buf.a; "raise" would buffer a copy
+                np.take(seeds, take, axis=0, out=buf.a[:len(take)], mode="clip")
+                h[:] = self._within(buf, len(take), size)
+                if t is not None:
+                    t[:] = np.matmul(buf.g[:size], self.X, out=buf.sums[:size])[:len(t)]
+            return product
+
+        sets = self._sets()
+        _share_blocks(len(jobs), runner)
+        for lo, hi, inverse, h, t in segments:
             hits[lo:hi] = h[inverse]
             if sums:
                 total[lo:hi] = t[inverse]
         if sums:
             # a chunk with a seed that has no neighbour summed only the others,
             # by a product of fewer rows; such chunks are formed as they were
+            buf = self.sets[0]
             for start in range(0, n, SHIFT_CHUNK):
-                hit = hits[start:start + SHIFT_CHUNK] > 0
-                if hit.any() and not hit.all():
-                    chunk = seeds[start:start + SHIFT_CHUNK]
-                    w = self.g[:np.count_nonzero(hit)]
-                    np.copyto(w, self._within(chunk, len(chunk))[hit])
-                    total[start + np.flatnonzero(hit)] = w @ self.X
+                hit = np.flatnonzero(hits[start:start + SHIFT_CHUNK] > 0)
+                m = min(SHIFT_CHUNK, n - start)
+                if 0 < len(hit) < m:
+                    buf.a[:m] = seeds[start:start + m]
+                    self._within(buf, m, m)
+                    w = buf.g[:len(hit)]
+                    for j, i in enumerate(hit):  # i >= j: the rows move up in order
+                        w[j] = buf.g[i]
+                    total[start + hit] = w @ self.X
         return (hits, total) if sums else hits
 
 

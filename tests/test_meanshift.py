@@ -12,9 +12,17 @@ its place or its mates among rows of the same count, for the BLAS in use.
 That holds only in the large: OpenBLAS can set the last bit of a product's
 last few rows otherwise, which changes a fit only where that bit decides
 whether a point lies within the bandwidth.
+
+The products of one ``count`` call run on the calling thread and the block
+worker (``blocks._share_blocks``), each thread in buffers of its own. The
+tests that take the ``path`` fixture run once with every product on the
+calling thread and once shared, forced by patching the CPU count the worker
+checks.
 """
 
+import threading
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -24,6 +32,8 @@ from selftrain.clustering import (MAX_ITER, MERGE_TOL, SHIFT_SUBSAMPLE, SUBSAMPL
                                   ClusterModel, MeanShiftConfig, _nearest, _Rows,
                                   estimate_bandwidth, meanshift_fit)
 from selftrain.data import make_blobs
+
+from test_shared_blocks import cpus  # forces the shared path, or the inline one
 
 
 def reference_sq_dists_to(rows, X):
@@ -71,6 +81,25 @@ def reference_meanshift_fit(X, cfg):
     inertia = float(np.sum(distances * distances))
     return ClusterModel("meanshift", centroids, assignments, distances, inertia,
                         time.perf_counter() - t0)
+
+
+def reference_estimate_bandwidth(X, quantile, subsample, seed):
+    X = np.asarray(X, dtype=np.float64)
+    n = X.shape[0]
+    if n > subsample:
+        X = X[np.random.default_rng(seed).choice(n, size=subsample, replace=False)]
+        n = subsample
+    dists = []
+    for i in range(0, n, 256):
+        rows = X[i:i + 256]
+        d2 = reference_sq_dists_to(rows, X)
+        for r in range(len(rows)):
+            dists.append(np.sqrt(d2[r, i + r + 1:]))
+    flat = np.concatenate(dists)
+    bw = float(np.quantile(flat, quantile))
+    if bw == 0.0:
+        bw = float(flat[flat > 0].min())
+    return bw
 
 
 def reference_merge_modes(modes, X, bandwidth):
@@ -153,7 +182,7 @@ def test_rows_that_differ_only_in_the_sign_of_a_zero():
         assert_same_fit(X, bandwidth)
 
 
-def test_seeds_without_a_neighbour_stay_where_they_are():
+def rows_without_a_neighbour():
     # Near 1e7 per column the gram identity's round-off dwarfs a bandwidth of
     # 0.5, so a far row misses even itself unless that rounds to <= 0; far
     # rows that do not miss are drawn again. The first chunk's one near row,
@@ -180,8 +209,13 @@ def test_seeds_without_a_neighbour_stay_where_they_are():
             break
         X[again] = far(len(again))
     assert np.count_nonzero(hits[:256]) == 1 and np.count_nonzero(hits[256:]) == 8
+    return X, len(far_rows)
+
+
+def test_seeds_without_a_neighbour_stay_where_they_are():
+    X, far = rows_without_a_neighbour()
     model = assert_same_fit(X, 0.5)
-    assert model.k == len(far_rows) + 1
+    assert model.k == far + 1
 
 
 @pytest.mark.parametrize("n", [3, 256, 257, 700])
@@ -202,6 +236,19 @@ def test_counts_and_sums_match_the_chunked_products(n):
     assert np.array_equal(hoods.count(seeds), want_hits)
 
 
+@pytest.mark.parametrize("quantile", [0.01, 0.3, 1.0])
+def test_bandwidth_estimate_matches_the_concatenated_rows(wide_rows, quantile):
+    # 2 rows, a few, one chunk and a bit, and a subsample of the wide rows;
+    # many copies of one row make the 0.01 quantile 0, so its fallback runs
+    rng = np.random.default_rng(4)
+    cases = [rng.normal(size=(2, 3)), rng.normal(size=(9, 50)), rng.normal(size=(300, 5)),
+             np.vstack([np.zeros((200, 4)), rng.normal(size=(40, 4))]), wide_rows]
+    for X in cases:
+        want = reference_estimate_bandwidth(X, quantile, SUBSAMPLE, 1)
+        assert estimate_bandwidth(X, quantile, SUBSAMPLE, 1) == want
+    assert reference_estimate_bandwidth(cases[3], 0.01, SUBSAMPLE, 1) > 0.0
+
+
 @pytest.mark.parametrize("d", [2, 5, 50])
 def test_merge_decides_modes_at_the_radius_as_the_loop_did(d):
     # modes within a few ulps of the merge radius from the first one, which
@@ -220,3 +267,128 @@ def test_merge_decides_modes_at_the_radius_as_the_loop_did(d):
     got = clustering._merge_modes(modes, np.ones(len(modes), dtype=np.int64), bandwidth)
     assert got.tobytes() == want.tobytes()
     assert 1 < len(got) < len(modes)  # some merged, some kept
+
+
+@pytest.fixture(params=["inline", "shared"])
+def path(request, monkeypatch):
+    """Every product on the calling thread, or shared with the block worker,
+    which then never rests however little CPU a call gets."""
+    cpus(monkeypatch, 2 if request.param == "shared" else 1)
+    return request.param
+
+
+def clustered_rows(n, seed):
+    """``n`` rows around four 6-D centres, far apart against the unit noise."""
+    rng = np.random.default_rng(seed)
+    centres = rng.normal(size=(4, 6)) * 8.0
+    return centres[np.arange(n) % 4] + rng.normal(size=(n, 6))
+
+
+# the estimated bandwidth, one that finds the four clusters, and one within
+# which every row lies, so that every seed's first mean is the same row
+BANDWIDTHS = {"auto": None, "modes": 4.0, "collapse": 1e3}
+
+
+@pytest.mark.parametrize("bandwidth", list(BANDWIDTHS))
+@pytest.mark.parametrize("n", [1, 255, 256, 257, 3 * 256 + 7, SHIFT_SUBSAMPLE])
+def test_fits_on_both_paths(path, n, bandwidth):
+    # every row seeds: one product, products of 256 rows with and without a
+    # short one, and the short one alone or beside full ones
+    X = clustered_rows(n, seed=n)
+    if n == 1 and bandwidth == "auto":
+        with pytest.raises(ValueError, match="at least two points"):
+            meanshift_fit(X, MeanShiftConfig(seed=0))
+        return
+    model = assert_same_fit(X, BANDWIDTHS[bandwidth])
+    if bandwidth == "collapse":
+        assert model.k == 1
+    elif bandwidth == "modes" and n > 4:
+        assert model.k == 4
+
+
+@pytest.mark.parametrize("n", [257, SHIFT_SUBSAMPLE])
+@pytest.mark.parametrize("d", [2, 50])
+def test_duplicated_seeds_on_both_paths(path, n, d):
+    X = repeated_rows(n, d, max(1, n // 7), seed=n + d)
+    for bandwidth in (0.5, 3.0):
+        assert_same_fit(X, bandwidth)
+
+
+def test_seeds_without_a_neighbour_on_both_paths(path):
+    X, far = rows_without_a_neighbour()
+    assert assert_same_fit(X, 0.5).k == far + 1
+
+
+@pytest.mark.parametrize("n", [257, 700])
+def test_counts_and_sums_on_both_paths(path, n):
+    rng = np.random.default_rng(n)
+    X = rng.normal(size=(400, 20)) * 3.0
+    seeds = np.vstack([repeated_rows(n - n // 2, 20, 5, seed=n),
+                       X[rng.choice(400, size=n // 2, replace=False)]])
+    want_hits, want_sums = reference_counts(seeds, X, 18.0)
+    hoods = clustering._Neighbourhoods(X, 18.0, len(seeds))
+    hits, sums = hoods.count(seeds, sums=True)
+    assert np.array_equal(hits, want_hits)
+    assert sums[hits > 0].tobytes() == want_sums[hits > 0].tobytes()
+    assert len(hoods.sets) == (2 if path == "shared" else 1)
+
+
+def on_the_worker(monkeypatch, product):
+    """Patch each neighbourhood product to call ``product(on_worker)`` first;
+    the caller's products wait until the worker has run one."""
+    caller, ran = threading.get_ident(), threading.Event()
+    within = clustering._Neighbourhoods._within
+
+    def patched(self, buf, m, size):
+        on_worker = threading.get_ident() != caller
+        if on_worker:
+            ran.set()
+        else:
+            ran.wait(10)
+        product(on_worker)
+        return within(self, buf, m, size)
+
+    monkeypatch.setattr(clustering._Neighbourhoods, "_within", patched)
+
+
+def test_both_threads_run_products_of_one_call(monkeypatch, wide_rows):
+    cpus(monkeypatch, 2)
+    threads = set()
+    with monkeypatch.context() as mp:
+        on_the_worker(mp, lambda on_worker: threads.add(on_worker))
+        hoods = clustering._Neighbourhoods(wide_rows, 6.0, SHIFT_SUBSAMPLE)
+        hoods.count(wide_rows[:SHIFT_SUBSAMPLE], sums=True)
+    assert threads == {False, True}
+
+
+def test_an_exception_on_the_worker_reaches_the_caller(monkeypatch, wide_rows):
+    cpus(monkeypatch, 2)
+
+    def product(on_worker):
+        if on_worker:
+            raise FloatingPointError("worker")
+
+    with monkeypatch.context() as mp:
+        on_the_worker(mp, product)
+        with pytest.raises(FloatingPointError, match="worker"):
+            meanshift_fit(wide_rows, MeanShiftConfig(bandwidth=6.0, seed=1))
+    # the next fit runs every product again
+    assert assert_same_fit(wide_rows, 6.0, seed=1).k > 1
+
+
+def test_the_fit_allocates_no_bool_matrix_of_the_products_shape(path):
+    # Each thread's set holds a float64 (256, n) product; a (256, n) bool
+    # matrix beside it would add an eighth. Everything else the fit allocates
+    # on rows this narrow stays well under that eighth.
+    n = 20_000
+    X = clustered_rows(n, seed=5)
+    sets = 2 if path == "shared" else 1
+    product = 256 * n * 8
+    tracemalloc.start()
+    try:
+        model = meanshift_fit(X, MeanShiftConfig(bandwidth=1e3, seed=0))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert model.k == 1
+    assert sets * product <= peak < sets * product + 256 * n

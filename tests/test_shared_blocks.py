@@ -1,8 +1,8 @@
 """The ridge's embedding and scoring blocks, run on the caller and one worker thread.
 
 ``RandomFeatureRidge.embed`` and ``_scores`` split their rows into blocks of
-``classifiers.SCORE_BLOCK`` bytes and hand them to ``_share_blocks``, which
-runs them on the calling thread and on the process's worker thread. A
+``classifiers.SCORE_BLOCK`` bytes and hand them to ``blocks._share_blocks``,
+which runs them on the calling thread and on the process's worker thread. A
 block's rows and operations are fixed by its index, so every output must be
 byte-identical whichever thread ran a block and whether a worker exists.
 The shared path is forced on, or off, by patching the CPU count the worker
@@ -21,18 +21,20 @@ import numpy as np
 import pytest
 
 import selftrain
-from selftrain import bench, classifiers
-from selftrain.classifiers import RandomFeatureRidge, _block_rows, _share_blocks
+from selftrain import bench, blocks, classifiers
+from selftrain.blocks import _share_blocks
+from selftrain.classifiers import RandomFeatureRidge, _block_rows
 
 
 def cpus(monkeypatch, count):
     """Force the shared path (``count`` 2) or the inline one (1). The worker
     starts without rest and never rests, however little CPU a call gets."""
-    monkeypatch.setattr(classifiers, "_usable_cpus", lambda: count)
-    monkeypatch.setattr(classifiers, "MIN_CPU_SHARE", 0.0)
-    worker = classifiers._block_worker()
+    monkeypatch.setattr(blocks, "_usable_cpus", lambda: count)
+    monkeypatch.setattr(blocks, "MIN_CPU_SHARE", 0.0)
+    worker = blocks._block_worker()
     if worker is not None:
         monkeypatch.setattr(worker, "rest", 0)
+        monkeypatch.setattr(worker, "next_rest", blocks.REST_CALLS)
 
 
 def fitted(width, class_count, n, seed=0):
@@ -60,11 +62,11 @@ def test_embed_equals_one_product(width, input_dim):
 
 @pytest.mark.parametrize("class_count", [2, 4, 10])
 @pytest.mark.parametrize("width", [2, 50, 64, 512, 784])
-@pytest.mark.parametrize("blocks", ["0", "1", "b-1", "b", "b+1", "10b+7"])
-def test_shared_path_equals_inline_path(monkeypatch, width, class_count, blocks):
+@pytest.mark.parametrize("case", ["0", "1", "b-1", "b", "b+1", "10b+7"])
+def test_shared_path_equals_inline_path(monkeypatch, width, class_count, case):
     step = _block_rows(width)
     n = {"0": 0, "1": 1, "b-1": step - 1, "b": step, "b+1": step + 1,
-         "10b+7": 10 * step + 7}[blocks]
+         "10b+7": 10 * step + 7}[case]
     model, X, H = fitted(width, class_count, n, seed=width + class_count)
     rng = np.random.default_rng(n)
     chosen = [None]
@@ -110,16 +112,40 @@ def test_a_starved_caller_rests_the_worker(monkeypatch):
     """A caller that was on a CPU for less than ``MIN_CPU_SHARE`` of its
     blocks' wall time runs the next ``REST_CALLS`` calls alone."""
     cpus(monkeypatch, 2)
-    monkeypatch.setattr(classifiers, "MIN_CPU_SHARE", 0.75)
-    worker, caller = classifiers._block_worker(), threading.get_ident()
+    monkeypatch.setattr(blocks, "MIN_CPU_SHARE", 0.75)
+    worker, caller = blocks._block_worker(), threading.get_ident()
     _share_blocks(8, lambda: lambda i: time.sleep(0.002))  # sleeping takes no CPU
-    assert worker.rest == classifiers.REST_CALLS
-    for _ in range(classifiers.REST_CALLS):
+    assert worker.rest == blocks.REST_CALLS
+    for _ in range(blocks.REST_CALLS):
         threads = set()
         _share_blocks(8, lambda: lambda i: threads.add(threading.get_ident()))
         assert threads == {caller}
     assert worker.rest == 0
     assert both_threads_run_blocks()
+
+
+def test_the_rest_doubles_while_calls_keep_starving(monkeypatch):
+    """Each starved call that ends a rest starts one twice as long; a call that
+    is not starved brings the next rest back to ``REST_CALLS``."""
+    cpus(monkeypatch, 2)
+    monkeypatch.setattr(blocks, "MIN_CPU_SHARE", 0.75)
+    worker = blocks._block_worker()
+
+    def starved():
+        _share_blocks(8, lambda: lambda i: time.sleep(0.002))  # sleeping takes no CPU
+
+    for rest in (1, 2, 4):
+        starved()
+        assert worker.rest == rest * blocks.REST_CALLS
+        for _ in range(worker.rest):
+            _share_blocks(8, lambda: lambda i: None)
+        assert worker.rest == 0
+    monkeypatch.setattr(blocks, "MIN_CPU_SHARE", 0.0)
+    starved()  # judged, and not starved at a share of 0
+    assert worker.rest == 0 and worker.next_rest == blocks.REST_CALLS
+    monkeypatch.setattr(blocks, "MIN_CPU_SHARE", 0.75)
+    starved()
+    assert worker.rest == blocks.REST_CALLS
 
 
 def test_one_cpu_runs_every_block_on_the_caller(monkeypatch):
@@ -211,24 +237,24 @@ def test_an_exception_on_the_worker_reaches_the_caller(monkeypatch):
 def test_a_worker_of_another_process_is_replaced(monkeypatch):
     """A forked process inherits the parent's executor without its thread."""
     cpus(monkeypatch, 2)
-    dead = classifiers.concurrent.futures.ThreadPoolExecutor(1)
+    dead = blocks.concurrent.futures.ThreadPoolExecutor(1)
     dead.shutdown()
-    stale = classifiers._Worker()
+    stale = blocks._Worker()
     stale.pid, stale.executor = os.getpid() + 1, dead
-    monkeypatch.setattr(classifiers, "_worker", stale)
+    monkeypatch.setattr(blocks, "_worker", stale)
     ran = []
     _share_blocks(10, lambda: ran.append)
     assert sorted(ran) == list(range(10))
-    assert classifiers._worker.pid == os.getpid()
+    assert blocks._worker.pid == os.getpid()
 
 
 POOL_AFTER_WORKER = """
 import json, sys
-from selftrain import bench, classifiers
-classifiers._usable_cpus = lambda: 2
+from selftrain import bench, blocks
+blocks._usable_cpus = lambda: 2
 config = bench.validate_config(bench.preset_config("blobs-small", sys.argv[1]))
 bench.execute_task(config, 1, "st")
-assert classifiers._worker is not None, "the block worker did not start"
+assert blocks._worker is not None, "the block worker did not start"
 code, doc = bench.run(config, workers=2, out_dir=sys.argv[1])
 print(json.dumps(bench.report_deterministic_view(doc)))
 """
