@@ -3,12 +3,16 @@
 A process has at most one worker thread, started on first use and only where
 the process may run on 2 or more CPUs and was not started by a process pool.
 ``_share_blocks`` runs blocks ``0..count-1`` on the calling thread and on the
-worker, each thread taking the next block no thread has claimed. A block
+worker, each thread taking the next block no thread has claimed.
+``_start_blocks`` starts the same blocks on the worker alone and returns a
+join, which has the caller take the blocks still left and then wait for the
+worker, so the caller can do other work meanwhile. A block
 writes only its own part of the output and runs the same operations
 whichever thread runs it, so no output depends on which thread ran a block
 or on whether a worker exists. The ridge's embedding and scoring blocks
 (``classifiers``) and mean shift's neighbourhood products (``clustering``)
-run here.
+run here, and IST starts the ridge's embedding while it fits k-means on the
+calling thread (``training``).
 
 A caller that gets too little time on a CPU while it shares a call rests the
 worker for the next calls (``MIN_CPU_SHARE``), and for twice as many each
@@ -81,18 +85,24 @@ def _block_worker() -> _Worker | None:
         return _worker
 
 
-def _share_blocks(count: int, runner) -> None:
-    """Run blocks ``0..count-1`` on the calling thread and the process's worker.
+def _start_blocks(count: int, runner):
+    """Start blocks ``0..count-1`` on the process's worker, and return their join.
 
     ``runner()`` returns one thread's function of a block index, which may
-    own buffers. It is called here, on the calling thread, once for each
-    thread that takes part, so the buffers come from the caller's malloc
-    arena rather than one the worker would keep for itself. Each thread
-    runs the next block no thread has claimed until none is left. The first
-    exception stops the claiming and is raised here once both threads are
-    done. Without a worker, for a single block, or while the worker rests
-    (see ``MIN_CPU_SHARE``), the same loop runs on the calling thread alone.
-    A block must not share blocks itself: the worker would wait on its own
+    own buffers. It is called on the calling thread, once for each thread
+    that takes part, here for the worker and in the join for the caller, so
+    the buffers come from the caller's malloc arena rather than one the
+    worker would keep for itself. The worker starts taking blocks at once,
+    each the next block no thread has claimed, and the caller is free until
+    it calls ``join()``. The join runs on the calling thread every block
+    still unclaimed, waits for the worker and raises the first exception
+    either thread met; the first exception also stops the claiming.
+    ``join(cancel=True)`` instead claims the blocks left without running
+    them, waits for the worker and raises nothing, so that a caller that
+    failed between start and join leaves no block running. Without a
+    worker, for a single block, or while the worker rests (see
+    ``MIN_CPU_SHARE``), nothing starts and the join runs every block. A
+    block must not share blocks itself: the worker would wait on its own
     queue.
     """
     # under the GIL, each next() of a range iterator hands out a distinct index
@@ -103,7 +113,7 @@ def _share_blocks(count: int, runner) -> None:
         try:
             for i in claims:
                 run(i)
-        except BaseException as exc:  # noqa: BLE001 - raised again in the caller below
+        except BaseException as exc:  # noqa: BLE001 - raised again in the join below
             errors.append(exc)
             for _ in claims:  # leave the other thread nothing to claim
                 pass
@@ -115,23 +125,35 @@ def _share_blocks(count: int, runner) -> None:
             worker.rest -= resting
         if resting:
             worker = None
-    if worker is None:
-        drain(runner())
-    else:
-        done = worker.executor.submit(drain, runner())
-        run = runner()
-        wall, cpu = time.perf_counter(), time.thread_time()
-        drain(run)
-        wall, cpu = time.perf_counter() - wall, time.thread_time() - cpu
-        # a worker that has not started finds nothing left to claim
-        if not done.cancel():
-            done.result()
-        if wall >= MIN_JUDGED_SECONDS:
-            with _worker_lock:
-                if cpu < MIN_CPU_SHARE * wall:
-                    worker.rest = worker.next_rest
-                    worker.next_rest *= 2
-                else:
-                    worker.next_rest = REST_CALLS
-    if errors:
-        raise errors[0]
+    done = None if worker is None else worker.executor.submit(drain, runner())
+
+    def join(cancel: bool = False) -> None:
+        if cancel:
+            for _ in claims:
+                pass
+        else:
+            run = runner()
+            wall, cpu = time.perf_counter(), time.thread_time()
+            drain(run)
+            wall, cpu = time.perf_counter() - wall, time.thread_time() - cpu
+        if done is not None:
+            # a worker that has not started finds nothing left to claim
+            if not done.cancel():
+                done.result()
+            if not cancel and wall >= MIN_JUDGED_SECONDS:
+                with _worker_lock:
+                    if cpu < MIN_CPU_SHARE * wall:
+                        worker.rest = worker.next_rest
+                        worker.next_rest *= 2
+                    else:
+                        worker.next_rest = REST_CALLS
+        if errors and not cancel:
+            raise errors[0]
+
+    return join
+
+
+def _share_blocks(count: int, runner) -> None:
+    """Run blocks ``0..count-1`` on the calling thread and the process's worker,
+    and return once all have run: ``_start_blocks`` joined at once."""
+    _start_blocks(count, runner)()

@@ -24,10 +24,12 @@ writes its own rows of the output, so no output depends on which thread ran
 a block or on whether a worker exists. Each thread that takes part in a
 scoring call has its own buffer of one block's scores and, on gathered
 rows, its own 512 KB gather buffer; the embedding's blocks write straight
-into H. A process on one CPU, or started by a process pool, runs every block
-on the calling thread, and so does a caller that the worker cost more than
-it gave, for a while after a call in which it got too little time on a CPU
-(``blocks.MIN_CPU_SHARE``).
+into H. ``start_embed`` starts an embedding's blocks on the worker alone
+and returns H with a join (``blocks._start_blocks``), so that the caller
+can work while the worker embeds. A process on one CPU, or started by a
+process pool, runs every block on the calling thread, and so does a caller
+that the worker cost more than it gave, for a while after a call in which
+it got too little time on a CPU (``blocks.MIN_CPU_SHARE``).
 """
 
 from __future__ import annotations
@@ -38,7 +40,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .blocks import _share_blocks
+from .blocks import _share_blocks, _start_blocks
 from .clustering import _column_sum
 
 # Bytes of embedded rows one scoring product reads or one embedding product
@@ -157,6 +159,16 @@ class ClassifierModel(ABC):
     def embed(self, X: np.ndarray) -> np.ndarray:
         return np.asarray(X, dtype=np.float64)
 
+    def start_embed(self, *parts: np.ndarray):
+        """``embed`` of the rows of ``parts`` stacked, and its join.
+
+        Returns ``(H, join)``: H may be filled only once ``join()`` has
+        returned, which raises any error of the embedding, and
+        ``join(cancel=True)`` abandons it. The default embeds at once.
+        """
+        H = self.embed(np.vstack(parts))
+        return H, lambda cancel=False: None
+
     def fit_embedded(self, H: np.ndarray, y: np.ndarray,
                      sample_weight: np.ndarray | None = None,
                      rows: np.ndarray | None = None) -> "ClassifierModel":
@@ -194,12 +206,13 @@ class RandomFeatureRidge(ClassifierModel):
     ``embed`` is the map ``tanh(X @ projection + bias)``; it never changes
     after construction, so callers embed their rows once and refit on the
     cached features. It computes the map block by block, ``SCORE_BLOCK``
-    bytes of output rows at a time, the last block taking the rest. The
-    result equals one product over all rows bit for bit wherever measured
-    (OpenBLAS 0.3.31, input widths 2-784, one and two BLAS threads). A short
-    block after long ones would not: OpenBLAS gives a short product, a
-    one-row product above all, another kernel than the same rows inside a
-    longer one.
+    bytes of output rows at a time, the last block taking the rest;
+    ``start_embed`` takes the same blocks over several parts of rows as if
+    they were stacked. The result equals one product over all rows bit for
+    bit wherever measured (OpenBLAS 0.3.31, input widths 2-784, one and two
+    BLAS threads). A short block after long ones would not: OpenBLAS gives
+    a short product, a one-row product above all, another kernel than the
+    same rows inside a longer one.
 
     A fit on fewer rows than ``hidden_width`` (counting repeats) solves the
     ridge's n x n dual system over the gathered rows (Saunders, Gammerman &
@@ -258,25 +271,42 @@ class RandomFeatureRidge(ClassifierModel):
         return {**self.__dict__, "_held": None}
 
     def embed(self, X: np.ndarray) -> np.ndarray:
-        X = np.asarray(X, dtype=np.float64)
-        if X.ndim != 2 or X.shape[1] != self.input_dim:
-            raise ValueError(f"expected {self.input_dim} input features, got "
-                             f"{X.shape[1] if X.ndim == 2 else '?'}")
-        n = len(X)
+        H, join = self.start_embed(X)
+        join()
+        return H
+
+    def start_embed(self, *parts):
+        """The map of the rows of ``parts`` stacked, started on the block worker.
+
+        The blocks are those of the stacked rows, the last taking the rest,
+        and a block's rows are a view of one part; only a block that spans
+        two parts is gathered, so the stacked rows are never copied.
+        """
+        parts = [np.ascontiguousarray(X, dtype=np.float64) for X in parts]
+        for X in parts:
+            if X.ndim != 2 or X.shape[1] != self.input_dim:
+                raise ValueError(f"expected {self.input_dim} input features, got "
+                                 f"{X.shape[1] if X.ndim == 2 else '?'}")
+        starts = np.cumsum([0] + [len(X) for X in parts]).tolist()
+        n = starts[-1]
         H = np.empty((n, self.hidden_width))
         step = _block_rows(self.hidden_width)
         count = max(1, n // step)
 
         def embed_block(i):
             # the last block takes the rest, so no product is shorter than a block
-            rows = slice(i * step, n if i == count - 1 else (i + 1) * step)
-            Hb = H[rows]
-            np.matmul(X[rows], self.projection, out=Hb)
+            lo, hi = i * step, n if i == count - 1 else (i + 1) * step
+            pieces = [X[max(lo - s, 0):hi - s] for X, s in zip(parts, starts)
+                      if s < hi and lo < s + len(X)]
+            # a view of one part, unless the block spans parts or has no rows
+            Xb = (pieces[0] if len(pieces) == 1
+                  else np.concatenate([np.empty((0, self.input_dim))] + pieces))
+            Hb = H[lo:hi]
+            np.matmul(Xb, self.projection, out=Hb)
             Hb += self.bias
             np.tanh(Hb, out=Hb)
 
-        _share_blocks(count, lambda: embed_block)
-        return H
+        return H, _start_blocks(count, lambda: embed_block)
 
     def _checked(self, H: np.ndarray, rows: np.ndarray | None):
         """``H`` as float64 and ``rows`` as indices, after checking both."""

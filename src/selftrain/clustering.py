@@ -16,7 +16,9 @@ rows, the cluster sums. Rows assigned only once (``assign``, a mini-batch
 sample, mean shift's final assignment) are read through the transposed view
 instead, uncopied. Sums across columns come from ``_column_sum``, which
 repeats numpy's own order of additions for a row at every width, so the
-outputs are those of numpy's row-wise reductions bit for bit.
+outputs are those of numpy's row-wise reductions bit for bit. k-means++
+takes the same order over squared differences that it forms 8 columns at
+a time, as the sum reaches them, and so holds no ``(d, n)`` buffer.
 
 Mean shift finds neighbourhoods by products of 256 seeds, which run on the
 calling thread and the block worker (``blocks._share_blocks``), each thread
@@ -176,21 +178,26 @@ def _column_sum(cols: np.ndarray) -> np.ndarray:
     (CI runs them at the oldest numpy allowed too). Should numpy change its
     order, the results drift by a few ulps from numpy's and those tests fail.
     """
-    return _pairwise(cols, 0, len(cols))
+    return _pairwise(lambda lo, hi: cols[lo:hi], 0, len(cols))
 
 
-def _pairwise(cols: np.ndarray, lo: int, m: int) -> np.ndarray:
-    """numpy's pairwise sum of rows ``lo`` to ``lo + m`` of ``cols``, elementwise."""
+def _pairwise(rows, lo: int, m: int) -> np.ndarray:
+    """numpy's pairwise sum of rows ``lo`` to ``lo + m`` of a matrix, elementwise.
+
+    ``rows(a, b)`` gives the matrix's rows ``a:b``, at most 8 of them, and
+    they need stay valid only until its next call, so the matrix can be
+    formed a group of rows at a time.
+    """
     if m < _NARROW:
-        out = cols[lo] + 0.0
+        out = rows(lo, lo + 1)[0] + 0.0
         for c in range(lo + 1, lo + m):
-            out += cols[c]
+            out += rows(c, c + 1)[0]
         return out
     if m <= _PAIRWISE_BLOCK:
         stop = lo + m - m % 8
-        acc = cols[lo:lo + 8] + 0.0  # the eight accumulators
+        acc = rows(lo, lo + 8) + 0.0  # the eight accumulators
         for c in range(lo + 8, stop, 8):
-            acc += cols[c:c + 8]
+            acc += rows(c, c + 8)
         acc[0] += acc[1]
         acc[2] += acc[3]
         acc[0] += acc[2]
@@ -199,11 +206,11 @@ def _pairwise(cols: np.ndarray, lo: int, m: int) -> np.ndarray:
         acc[4] += acc[6]
         out = acc[0] + acc[4]
         for c in range(stop, lo + m):
-            out += cols[c]
+            out += rows(c, c + 1)[0]
         return out
     half = m // 2 - m // 2 % 8
-    out = _pairwise(cols, lo, half)
-    out += _pairwise(cols, lo + half, m - half)
+    out = _pairwise(rows, lo, half)
+    out += _pairwise(rows, lo + half, m - half)
     return out
 
 
@@ -357,16 +364,22 @@ def assign(model: ClusterModel, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _init_centroids(rows: _Rows, k: int, rng: np.random.Generator) -> np.ndarray:
-    """k-means++: each seed drawn in proportion to squared distance from the chosen set."""
+    """k-means++: each seed drawn in proportion to squared distance from the chosen set.
+
+    A seed's squared distances are summed by ``_pairwise`` from squared
+    differences formed up to 8 columns at a time, in one reused buffer of
+    8 rows, so a fit never holds all d of them.
+    """
     X, cols = rows.X, rows.cols
-    n = X.shape[0]
-    centroids = np.empty((k, X.shape[1]), dtype=np.float64)
-    sq = np.empty_like(cols)  # reused for every seed's squared differences, by column
+    n, d = X.shape
+    centroids = np.empty((k, d), dtype=np.float64)
+    sq = np.empty((min(d, 8), n))  # one group of columns' squared differences
 
     def sq_dists(c: np.ndarray) -> np.ndarray:
-        np.subtract(cols, c[:, None], out=sq)
-        np.square(sq, out=sq)
-        return _column_sum(sq)
+        def squares(lo, hi):
+            out = np.subtract(cols[lo:hi], c[lo:hi, None], out=sq[:hi - lo])
+            return np.square(out, out=out)
+        return _pairwise(squares, 0, d)
 
     centroids[0] = X[rng.integers(n)]
     closest = sq_dists(centroids[0])

@@ -7,14 +7,19 @@ column for each cluster's member sums. Each must equal what it replaces bit
 for bit, so the references below are the row-wise code the fits used
 before, kept here. Widths on both sides of 8 are drawn, since the kernels
 switch there, and for the sum and k-means++ widths up to 300, past the
-pairwise sum's 128-element blocks.
+pairwise sum's 128-element blocks; k-means++, which forms its squared
+differences 8 columns at a time, is also checked at each width where the
+order of additions changes, and up to 784 columns.
 
 The nearest centroid on narrow rows is the brute force computed by the same
 two folds, so its exactness rests on these tests holding for the numpy in
 use: numpy sums fewer than 8 elements one by one, and from 8 on pairwise.
 """
 
+import tracemalloc
+
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -124,6 +129,32 @@ def test_mean_update_matches_the_reference(case, k):
     centroids = rng.normal(size=(k, X.shape[1]))
     got = clustering._mean_update(clustering._Rows(X), assignments, distances, centroids)
     assert same_bits(got, reference_mean_update(X, assignments, distances, centroids))
+
+
+@pytest.mark.parametrize("d", [1, 2, 7, 8, 9, 16, 127, 128, 129, 136, 257, 784])
+def test_init_centroids_match_the_reference_at_every_width(d):
+    """k-means++ sums its squared differences a group of columns at a time in
+    numpy's order at every width: a fold below 8 columns, eight accumulators
+    up to 128 and halves above."""
+    rng = np.random.default_rng(d)
+    X = rng.normal(size=(201, d)) * 10.0 ** rng.integers(-3, 4, d)
+    for k in (1, 5):
+        got = clustering._init_centroids(clustering._Rows(X), k, np.random.default_rng(k))
+        assert same_bits(got, reference_init_centroids(X, k, np.random.default_rng(k)))
+
+
+def test_init_centroids_hold_no_buffer_of_every_column():
+    """The squared differences are formed 8 columns at a time, so the traced
+    peak of k-means++ on wide rows stays far below one (d, n) buffer."""
+    X = np.random.default_rng(5).normal(size=(4000, 784))
+    rows = clustering._Rows(X)
+    tracemalloc.start()
+    try:
+        clustering._init_centroids(rows, 3, np.random.default_rng(5))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.1 * X.nbytes
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)

@@ -334,10 +334,11 @@ def test_fitted_model_does_not_keep_the_run_embedding_alive():
     embedded = []
 
     class Ridge(RandomFeatureRidge):
-        def embed(self, X):
-            H = super().embed(X)
+        # every embedding of the ridge, embed's included, starts here
+        def start_embed(self, *parts):
+            H, join = super().start_embed(*parts)
             embedded.append(weakref.ref(H))
-            return H
+            return H, join
 
     labeled, unlabeled, test = split_ssl(make_blobs(4, 60, 2, 0.5, 3), 4, 0.25, 3)
     model, _ = st_train(labeled, unlabeled, test, Ridge(4, 2, hidden_width=16, seed=3),

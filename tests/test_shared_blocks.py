@@ -5,8 +5,10 @@
 which runs them on the calling thread and on the process's worker thread. A
 block's rows and operations are fixed by its index, so every output must be
 byte-identical whichever thread ran a block and whether a worker exists.
-The shared path is forced on, or off, by patching the CPU count the worker
-checks.
+``RandomFeatureRidge.start_embed`` embeds several parts of rows as if
+stacked, started on the worker by ``blocks._start_blocks`` and finished by
+its join. The shared path is forced on, or off, by patching the CPU count
+the worker checks.
 """
 
 import json
@@ -22,8 +24,8 @@ import pytest
 
 import selftrain
 from selftrain import bench, blocks, classifiers
-from selftrain.blocks import _share_blocks
-from selftrain.classifiers import RandomFeatureRidge, _block_rows
+from selftrain.blocks import _share_blocks, _start_blocks
+from selftrain.classifiers import RandomFeatureRidge, SoftmaxSGD, _block_rows
 
 
 def cpus(monkeypatch, count):
@@ -247,6 +249,171 @@ def test_a_worker_of_another_process_is_replaced(monkeypatch):
     assert sorted(ran) == list(range(10))
     assert blocks._worker.pid == os.getpid()
 
+
+
+def test_started_blocks_equal_the_inline_loop(monkeypatch):
+    """Blocks started on the worker and joined give the bytes the inline loop does."""
+    rng = np.random.default_rng(11)
+    A, B = rng.normal(size=(40 * 33, 17)), rng.normal(size=(17, 9))
+
+    def products():
+        out = np.empty((len(A), 9))
+
+        def block(i):
+            rows = slice(33 * i, 33 * (i + 1))
+            np.tanh(np.matmul(A[rows], B, out=out[rows]), out=out[rows])
+        return out, block
+
+    out, block = products()
+    for i in range(40):
+        block(i)
+    want = out.tobytes()
+    for count in (1, 2):
+        cpus(monkeypatch, count)
+        out, block = products()
+        join = _start_blocks(40, lambda: block)
+        join()
+        assert out.tobytes() == want
+
+
+def test_the_worker_runs_started_blocks_before_the_join(monkeypatch):
+    cpus(monkeypatch, 2)
+    caller, threads, ran = threading.get_ident(), set(), threading.Event()
+
+    def block(i):
+        threads.add(threading.get_ident())
+        if i == 9:
+            ran.set()
+
+    join = _start_blocks(10, lambda: block)
+    assert ran.wait(10)  # the caller took no block: the worker ran them all
+    join()
+    assert threads and caller not in threads
+
+
+def test_an_error_on_the_worker_surfaces_at_the_join(monkeypatch):
+    cpus(monkeypatch, 2)
+    failed, ran = threading.Event(), []
+
+    def block(i):
+        ran.append(i)
+        if i == 2:
+            failed.set()
+            raise KeyError("worker")
+
+    join = _start_blocks(20, lambda: block)
+    assert failed.wait(10)
+    with pytest.raises(KeyError, match="worker"):
+        join()
+    assert ran == [0, 1, 2]  # the failure stopped the claiming
+
+
+def test_a_cancelled_join_leaves_no_block_running(monkeypatch):
+    """A caller that fails between start and join cancels it: the join claims
+    what is left, waits for the block the worker is in and raises nothing, so
+    no block of it runs beside the next call's."""
+    cpus(monkeypatch, 2)
+    running, ran, started = [0], [], threading.Event()
+
+    def block(i):
+        running[0] += 1
+        started.set()
+        time.sleep(0.01)
+        ran.append(i)
+        running[0] -= 1
+        if i == 1:
+            raise KeyError("the embedding failed too")
+
+    join = _start_blocks(1000, lambda: block)
+    assert started.wait(10)
+    try:
+        raise RuntimeError("the caller's own work failed")
+    except RuntimeError:
+        join(cancel=True)
+    assert running == [0] and len(ran) < 1000
+    overlapped = []
+    _share_blocks(8, lambda: lambda i: overlapped.append(running[0]))
+    assert overlapped == [0] * 8 and len(ran) < 1000
+
+
+@pytest.mark.parametrize("how", ["no worker", "resting"])
+def test_a_join_without_the_worker_runs_every_block(monkeypatch, how):
+    cpus(monkeypatch, 1 if how == "no worker" else 2)
+    if how == "resting":
+        monkeypatch.setattr(blocks._block_worker(), "rest", 1)
+    threads = []
+    join = _start_blocks(50, lambda: lambda i: threads.append((i, threading.get_ident())))
+    time.sleep(0.05)
+    assert threads == []  # nothing started
+    join()
+    assert threads == [(i, threading.get_ident()) for i in range(50)]
+    if how == "resting":
+        assert blocks._block_worker().rest == 0 and both_threads_run_blocks()
+
+
+def test_a_shared_call_between_start_and_join_completes(monkeypatch):
+    """The caller shares blocks of another call (as mean shift and scoring do)
+    while the worker is still in a started one: it runs them alone."""
+    cpus(monkeypatch, 2)
+    caller, busy, release = threading.get_ident(), threading.Event(), threading.Event()
+    started = []
+
+    def hold(i):
+        started.append(i)
+        if threading.get_ident() != caller and i == 0:
+            busy.set()
+            release.wait(10)
+
+    join = _start_blocks(4, lambda: hold)
+    assert busy.wait(10)
+    t0 = time.perf_counter()
+    threads = []
+    _share_blocks(8, lambda: lambda i: threads.append(threading.get_ident()))
+    assert time.perf_counter() - t0 < 5 and threads == [caller] * 8
+    release.set()
+    join()
+    assert sorted(started) == [0, 1, 2, 3]
+
+
+def stacked_cases(step):
+    """(n_l, n_u) pairs around the block boundaries of ``step``-row blocks."""
+    sizes = (0, 1, step - 1, step, step + 1, 3 * step + 5)
+    return [(n_l, n_u) for n_l in sizes for n_u in (0, 1, step, 3 * step + 5)]
+
+
+@pytest.mark.parametrize("width", [64, 512])
+def test_embedding_from_parts_equals_the_stacked_embedding(monkeypatch, width):
+    rng = np.random.default_rng(width)
+    model = RandomFeatureRidge(10, 50, hidden_width=width, seed=width)
+    step = _block_rows(width)
+    for count in (1, 2):
+        cpus(monkeypatch, count)
+        for n_l, n_u in stacked_cases(step):
+            X_l, X_u = rng.normal(size=(n_l, 50)), rng.normal(size=(n_u, 50))
+            want = model.embed(np.vstack([X_l, X_u]))
+            H, join = model.start_embed(X_l, X_u)
+            join()
+            assert H.shape == want.shape and H.tobytes() == want.tobytes(), (n_l, n_u)
+        # three parts, one block spanning all three
+        parts = [rng.normal(size=(n, 50)) for n in (step - 2, 3, 2 * step)]
+        H, join = model.start_embed(*parts)
+        join()
+        assert H.tobytes() == model.embed(np.vstack(parts)).tobytes()
+
+
+def test_embedding_from_parts_checks_every_part():
+    model = RandomFeatureRidge(3, 4, hidden_width=8)
+    with pytest.raises(ValueError, match="expected 4 input features, got 3"):
+        model.start_embed(np.zeros((5, 4)), np.zeros((5, 3)))
+
+
+def test_the_default_embedding_from_parts_is_at_once():
+    """Backbones without their own ``start_embed`` embed the stacked rows at once."""
+    model = SoftmaxSGD(3, 4)
+    parts = [np.arange(8.0).reshape(2, 4), np.ones((3, 4))]
+    H, join = model.start_embed(*parts)
+    assert H.tobytes() == np.vstack(parts).tobytes()
+    assert join() is None and join(cancel=True) is None
 
 POOL_AFTER_WORKER = """
 import json, sys

@@ -1,20 +1,26 @@
 import copy
 import csv
+import importlib.util
 import io
+import sys
+import threading
 import time
 import tracemalloc
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from selftrain import clustering, training
+import selftrain
+from selftrain import bench, clustering, training
 from selftrain.classifiers import ClassifierModel, RandomFeatureRidge, SoftmaxSGD, softmax
 from selftrain.data import Dataset, UnlabeledSet, make_blobs, split_ssl
 from selftrain.querylist import BatchSchedule
 from selftrain.training import (PseudoPool, SelfTrainConfig, TrainingRoundError,
                                 evaluate, ist_train, pseudo_error_rate,
                                 pseudo_label_pool, st_train)
+from test_shared_blocks import cpus
 
 
 class TableClassifier(ClassifierModel):
@@ -709,15 +715,17 @@ class TestEmbedOncePerRun:
         calls = []
 
         class Ridge(RandomFeatureRidge):
-            def embed(self, X):
-                calls.append(len(X))
-                return super().embed(X)
+            # every embedding of the ridge, embed's included, starts here
+            def start_embed(self, *parts):
+                calls.append([len(X) for X in parts])
+                return super().start_embed(*parts)
 
         labeled, unlabeled, test, traj = self.run(mode, Ridge(4, 2, hidden_width=16))
         assert traj.rounds_completed == 5
-        # the training rows, then the test rows, before any fit; round 0's fit
-        # on the labeled rows alone embeds them; no later round embeds
-        assert calls == [labeled.n_l + unlabeled.n_u, test.n, labeled.n_l]
+        # the training rows, as two parts never stacked, then the test rows,
+        # before any fit; round 0's fit on the labeled rows alone embeds them;
+        # no later round embeds
+        assert calls == [[labeled.n_l, unlabeled.n_u], [test.n], [labeled.n_l]]
 
     def test_embedding_time_lands_in_round_zero(self):
         _, _, _, traj = self.run("st", CountingBackbone(4, delay=0.3))
@@ -740,3 +748,138 @@ class TestEmbedOncePerRun:
         # the cache plus block-sized buffers; one more pool-sized matrix (a
         # gathered or weighted copy, or the map recomputed) would double it
         assert peak < 1.5 * cached
+
+
+def load_spans():
+    """The benchmark's tracer module, loaded from this checkout."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+    spec = importlib.util.spec_from_file_location("perfbench_spans", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # its dataclasses look their module up
+    spec.loader.exec_module(module)
+    return module
+
+
+class TestEmbeddingBesideTheClusterFit:
+    """IST starts embedding the labeled and unlabeled rows on the block worker
+    before a cluster fit that runs on the calling thread alone, and round 0
+    joins it."""
+
+    def logged_run(self, method, input_dim=2):
+        """A cell's inputs and a ridge that logs each start and join of an
+        embedding into ``log``."""
+        log = []
+
+        class Ridge(RandomFeatureRidge):
+            def start_embed(self, *parts):
+                log.append(("embed", [len(X) for X in parts]))
+                H, join = super().start_embed(*parts)
+
+                def logged_join(cancel=False):
+                    log.append(("join", cancel))
+                    return join(cancel)
+                return H, logged_join
+
+        labeled, unlabeled, test = blob_problem(seed=2)
+        cfg = SelfTrainConfig(mode="ist", rounds=5, schedule=BatchSchedule(0.25, 3),
+                              cluster_method=method, seed=2)
+        backbone = Ridge(4, input_dim, hidden_width=64, seed=2)
+        return labeled, unlabeled, test, backbone, cfg, log
+
+    @pytest.mark.parametrize("method", clustering.METHODS)
+    def test_caller_fits_run_beside_the_embedding(self, monkeypatch, method):
+        labeled, unlabeled, test, backbone, cfg, log = self.logged_run(method)
+        fit = training.fit_cluster
+
+        def logged_fit(*args, **kwargs):
+            log.append(("fit", args[0]))
+            return fit(*args, **kwargs)
+
+        monkeypatch.setattr(training, "fit_cluster", logged_fit)
+        _, traj = ist_train(labeled, unlabeled, test, backbone, cfg)
+        assert traj.rounds_completed == 5
+        training_rows = ("embed", [labeled.n_l, unlabeled.n_u])
+        if method in training.CALLER_FITS:
+            want = [training_rows, ("fit", method), ("join", False)]
+        else:  # mean shift shares its products with the worker: it embeds after
+            want = [("fit", method), training_rows, ("join", False)]
+        assert log[:3] == want
+        assert [entry[0] for entry in log[3:]] == ["embed", "join"] * 2  # test and round 0's rows
+
+    @pytest.mark.parametrize("method", training.CALLER_FITS)
+    def test_overlapped_runs_equal_runs_that_embed_after_the_fit(self, monkeypatch, method):
+        cpus(monkeypatch, 2)
+        runs = []
+        for caller_fits in (training.CALLER_FITS, ()):
+            monkeypatch.setattr(training, "CALLER_FITS", caller_fits)
+            labeled, unlabeled, test = blob_problem(seed=6, per_class=400)
+            cfg = SelfTrainConfig(mode="ist", rounds=5, schedule=BatchSchedule(0.25, 3),
+                                  cluster_method=method, seed=6)
+            runs.append(ist_train(labeled, unlabeled, test,
+                                  RandomFeatureRidge(4, 2, hidden_width=512, seed=6), cfg))
+        (model_a, traj_a), (model_b, traj_b) = runs
+        assert traj_a.deterministic_fields() == traj_b.deterministic_fields()
+        assert model_a.weights.tobytes() == model_b.weights.tobytes()
+
+    @pytest.mark.parametrize("where", ["start", "join"])
+    def test_a_failing_embedding_fails_round_zero(self, where):
+        labeled, unlabeled, test, backbone, cfg, log = self.logged_run(
+            "kmeans", input_dim=3 if where == "start" else 2)
+        if where == "join":
+            start = backbone.start_embed
+
+            def failing_start(*parts):
+                H, join = start(*parts)
+
+                def failing_join(cancel=False):
+                    join(cancel)
+                    if not cancel:
+                        raise ValueError("the embedding failed")
+                return H, failing_join
+
+            backbone.start_embed = failing_start
+        with pytest.raises(TrainingRoundError) as err:
+            ist_train(labeled, unlabeled, test, backbone, cfg)
+        traj = err.value.trajectory
+        assert err.value.round_index == traj.failed_round == 0
+        assert traj.rounds_completed == 0
+        # the partial trajectory holds the cluster fit that ran beside the embedding
+        assert traj.cluster["method"] == "kmeans" and traj.cluster_seconds > 0
+        want = "expected 3 input features" if where == "start" else "the embedding failed"
+        assert want in traj.failure_message
+
+    def test_a_failing_cluster_fit_cancels_the_embedding(self, monkeypatch):
+        cpus(monkeypatch, 2)
+        labeled, unlabeled, test, backbone, cfg, log = self.logged_run("kmeans")
+
+        def failing_fit(*args, **kwargs):
+            raise RuntimeError("the fit failed")
+
+        monkeypatch.setattr(training, "fit_cluster", failing_fit)
+        with pytest.raises(RuntimeError, match="the fit failed"):
+            ist_train(labeled, unlabeled, test, backbone, cfg)
+        assert log == [("embed", [labeled.n_l, unlabeled.n_u]), ("join", True)]
+
+    def test_no_traced_function_runs_on_the_worker(self, monkeypatch):
+        """The benchmark's tracer assumes one thread: every function it wraps
+        runs on the calling thread, also while the worker embeds."""
+        cpus(monkeypatch, 2)
+        spans = load_spans()
+        threads = set()
+
+        class Tracer(spans.Tracer):
+            def span(self, name):
+                threads.add(threading.get_ident())
+                return super().span(name)
+
+        config = bench.validate_config(bench.preset_config("blobs-small"))
+        tracer = Tracer()
+        spans.instrument(tracer, selftrain)
+        try:
+            for method in ("st", "kmeans", "minibatch_kmeans"):
+                bench.execute_task(config, 1, method)
+        finally:
+            tracer.unwrap_all()
+        names = {s.name for s in tracer.spans}
+        assert {"clustering.fit", "classifiers.fit", "training.pseudo_label"} <= names
+        assert threads == {threading.get_ident()}
