@@ -14,9 +14,12 @@ or on whether a worker exists. The ridge's embedding and scoring blocks
 run here, and IST starts the ridge's embedding while it fits k-means on the
 calling thread (``training``).
 
-A caller that gets too little time on a CPU while it shares a call rests the
-worker for the next calls (``MIN_CPU_SHARE``), and for twice as many each
-time the first call after a rest is starved again.
+A caller that gets too little time on a CPU from a call's start to the end
+of its own blocks rests the worker for the next calls (``MIN_CPU_SHARE``),
+and for twice as many each time the first call after a rest is starved
+again. For a started call that span holds the caller's own work before the
+join, such as IST's k-means fit, so a worker that starves that work rests
+too.
 """
 
 from __future__ import annotations
@@ -27,8 +30,9 @@ import os
 import threading
 import time
 
-# When the caller spends less than this share of its own blocks' wall time on
-# a CPU, the worker has cost it more than it gave back. With another process
+# When the caller spends less than this share of the wall time from a call's
+# start to the end of its own blocks on a CPU, the worker has cost it more
+# than it gave back. With another process
 # busy on one of 2 vCPUs, three threads share two CPUs, and a thread waits for
 # the interpreter lock while the one holding it is off its CPU: shared calls
 # in `pool-2d` cells then took longer than calls on the caller alone, and the
@@ -37,9 +41,9 @@ import time
 # run on the caller alone, and twice as many after each further such call
 # that ends a rest, so under a steady load the rest stays shorter than the
 # calls the load has lasted but a call pays for the load ever more rarely. A
-# caller that drains for less than MIN_JUDGED_SECONDS is not judged: one
-# hand-over of the interpreter lock is a large part of so short a call, and
-# such calls tripped the rest on idle vCPUs.
+# call whose caller ends its blocks less than MIN_JUDGED_SECONDS after the
+# start is not judged: one hand-over of the interpreter lock is a large part
+# of so short a call, and such calls tripped the rest on idle vCPUs.
 MIN_CPU_SHARE = 0.75
 REST_CALLS = 8
 MIN_JUDGED_SECONDS = 1e-3
@@ -101,9 +105,10 @@ def _start_blocks(count: int, runner):
     them, waits for the worker and raises nothing, so that a caller that
     failed between start and join leaves no block running. Without a
     worker, for a single block, or while the worker rests (see
-    ``MIN_CPU_SHARE``), nothing starts and the join runs every block. A
-    block must not share blocks itself: the worker would wait on its own
-    queue.
+    ``MIN_CPU_SHARE``), nothing starts and the join runs every block. The
+    join judges the caller's time on a CPU from the start, so it must run
+    on the thread that started the call. A block must not share blocks
+    itself: the worker would wait on its own queue.
     """
     # under the GIL, each next() of a range iterator hands out a distinct index
     claims = iter(range(count))
@@ -125,6 +130,7 @@ def _start_blocks(count: int, runner):
             worker.rest -= resting
         if resting:
             worker = None
+    wall0, cpu0 = time.perf_counter(), time.thread_time()
     done = None if worker is None else worker.executor.submit(drain, runner())
 
     def join(cancel: bool = False) -> None:
@@ -132,11 +138,10 @@ def _start_blocks(count: int, runner):
             for _ in claims:
                 pass
         else:
-            run = runner()
-            wall, cpu = time.perf_counter(), time.thread_time()
-            drain(run)
-            wall, cpu = time.perf_counter() - wall, time.thread_time() - cpu
+            drain(runner())
         if done is not None:
+            # the caller's span from the start, up to its wait for the worker
+            wall, cpu = time.perf_counter() - wall0, time.thread_time() - cpu0
             # a worker that has not started finds nothing left to claim
             if not done.cancel():
                 done.result()

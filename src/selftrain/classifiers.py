@@ -25,11 +25,11 @@ a block or on whether a worker exists. Each thread that takes part in a
 scoring call has its own buffer of one block's scores and, on gathered
 rows, its own 512 KB gather buffer; the embedding's blocks write straight
 into H. ``start_embed`` starts an embedding's blocks on the worker alone
-and returns H with a join (``blocks._start_blocks``), so that the caller
-can work while the worker embeds. A process on one CPU, or started by a
-process pool, runs every block on the calling thread, and so does a caller
-that the worker cost more than it gave, for a while after a call in which
-it got too little time on a CPU (``blocks.MIN_CPU_SHARE``).
+and returns a join that gives H (``blocks._start_blocks``), so that the
+caller can work while the worker embeds. A process on one CPU, or started
+by a process pool, runs every block on the calling thread, and so does a
+caller that the worker cost more than it gave, for a while after a call in
+which it got too little time on a CPU (``blocks.MIN_CPU_SHARE``).
 """
 
 from __future__ import annotations
@@ -160,14 +160,15 @@ class ClassifierModel(ABC):
         return np.asarray(X, dtype=np.float64)
 
     def start_embed(self, *parts: np.ndarray):
-        """``embed`` of the rows of ``parts`` stacked, and its join.
+        """Start ``embed`` of the rows of ``parts`` stacked, and return its join.
 
-        Returns ``(H, join)``: H may be filled only once ``join()`` has
-        returned, which raises any error of the embedding, and
-        ``join(cancel=True)`` abandons it. The default embeds at once.
+        ``join()`` returns the embedding H and raises any error of it;
+        ``join(cancel=True)`` abandons it and returns None. The default
+        starts nothing: its join embeds the stacked rows.
         """
-        H = self.embed(np.vstack(parts))
-        return H, lambda cancel=False: None
+        def join(cancel: bool = False):
+            return None if cancel else self.embed(np.vstack(parts))
+        return join
 
     def fit_embedded(self, H: np.ndarray, y: np.ndarray,
                      sample_weight: np.ndarray | None = None,
@@ -271,9 +272,7 @@ class RandomFeatureRidge(ClassifierModel):
         return {**self.__dict__, "_held": None}
 
     def embed(self, X: np.ndarray) -> np.ndarray:
-        H, join = self.start_embed(X)
-        join()
-        return H
+        return self.start_embed(X)()
 
     def start_embed(self, *parts):
         """The map of the rows of ``parts`` stacked, started on the block worker.
@@ -306,7 +305,12 @@ class RandomFeatureRidge(ClassifierModel):
             Hb += self.bias
             np.tanh(Hb, out=Hb)
 
-        return H, _start_blocks(count, lambda: embed_block)
+        join_blocks = _start_blocks(count, lambda: embed_block)
+
+        def join(cancel: bool = False):
+            join_blocks(cancel)
+            return None if cancel else H
+        return join
 
     def _checked(self, H: np.ndarray, rows: np.ndarray | None):
         """``H`` as float64 and ``rows`` as indices, after checking both."""

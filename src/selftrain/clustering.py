@@ -367,8 +367,10 @@ def _init_centroids(rows: _Rows, k: int, rng: np.random.Generator) -> np.ndarray
     """k-means++: each seed drawn in proportion to squared distance from the chosen set.
 
     A seed's squared distances are summed by ``_pairwise`` from squared
-    differences formed up to 8 columns at a time, in one reused buffer of
-    8 rows, so a fit never holds all d of them.
+    differences formed up to 8 columns at a time, in one reused
+    ``(min(d, 8), n)`` buffer, so a fit never holds all d of them. The sum
+    adds its own accumulators: one ``(8, n)`` array for each group of 8 to
+    128 columns it sums, made afresh per group, and rows of n partial sums.
     """
     X, cols = rows.X, rows.cols
     n, d = X.shape

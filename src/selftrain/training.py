@@ -6,10 +6,10 @@ every later round predicts over the current pool, keeps members whose
 confidence clears the threshold, refits on labeled + selected pseudo-labeled
 rows, and evaluates. The backbone embeds the labeled and unlabeled rows, and
 the test rows, once, at the start of the timed loop; where IST's cluster fit
-runs on the calling thread alone (k-means, mini-batch k-means), the block
-worker embeds the labeled and unlabeled rows during that fit instead, and
-the loop starts by joining that embedding. Rounds fit, score and
-evaluate on those caches, so a backbone that updates its fit from the last
+runs on the calling thread alone (k-means, mini-batch k-means), a backbone
+that embeds on the block worker (the ridge) embeds the labeled and
+unlabeled rows during that fit instead, and the loop starts by joining that
+embedding. Rounds fit, score and evaluate on those caches, so a backbone that updates its fit from the last
 one (the ridge) pays per round for the rows that changed. Once every
 unlabeled row is in the pool, the pool is scored as a whole rather than
 gathered. Inside a run an unlabeled sample is known by its row alone: the
@@ -138,9 +138,10 @@ class TrainingTrajectory:
 
     - ``fit_s``: refitting the backbone (in round 0 also embedding the
       labeled, unlabeled and test rows; where IST's cluster fit runs on the
-      calling thread, the embedding of the labeled and unlabeled rows
-      starts before that fit and round 0 holds only its join, the blocks
-      the worker had not finished);
+      calling thread and the backbone embeds on the block worker, the
+      embedding of the labeled and unlabeled rows starts before that fit
+      and round 0 holds only its join, the blocks the worker had not
+      finished);
     - ``predict_s``: scoring the pool and refreshing its pseudo-labels;
     - ``select_s``: admitting the round's batch and gathering the selected
       rows and labels;
@@ -313,10 +314,10 @@ def _run_rounds(labeled: LabeledSet, unlabeled: UnlabeledSet, test: Dataset,
 
     ``cluster_seconds`` and ``cluster`` are the time and the diagnostics
     (:meth:`ClusterModel.diagnostics`) of IST's clustering, which the
-    trajectory records; 0 and None for ST. ``embedding`` is the
-    ``(H, join)`` of the labeled and unlabeled rows where the caller has
-    started it (:func:`_start_embedding`); round 0 starts it otherwise, and
-    joins it either way.
+    trajectory records; 0 and None for ST. ``embedding`` is the join of
+    the embedding of the labeled and unlabeled rows where the caller has
+    started it (:meth:`ClassifierModel.start_embed`); round 0 starts it
+    otherwise, and joins it either way.
     """
     traj = TrainingTrajectory(mode=cfg.mode, seed=cfg.seed)
     traj.cluster_seconds, traj.cluster = cluster_seconds, cluster
@@ -349,8 +350,7 @@ def _run_rounds(labeled: LabeledSet, unlabeled: UnlabeledSet, test: Dataset,
 
     try:
         # the frozen per-row features, once per run: rounds index into them
-        H, join = embedding or backbone.start_embed(labeled.features, unlabeled.features)
-        join()
+        H = (embedding or backbone.start_embed(labeled.features, unlabeled.features))()
         H_test = backbone.embed(test.features)
         backbone.fit(labeled.features, labeled.labels)
     except ValueError as exc:
@@ -405,41 +405,28 @@ def ist_train(labeled: LabeledSet, unlabeled: UnlabeledSet, test: Dataset,
     The pool admits the query list's rows, cut where the id batches are.
 
     A fit that runs on the calling thread alone (``CALLER_FITS``) runs
-    while the block worker embeds the labeled and unlabeled rows, which
-    round 0 then joins; a fit that fails abandons that embedding before
-    its exception leaves. Mean shift shares its products with the worker, so
-    its cells embed after the fit, and do not hold the embedding beside
-    the fit's product buffers.
+    after ``backbone.start_embed`` of the labeled and unlabeled rows, which
+    round 0 then joins: the ridge's block worker embeds during the fit,
+    while a backbone that starts nothing embeds in round 0. A fit that
+    fails abandons that embedding before its exception leaves. Mean shift
+    shares its products with the worker, so its cells embed after the fit,
+    and do not hold the embedding beside the fit's product buffers.
     """
     if cfg.mode != "ist":
         raise ValueError("ist_train requires cfg.mode == 'ist'")
     embedding = None
     if cfg.cluster_method in CALLER_FITS:
-        embedding = _start_embedding(backbone, labeled, unlabeled)
+        try:
+            embedding = backbone.start_embed(labeled.features, unlabeled.features)
+        except ValueError:  # round 0 starts it again and records the error
+            pass
     try:
         return _run_rounds(labeled, unlabeled, test, backbone, cfg,
                            *_query_batches(labeled.class_count, unlabeled, cfg), embedding)
     except BaseException:
         if embedding is not None:  # a joined embedding has nothing left to cancel
-            embedding[1](cancel=True)
+            embedding(cancel=True)
         raise
-
-
-def _start_embedding(backbone: ClassifierModel, labeled: LabeledSet, unlabeled: UnlabeledSet):
-    """``backbone.start_embed`` of the labeled and unlabeled rows.
-
-    A ValueError of the start is raised again by the join, so that round 0
-    records it as it records an embedding that fails there.
-    """
-    try:
-        return backbone.start_embed(labeled.features, unlabeled.features)
-    except ValueError as exc:
-        error = exc
-
-    def join(cancel=False):
-        if not cancel:
-            raise error
-    return None, join
 
 
 def _query_batches(class_count: int, unlabeled: UnlabeledSet, cfg: SelfTrainConfig):

@@ -336,9 +336,13 @@ def test_fitted_model_does_not_keep_the_run_embedding_alive():
     class Ridge(RandomFeatureRidge):
         # every embedding of the ridge, embed's included, starts here
         def start_embed(self, *parts):
-            H, join = super().start_embed(*parts)
-            embedded.append(weakref.ref(H))
-            return H, join
+            join = super().start_embed(*parts)
+
+            def recorded_join(cancel=False):
+                H = join(cancel)
+                embedded.append(weakref.ref(H))
+                return H
+            return recorded_join
 
     labeled, unlabeled, test = split_ssl(make_blobs(4, 60, 2, 0.5, 3), 4, 0.25, 3)
     model, _ = st_train(labeled, unlabeled, test, Ridge(4, 2, hidden_width=16, seed=3),

@@ -336,6 +336,27 @@ def test_a_cancelled_join_leaves_no_block_running(monkeypatch):
     assert overlapped == [0] * 8 and len(ran) < 1000
 
 
+def test_a_caller_starved_before_the_join_rests_the_worker(monkeypatch):
+    """A started call is judged from its start: a caller that was on a CPU
+    for too little of the time before its join rests the worker, though it
+    found no block left to run."""
+    cpus(monkeypatch, 2)
+    monkeypatch.setattr(blocks, "MIN_CPU_SHARE", 0.75)
+    worker = blocks._block_worker()
+    for starved in (False, True):
+        ran = threading.Event()
+        join = _start_blocks(2, lambda: lambda i: ran.set() if i == 1 else None)
+        assert ran.wait(10)
+        if starved:
+            time.sleep(0.01)  # the caller's own work, off its CPU
+        else:
+            until = time.thread_time() + 0.01
+            while time.thread_time() < until:  # the caller's own work, on its CPU
+                pass
+        join()
+        assert worker.rest == (blocks.REST_CALLS if starved else 0)
+
+
 @pytest.mark.parametrize("how", ["no worker", "resting"])
 def test_a_join_without_the_worker_runs_every_block(monkeypatch, how):
     cpus(monkeypatch, 1 if how == "no worker" else 2)
@@ -391,13 +412,11 @@ def test_embedding_from_parts_equals_the_stacked_embedding(monkeypatch, width):
         for n_l, n_u in stacked_cases(step):
             X_l, X_u = rng.normal(size=(n_l, 50)), rng.normal(size=(n_u, 50))
             want = model.embed(np.vstack([X_l, X_u]))
-            H, join = model.start_embed(X_l, X_u)
-            join()
+            H = model.start_embed(X_l, X_u)()
             assert H.shape == want.shape and H.tobytes() == want.tobytes(), (n_l, n_u)
         # three parts, one block spanning all three
         parts = [rng.normal(size=(n, 50)) for n in (step - 2, 3, 2 * step)]
-        H, join = model.start_embed(*parts)
-        join()
+        H = model.start_embed(*parts)()
         assert H.tobytes() == model.embed(np.vstack(parts)).tobytes()
 
 
@@ -407,13 +426,22 @@ def test_embedding_from_parts_checks_every_part():
         model.start_embed(np.zeros((5, 4)), np.zeros((5, 3)))
 
 
-def test_the_default_embedding_from_parts_is_at_once():
-    """Backbones without their own ``start_embed`` embed the stacked rows at once."""
-    model = SoftmaxSGD(3, 4)
+def test_the_default_embedding_from_parts_runs_in_the_join():
+    """Backbones without their own ``start_embed`` start nothing: the join
+    embeds the stacked rows, and a cancelled join embeds nothing."""
+    embedded = []
+
+    class Model(SoftmaxSGD):
+        def embed(self, X):
+            embedded.append(len(X))
+            return super().embed(X)
+
+    model = Model(3, 4)
     parts = [np.arange(8.0).reshape(2, 4), np.ones((3, 4))]
-    H, join = model.start_embed(*parts)
-    assert H.tobytes() == np.vstack(parts).tobytes()
-    assert join() is None and join(cancel=True) is None
+    join = model.start_embed(*parts)
+    assert embedded == [] and join(cancel=True) is None and embedded == []
+    assert model.start_embed(*parts)().tobytes() == np.vstack(parts).tobytes()
+    assert embedded == [5]
 
 POOL_AFTER_WORKER = """
 import json, sys

@@ -731,6 +731,31 @@ class TestEmbedOncePerRun:
         _, _, _, traj = self.run("st", CountingBackbone(4, delay=0.3))
         assert traj.cum_seconds[0] >= 0.3
 
+    @pytest.mark.parametrize("method", ["kmeans", "minibatch_kmeans"])
+    def test_an_embedding_that_starts_nothing_lands_in_round_zero(self, monkeypatch, method):
+        """Beside a cluster fit on the calling thread, a backbone whose
+        ``start_embed`` starts nothing still embeds after the fit, in round
+        0's timed ``fit_s``, as ST does."""
+        log = []
+        fit = training.fit_cluster
+
+        def logged_fit(*args, **kwargs):
+            log.append("fit")
+            return fit(*args, **kwargs)
+
+        class Backbone(CountingBackbone):
+            def embed(self, X):
+                log.append("embed")
+                return super().embed(X)
+
+        monkeypatch.setattr(training, "fit_cluster", logged_fit)
+        labeled, unlabeled, test = blob_problem(seed=0)
+        cfg = SelfTrainConfig(mode="ist", rounds=5, schedule=BatchSchedule(0.25, 3),
+                              cluster_method=method, seed=0)
+        _, traj = ist_train(labeled, unlabeled, test, Backbone(4, delay=0.3), cfg)
+        assert log == ["fit", "embed", "embed"]  # the training rows, then the test rows
+        assert traj.fit_s[0] >= 0.3 and traj.cum_seconds[0] >= 0.3
+
     def test_rounds_allocate_no_pool_sized_copy(self):
         ds = make_blobs(4, 2500, 2, 0.8, 7)
         labeled, unlabeled, test = split_ssl(ds, 4, 0.02, 7)
@@ -773,12 +798,12 @@ class TestEmbeddingBesideTheClusterFit:
         class Ridge(RandomFeatureRidge):
             def start_embed(self, *parts):
                 log.append(("embed", [len(X) for X in parts]))
-                H, join = super().start_embed(*parts)
+                join = super().start_embed(*parts)
 
                 def logged_join(cancel=False):
                     log.append(("join", cancel))
                     return join(cancel)
-                return H, logged_join
+                return logged_join
 
         labeled, unlabeled, test = blob_problem(seed=2)
         cfg = SelfTrainConfig(mode="ist", rounds=5, schedule=BatchSchedule(0.25, 3),
@@ -829,13 +854,13 @@ class TestEmbeddingBesideTheClusterFit:
             start = backbone.start_embed
 
             def failing_start(*parts):
-                H, join = start(*parts)
+                join = start(*parts)
 
                 def failing_join(cancel=False):
                     join(cancel)
                     if not cancel:
                         raise ValueError("the embedding failed")
-                return H, failing_join
+                return failing_join
 
             backbone.start_embed = failing_start
         with pytest.raises(TrainingRoundError) as err:
