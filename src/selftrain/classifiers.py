@@ -9,8 +9,8 @@ fewer rows n than features, and in the primal from there up.
 Work along the class axis (the max and sum of ``softmax``, the top class of
 a probability row) is done as whole-array passes over the classes, one or a
 few per class, rather than as a reduction per row: rows are many and classes
-few. Each pass gives the row-wise reduction's result bit for bit; the sum
-follows numpy's own order at every class count (``clustering._column_sum``).
+few. The max and the top class give the row-wise reduction's result bit
+for bit; the sum is a left fold over the classes (``clustering._column_sum``).
 The ridge scores into a class-major buffer, one contiguous row per class, so
 these passes read contiguous memory, and returns the (rows, classes)
 transpose of that buffer, whose columns are contiguous.
@@ -59,10 +59,11 @@ def _softmax_into(z: np.ndarray) -> np.ndarray:
     """Softmax over the classes of float64 ``z``, which holds one class per row,
     computed in ``z`` itself.
 
-    Bit-identical to the row-wise softmax of ``z.T``: ``z.T - z.T.max(1)``,
-    ``exp``, ``/ z.T.sum(1)``. The max is a fold of ``np.maximum`` over the
-    class rows and the sum ``_column_sum``, so every step is a pass over
-    whole class rows, contiguous when ``z`` is.
+    The row-wise softmax of ``z.T``: ``z.T - z.T.max(1)``, ``exp``, and a
+    division by the sum over the classes. The max is a fold of
+    ``np.maximum`` over the class rows and the sum ``_column_sum``'s left
+    fold, so every step is a pass over whole class rows, contiguous when
+    ``z`` is.
     """
     top = z[0].copy()
     for j in range(1, len(z)):
@@ -76,9 +77,9 @@ def _softmax_into(z: np.ndarray) -> np.ndarray:
 def softmax(logits: np.ndarray) -> np.ndarray:
     """Row-wise softmax of ``logits``, which is left unchanged.
 
-    Bit-identical to ``z = logits - logits.max(1)``, ``exp(z)``,
-    ``z / z.sum(1)``; the row max and the row sum are taken by passes over
-    the class columns.
+    ``z = logits - logits.max(1)``, ``exp(z)``, then ``z`` over its row sum,
+    taken as a left fold over the classes; the row max and the row sum are
+    taken by passes over the class columns.
     """
     z = np.array(logits, dtype=np.float64)
     _softmax_into(z.T)

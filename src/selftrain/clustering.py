@@ -14,11 +14,10 @@ passes that reduce across a row's few columns read each column as a
 contiguous row: the k-means++ distances, the nearest centroid and, on narrow
 rows, the cluster sums. Rows assigned only once (``assign``, a mini-batch
 sample, mean shift's final assignment) are read through the transposed view
-instead, uncopied. Sums across columns come from ``_column_sum``, which
-repeats numpy's own order of additions for a row at every width, so the
-outputs are those of numpy's row-wise reductions bit for bit. k-means++
-takes the same order over squared differences that it forms 8 columns at
-a time, as the sum reaches them, and so holds no ``(d, n)`` buffer.
+instead, uncopied. Sums across columns are left folds over them
+(``_column_sum``), the one order of such sums in this package. k-means++
+forms each column's squared differences as the fold reaches it, and so
+holds no ``(d, n)`` buffer.
 
 Mean shift finds neighbourhoods by products of 256 seeds, which run on the
 calling thread and the block worker (``blocks._share_blocks``), each thread
@@ -153,64 +152,27 @@ def _sq_dists_to(rows: np.ndarray, X: np.ndarray) -> np.ndarray:
     return d2
 
 
-# numpy sums a contiguous row of fewer than 8 elements one by one onto +0.0.
-# From 8 to 128 it adds every 8th element into each of eight accumulators,
-# adds those pairwise and then the rest one by one; above 128 it splits the
-# row at a multiple of 8 near its middle and adds the two halves' sums
-# (pairwise summation). So only on rows narrower than 8 columns is a left fold
-# over the columns numpy's sum, and there the nearest centroid needs no GEMM.
+# numpy sums a contiguous row of fewer than 8 elements one by one onto +0.0,
+# so below 8 columns a left fold is numpy's own sum (criterion 5b's brute
+# force) and the nearest centroid needs no GEMM.
 _NARROW = 8
-_PAIRWISE_BLOCK = 128
 
 
-def _column_sum(cols: np.ndarray) -> np.ndarray:
-    """The sum of the rows of ``cols``, bit for bit numpy's ``a.sum(axis=1)`` for
-    the row-major matrix ``a`` whose columns they are (``cols`` is ``a.T``).
+def _column_sum(rows) -> np.ndarray:
+    """The elementwise sum of ``rows``, a 2-D array or any iterable of equal 1-D
+    arrays, as a left fold: ``((rows[0] + 0.0) + rows[1]) + ...``.
 
-    Each of numpy's steps on a row of ``a`` is taken here as one pass over
-    whole rows of ``cols``, contiguous when ``cols`` is. Each accumulator
-    starts as its first row plus +0.0, which turns -0.0 into +0.0 as numpy's
-    start from +0.0 does; no other result can tell the two apart.
-
-    The order is numpy's private one, not part of its API: the equality holds
-    as far as ``tests/test_column_kernels.py`` and
-    ``tests/test_contiguous_axis.py`` check it, at the numpy they run on
-    (CI runs them at the oldest numpy allowed too). Should numpy change its
-    order, the results drift by a few ulps from numpy's and those tests fail.
+    This is the order of every sum across a short axis here: the softmax's
+    sum over the class rows and k-means++'s sum over the columns. Each step
+    is one pass over a whole row, contiguous when the rows are. Starting from
+    the first row plus +0.0 turns -0.0 into +0.0, as a fold from +0.0 does.
+    A row need stay valid only until the next is drawn, so the rows can be
+    formed one at a time in one buffer.
     """
-    return _pairwise(lambda lo, hi: cols[lo:hi], 0, len(cols))
-
-
-def _pairwise(rows, lo: int, m: int) -> np.ndarray:
-    """numpy's pairwise sum of rows ``lo`` to ``lo + m`` of a matrix, elementwise.
-
-    ``rows(a, b)`` gives the matrix's rows ``a:b``, at most 8 of them, and
-    they need stay valid only until its next call, so the matrix can be
-    formed a group of rows at a time.
-    """
-    if m < _NARROW:
-        out = rows(lo, lo + 1)[0] + 0.0
-        for c in range(lo + 1, lo + m):
-            out += rows(c, c + 1)[0]
-        return out
-    if m <= _PAIRWISE_BLOCK:
-        stop = lo + m - m % 8
-        acc = rows(lo, lo + 8) + 0.0  # the eight accumulators
-        for c in range(lo + 8, stop, 8):
-            acc += rows(c, c + 8)
-        acc[0] += acc[1]
-        acc[2] += acc[3]
-        acc[0] += acc[2]
-        acc[4] += acc[5]
-        acc[6] += acc[7]
-        acc[4] += acc[6]
-        out = acc[0] + acc[4]
-        for c in range(stop, lo + m):
-            out += rows(c, c + 1)[0]
-        return out
-    half = m // 2 - m // 2 % 8
-    out = _pairwise(rows, lo, half)
-    out += _pairwise(rows, lo + half, m - half)
+    rows = iter(rows)
+    out = next(rows) + 0.0
+    for row in rows:
+        out += row
     return out
 
 
@@ -267,10 +229,10 @@ def _nearest(rows: _Rows, centroids: np.ndarray):
     Rows narrower than 8 columns take the brute force itself: each centroid's
     row of a ``(k, rows)`` block folds ``(col - c) ** 2`` over the columns
     from left to right, each column read as a contiguous row of ``cols``,
-    which below 8 columns is numpy's own sum bit for bit (see
-    ``_column_sum``; a square is never -0.0, so the fold may start from the
-    first), and ``_column_argmin`` gives the argmin and its value, whose root
-    is the distance. Unlike argmin's, its fold lets no NaN win.
+    which below 8 columns is numpy's own sum bit for bit (see ``_NARROW``; a
+    square is never -0.0, so the fold may start from the first), and
+    ``_column_argmin`` gives the argmin and its value, whose root is the
+    distance. Unlike argmin's, its fold lets no NaN win.
 
     Wider rows cost one GEMM per chunk, ``(k, d)`` by the chunk's ``(d, rows)``
     columns. The gram identity gives ``p = |c|^2 - 2 x.c``, the squared
@@ -363,28 +325,30 @@ def assign(model: ClusterModel, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return _nearest(_Rows(X, reused=False), model.centroids)
 
 
+def _squared_distances(cols: np.ndarray, centre: np.ndarray, buf: np.ndarray) -> np.ndarray:
+    """Each row's squared distance to ``centre``, ``_column_sum`` of the squared
+    differences over the columns ``cols`` (``X.T``).
+
+    Each column's squares are formed in the one reused row ``buf`` just before
+    the fold adds them, so no ``(d, n)`` buffer is held.
+    """
+    return _column_sum(np.square(np.subtract(col, c, out=buf), out=buf)
+                       for col, c in zip(cols, centre))
+
+
 def _init_centroids(rows: _Rows, k: int, rng: np.random.Generator) -> np.ndarray:
     """k-means++: each seed drawn in proportion to squared distance from the chosen set.
 
-    A seed's squared distances are summed by ``_pairwise`` from squared
-    differences formed up to 8 columns at a time, in one reused
-    ``(min(d, 8), n)`` buffer, so a fit never holds all d of them. The sum
-    adds its own accumulators: one ``(8, n)`` array for each group of 8 to
-    128 columns it sums, made afresh per group, and rows of n partial sums.
+    A seed's squared distances come from ``_squared_distances``, which holds
+    two rows of n: the reused row of one column's squared differences and
+    the running sum.
     """
     X, cols = rows.X, rows.cols
     n, d = X.shape
     centroids = np.empty((k, d), dtype=np.float64)
-    sq = np.empty((min(d, 8), n))  # one group of columns' squared differences
-
-    def sq_dists(c: np.ndarray) -> np.ndarray:
-        def squares(lo, hi):
-            out = np.subtract(cols[lo:hi], c[lo:hi, None], out=sq[:hi - lo])
-            return np.square(out, out=out)
-        return _pairwise(squares, 0, d)
-
+    buf = np.empty(n)  # one column's squared differences
     centroids[0] = X[rng.integers(n)]
-    closest = sq_dists(centroids[0])
+    closest = _squared_distances(cols, centroids[0], buf)
     for j in range(1, k):
         total = closest.sum()
         if total <= 0:
@@ -392,7 +356,7 @@ def _init_centroids(rows: _Rows, k: int, rng: np.random.Generator) -> np.ndarray
         else:
             idx = int(rng.choice(n, p=closest / total))
         centroids[j] = X[idx]
-        np.minimum(closest, sq_dists(centroids[j]), out=closest)
+        np.minimum(closest, _squared_distances(cols, centroids[j], buf), out=closest)
     return centroids
 
 

@@ -1,22 +1,22 @@
 """Bit-exactness of the k-means kernels that work by column passes.
 
 ``clustering`` replaces numpy's per-row reductions by passes over the
-columns: ``_column_sum`` for ``sum(axis=1)`` at every width, a strict-``<``
-fold for ``argmin(axis=0)``, and on narrow rows a weighted ``bincount`` per
-column for each cluster's member sums. Each must equal what it replaces bit
-for bit, so the references below are the row-wise code the fits used
-before, kept here. Widths on both sides of 8 are drawn, since the kernels
-switch there, and for the sum and k-means++ widths up to 300, past the
-pairwise sum's 128-element blocks; k-means++, which forms its squared
-differences 8 columns at a time, is also checked at each width where the
-order of additions changes, and up to 784 columns.
+columns: ``_column_sum``, a left fold from +0.0, for sums across a row at
+every width, a strict-``<`` fold for ``argmin(axis=0)``, and on narrow rows
+a weighted ``bincount`` per column for each cluster's member sums. The sum
+is checked against the fold written out, the others against the row-wise
+code the fits used before, kept here. Widths on both sides of 8 are drawn,
+since the kernels switch there, and for the sum and k-means++ widths up to
+300; k-means++ is also checked up to 784 columns.
 
 The nearest centroid on narrow rows is the brute force computed by the same
-two folds, so its exactness rests on these tests holding for the numpy in
-use: numpy sums fewer than 8 elements one by one, and from 8 on pairwise.
+two folds, so its exactness rests on numpy summing fewer than 8 elements one
+by one onto +0.0, which ``test_row_sum_is_numpys_sum`` checks for the numpy
+in use.
 """
 
 import tracemalloc
+from functools import reduce
 
 import numpy as np
 import pytest
@@ -50,11 +50,16 @@ def reference_mean_update(X, assignments, distances, centroids):
     return new
 
 
+def left_fold(a):
+    """Each row of ``a`` summed from +0.0, one column after another."""
+    return reduce(np.add, a.T, 0.0)
+
+
 def reference_init_centroids(X, k, rng):
     n = X.shape[0]
     centroids = np.empty((k, X.shape[1]), dtype=np.float64)
     centroids[0] = X[rng.integers(n)]
-    closest = ((X - centroids[0]) ** 2).sum(-1)
+    closest = left_fold((X - centroids[0]) ** 2)
     for j in range(1, k):
         total = closest.sum()
         if total <= 0:
@@ -62,7 +67,7 @@ def reference_init_centroids(X, k, rng):
         else:
             idx = int(rng.choice(n, p=closest / total))
         centroids[j] = X[idx]
-        closest = np.minimum(closest, ((X - centroids[j]) ** 2).sum(-1))
+        closest = np.minimum(closest, left_fold((X - centroids[j]) ** 2))
     return centroids
 
 
@@ -90,12 +95,57 @@ def matrices(draw, max_width=16, top=300):
 
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(matrices(max_width=300))
-def test_row_sum_is_numpys_sum(case):
+def test_column_sum_is_a_left_fold(case):
     X, _ = case
-    assert same_bits(clustering._column_sum(X.T), X.sum(axis=1))
+    X = np.vstack([X, np.full(X.shape[1], -0.0)])  # a fold from +0.0 sums -0.0s to +0.0
     with np.errstate(over="ignore"):
         squares = X * X
-    assert same_bits(clustering._column_sum(np.ascontiguousarray(squares.T)), squares.sum(axis=1))
+    for a in (X, squares):
+        want = left_fold(a)
+        assert same_bits(clustering._column_sum(np.ascontiguousarray(a.T)), want)
+        assert same_bits(clustering._column_sum(a.T), want)  # strided rows, as SGD's z.T
+        assert same_bits(clustering._column_sum(iter(a.T)), want)  # rows drawn one by one
+
+
+def test_column_sum_folds_at_every_width():
+    # each width from 1 to 300 and a few past it, with rows of -0.0
+    rng = np.random.default_rng(0)
+    for d in [*range(1, 301), 512, 784, 1000, 1500]:
+        X = rng.normal(size=(5, d)) * 10.0 ** rng.integers(-8, 9, (5, d))
+        X[0] = -0.0
+        X[1, ::2] = -0.0
+        want = left_fold(X)
+        assert not np.signbit(want[0])
+        assert same_bits(clustering._column_sum(np.ascontiguousarray(X.T)), want), d
+        assert same_bits(clustering._column_sum(X.T), want), d
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(matrices(max_width=7))
+def test_row_sum_is_numpys_sum(case):
+    """Below 8 columns numpy sums a row one element after another onto +0.0,
+    so there the fold is numpy's own sum, which the narrow nearest centroid
+    and criterion 5b's brute force rely on."""
+    X, _ = case
+    with np.errstate(over="ignore"):
+        squares = X * X
+    for a in (X, squares):
+        assert same_bits(clustering._column_sum(a.T), a.sum(axis=1))
+
+
+@pytest.mark.parametrize("d", [1, 7, 8, 9, 50, 129, 784])
+def test_squared_distances_fold_the_squares_over_the_columns(d):
+    """k-means++ forms each column's squared differences in one reused row;
+    their sum is one fold over all d columns."""
+    rng = np.random.default_rng(d)
+    X = rng.normal(size=(257, d)) * 10.0 ** rng.integers(-3, 4, d)
+    cols = np.ascontiguousarray(X.T)
+    for centre in (X[3], rng.normal(size=d)):
+        got = clustering._squared_distances(cols, centre, np.empty(len(X)))
+        want = 0.0
+        for c in range(d):
+            want = want + (cols[c] - centre[c]) ** 2
+        assert same_bits(got, want)
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
@@ -133,9 +183,7 @@ def test_mean_update_matches_the_reference(case, k):
 
 @pytest.mark.parametrize("d", [1, 2, 7, 8, 9, 16, 127, 128, 129, 136, 257, 784])
 def test_init_centroids_match_the_reference_at_every_width(d):
-    """k-means++ sums its squared differences a group of columns at a time in
-    numpy's order at every width: a fold below 8 columns, eight accumulators
-    up to 128 and halves above."""
+    """k-means++ folds its squared differences over the columns at every width."""
     rng = np.random.default_rng(d)
     X = rng.normal(size=(201, d)) * 10.0 ** rng.integers(-3, 4, d)
     for k in (1, 5):
@@ -144,7 +192,7 @@ def test_init_centroids_match_the_reference_at_every_width(d):
 
 
 def test_init_centroids_hold_no_buffer_of_every_column():
-    """The squared differences are formed 8 columns at a time, so the traced
+    """The squared differences are formed a column at a time, so the traced
     peak of k-means++ on wide rows stays far below one (d, n) buffer."""
     X = np.random.default_rng(5).normal(size=(4000, 784))
     rows = clustering._Rows(X)

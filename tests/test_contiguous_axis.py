@@ -4,14 +4,13 @@ The softmax over the classes and the k-means kernels reduce across a short
 axis: a probability row's classes, a point's columns. ``classifiers`` and
 ``clustering`` now hold that axis as contiguous rows: the ridge scores into a
 class-major buffer, and a k-means fit takes one column-major copy of its
-rows. The sums across the axis come from ``clustering._column_sum``, which
-repeats numpy's own order of additions at every width.
+rows. The sums across the axis are left folds (``clustering._column_sum``).
 
-The references below are the row-major code these replaced, kept verbatim:
-the ridge's probabilities and the k-means and mini-batch k-means fits with
-their kernels. Their results must agree byte for byte, so these tests also
-check, for the numpy in use, the summation order ``_column_sum`` repeats:
-one by one below 8 elements, eight accumulators up to 128, halves above.
+The references below are the row-major code these replaced, kept verbatim
+but for the row sum, which is the same left fold, read by columns of a
+row-major array: the ridge's probabilities and the k-means and mini-batch
+k-means fits with their kernels. Their results must agree byte for byte.
+``tests/test_column_kernels.py`` checks ``_column_sum`` itself.
 """
 
 import time
@@ -38,9 +37,7 @@ _NARROW = 8
 
 
 def reference_row_sum(a):
-    if a.shape[1] >= _NARROW:
-        return a.sum(axis=1)
-    out = a[:, 0] + 0.0  # numpy starts from +0.0, which turns -0.0 into +0.0
+    out = a[:, 0] + 0.0  # a fold from +0.0, which turns -0.0 into +0.0
     for c in range(1, a.shape[1]):
         out += a[:, c]
     return out
@@ -271,40 +268,6 @@ def reference_minibatch_kmeans_fit(X, cfg):
     inertia = float(np.sum(distances * distances))
     return ClusterModel("minibatch_kmeans", centroids, assignments, distances, inertia,
                         time.perf_counter() - t0, converged=converged)
-
-
-# ---- the column sum ------------------------------------------------------------
-
-@st.composite
-def non_negative(draw, widths):
-    """Non-negative rows of mixed magnitude, from subnormal to 1e8, with zeros."""
-    d = draw(widths)
-    n = draw(st.integers(1, 40))
-    low, high = sorted(draw(st.lists(st.sampled_from([-320, -300, -8, 0, 8]),
-                                     min_size=2, max_size=2)))
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    X = np.abs(rng.normal(size=(n, d))) * 10.0 ** rng.uniform(low, high, (n, d))
-    X[rng.random((n, d)) < draw(st.sampled_from([0.0, 0.3, 1.0]))] = 0.0
-    return X
-
-
-@settings(max_examples=300, deadline=None, derandomize=True)
-@given(non_negative(st.integers(1, 16) | st.integers(1, 300) | st.just(784)))
-def test_column_sum_is_numpys_row_sum(X):
-    want = X.sum(axis=1)
-    assert same_bits(clustering._column_sum(np.ascontiguousarray(X.T)), want)
-    assert same_bits(clustering._column_sum(X.T), want)  # strided rows add alike
-
-
-def test_column_sum_follows_numpy_at_every_width():
-    # each width from 1 to 300 and a few past it: the eight accumulators, their
-    # remainders and every split of the halving
-    rng = np.random.default_rng(0)
-    for d in [*range(1, 301), 512, 784, 1000, 1500]:
-        X = rng.random((5, d)) * 10.0 ** rng.integers(-8, 9, (5, d))
-        X[0] = -0.0  # numpy's sum of negative zeros is +0.0
-        X[1, ::2] = -0.0
-        assert same_bits(clustering._column_sum(np.ascontiguousarray(X.T)), X.sum(axis=1)), d
 
 
 # ---- class-major probabilities -------------------------------------------------
