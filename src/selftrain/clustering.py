@@ -19,7 +19,10 @@ instead, uncopied. Sums across columns are left folds over them
 forms each column's squared differences as the fold reaches it, and so
 holds no ``(d, n)`` buffer.
 
-Mean shift finds neighbourhoods by products of 256 seeds, which run on the
+Mean shift finds neighbourhoods by one product per 256 distinct seeds, taken
+in order of first occurrence. A row's result can depend on how many rows its
+product has, so these shapes are part of the fit's order, and a reference
+must form the same products (``_Neighbourhoods``). The products run on the
 calling thread and the block worker (``blocks._share_blocks``), each thread
 in its own set of buffers (``_Products``). A set costs ``256 * n * 8``
 bytes for n rows, 36.8 MB on 17,960 rows; a fit holds at most two, one per
@@ -552,54 +555,54 @@ def _distinct(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 class _Products:
     """One thread's buffers for mean shift's neighbourhood products: seed rows,
-    the product G, whose rows then hold the 0/1 weights of the sums, a few
-    in-cache rows of S with a bool mask of their shape, and the sums."""
+    the product G, whose rows then hold the 0/1 weights of the sums, and a
+    few in-cache rows of S with a bool mask of their shape."""
 
     def __init__(self, rows: int, X: np.ndarray):
         n, d = X.shape
-        self.a = np.zeros((rows, d))  # rows past the distinct ones are fill
+        self.a = np.empty((rows, d))
         self.g = np.empty((rows, n))
         self.s = np.empty((min(rows, max(1, SHIFT_BLOCK // n)), n))
         self.mask = np.empty(self.s.shape, dtype=bool)
-        self.sums = np.empty((rows, d))
 
 
 class _Neighbourhoods:
     """Flat-kernel neighbourhoods in X of seed rows: how many rows of X lie
     within the bandwidth of each seed, and their sum.
 
-    The reference takes the seeds ``SHIFT_CHUNK`` at a time and forms
-    ``within = _sq_dists_to(chunk, X) <= bandwidth ** 2``, its row counts,
-    and ``within[hit].astype(float) @ X`` over the rows with a hit. Here
-    ``|x|^2`` is computed once, and each product runs in a set of buffers
-    reused across products (``_Products``): ``G = seeds @ X.T``, then, a few
-    rows at a time, ``G *= 2``, ``S = |s|^2 + |x|^2``, ``S -= G`` and
-    ``S <= bandwidth ** 2`` are the reference's operations on the same
-    operands in the same order (its clip of S to 0 cannot change a ``<=``
-    test against a positive square). Each row's neighbours are counted from
-    that small mask, and G's buffer then holds the 0/1 weights of the sum.
-    S and the mask hold only those few rows, which stay in cache.
+    Identical seeds have identical neighbourhoods, so a ``count`` call takes
+    the distinct seeds (by their bytes, in order of first occurrence) and
+    forms one product for each ``SHIFT_CHUNK`` of them. The reference takes
+    each such chunk and forms ``within = _sq_dists_to(chunk, X) <=
+    bandwidth ** 2``, its row counts and ``within.astype(float) @ X`` over
+    every row, so a seed without a neighbour gets a zero sum. Here ``|x|^2``
+    is computed once, and each product runs in a set of buffers reused
+    across products (``_Products``): ``G = chunk @ X.T``, then, a few rows at
+    a time, ``G *= 2``, ``S = |s|^2 + |x|^2``, ``S -= G`` and ``S <=
+    bandwidth ** 2`` are the reference's operations on the same operands in
+    the same order (its clip of S to 0 cannot change a ``<=`` test against a
+    positive square). Each row's neighbours are counted from that small
+    mask, and G's buffer then holds the 0/1 weights of the sum. S and the
+    mask hold only those few rows, which stay in cache.
+
+    A reference must form the same products, not merely the same rows: a
+    row's result can depend on how many rows its product has. numpy forms a
+    single row as a matrix-vector product, and a BLAS gives small products
+    kernels of their own and splits them over threads by their size. With
+    OpenBLAS 0.3.31 at one thread, sums over 1,000 rows of 50 columns
+    differed in products of up to 20 rows, and over 2-D rows in products of
+    up to 255. A
+    row's place among the rows of one product may set its last bit too;
+    that moves a fit only where such a bit decides whether a point lies
+    within the bandwidth.
 
     The products of one ``count`` call write disjoint rows of its results, so
     they run on the calling thread and the block worker
     (``blocks._share_blocks``), each thread taking the next product left in
     a set of buffers of its own. A set holds ``SHIFT_CHUNK`` rows of
     float64 for G, so each costs ``256 * len(X) * 8`` bytes (36.8 MB on
-    17,960 rows) plus the seeds and sums, ``2 * 256 * d * 8``; at most two
-    sets exist, made on the calling thread and freed with the fit.
-
-    Identical seeds have identical neighbourhoods, so each distinct seed is
-    taken once per product shape. Both products sum a row's terms in an
-    order that may depend on the product's row count: numpy forms a single
-    row as a matrix-vector product, and a BLAS may give small products their
-    own kernels. So a distinct seed goes into a product of as many rows as
-    its reference chunk had, filled up with rows whose results go unread.
-    What remains assumed is that a row's result does not depend on its place
-    or its mates in a product of one shape. OpenBLAS keeps to that only in
-    the large: the last few rows of a product can differ in the last bit
-    from the same row placed earlier. That moves a fit only where such a bit
-    decides whether a point lies within the bandwidth, as when a seed's
-    distance to itself is all round-off.
+    17,960 rows) plus the seeds, ``256 * d * 8``; at most two sets exist,
+    made on the calling thread and freed with the fit.
     """
 
     def __init__(self, X: np.ndarray, bandwidth: float, seeds: int):
@@ -617,12 +620,11 @@ class _Neighbourhoods:
                 self.sets.append(_Products(self.rows, self.X))
             yield self.sets[i]
 
-    def _within(self, buf: _Products, m: int, size: int) -> np.ndarray:
-        """The neighbour counts of the ``m`` seeds in ``buf.a``, by a product of
-        ``size`` rows; ``buf.g`` then holds their masks as 0/1 weights in its
-        first rows."""
+    def _within(self, buf: _Products, m: int) -> np.ndarray:
+        """The neighbour counts of the ``m`` seeds in ``buf.a``; ``buf.g`` then
+        holds their masks as 0/1 weights in its first ``m`` rows."""
         seeds = buf.a[:m]
-        np.matmul(buf.a[:size], self.X.T, out=buf.g[:size])
+        np.matmul(seeds, self.X.T, out=buf.g[:m])
         s_sq = (seeds * seeds).sum(1)
         counts = np.empty(m, dtype=np.int64)
         step = len(buf.s)
@@ -641,58 +643,27 @@ class _Neighbourhoods:
 
     def count(self, seeds: np.ndarray, sums: bool = False):
         """Each seed's neighbour count and, with ``sums``, its neighbours' sum
-        (rows without a neighbour get an unspecified sum)."""
-        n, d = seeds.shape
-        hits = np.empty(n, dtype=np.int64)
-        total = np.empty((n, d)) if sums else None
-        full = n - n % SHIFT_CHUNK
-        segments, jobs = [], []
-        for lo, hi in ((0, full), (full, n)):  # the full chunks, then the short one
-            if hi == lo:
-                continue
-            size = min(SHIFT_CHUNK, hi - lo)
-            first, inverse = _distinct(seeds[lo:hi])
-            first += lo
-            h = np.empty(len(first), dtype=np.int64)
-            t = np.empty((len(first), d)) if sums else None
-            segments.append((lo, hi, inverse, h, t))
-            for start in range(0, len(first), size):
-                rows = slice(start, start + size)
-                jobs.append((first[rows], size, h[rows], t[rows] if sums else None))
+        (zero for a seed without a neighbour)."""
+        first, inverse = _distinct(seeds)
+        hits = np.empty(len(first), dtype=np.int64)
+        total = np.empty((len(first), seeds.shape[1])) if sums else None
 
         def runner():
             buf = next(sets)
 
             def product(i):
-                take, size, h, t = jobs[i]
+                rows = slice(i * SHIFT_CHUNK, (i + 1) * SHIFT_CHUNK)
+                take = first[rows]
                 # mode="clip" writes straight into buf.a; "raise" would buffer a copy
                 np.take(seeds, take, axis=0, out=buf.a[:len(take)], mode="clip")
-                h[:] = self._within(buf, len(take), size)
-                if t is not None:
-                    t[:] = np.matmul(buf.g[:size], self.X, out=buf.sums[:size])[:len(t)]
+                hits[rows] = self._within(buf, len(take))
+                if sums:
+                    np.matmul(buf.g[:len(take)], self.X, out=total[rows])
             return product
 
         sets = self._sets()
-        _share_blocks(len(jobs), runner)
-        for lo, hi, inverse, h, t in segments:
-            hits[lo:hi] = h[inverse]
-            if sums:
-                total[lo:hi] = t[inverse]
-        if sums:
-            # a chunk with a seed that has no neighbour summed only the others,
-            # by a product of fewer rows; such chunks are formed as they were
-            buf = self.sets[0]
-            for start in range(0, n, SHIFT_CHUNK):
-                hit = np.flatnonzero(hits[start:start + SHIFT_CHUNK] > 0)
-                m = min(SHIFT_CHUNK, n - start)
-                if 0 < len(hit) < m:
-                    buf.a[:m] = seeds[start:start + m]
-                    self._within(buf, m, m)
-                    w = buf.g[:len(hit)]
-                    for j, i in enumerate(hit):  # i >= j: the rows move up in order
-                        w[j] = buf.g[i]
-                    total[start + hit] = w @ self.X
-        return (hits, total) if sums else hits
+        _share_blocks(-(-len(first) // SHIFT_CHUNK), runner)
+        return (hits[inverse], total[inverse]) if sums else hits[inverse]
 
 
 def meanshift_fit(X: np.ndarray, cfg: MeanShiftConfig) -> ClusterModel:
@@ -740,9 +711,12 @@ def _merge_modes(modes: np.ndarray, support: np.ndarray, bandwidth: float) -> np
 
     Greedy by descending neighborhood ``support`` (ties by index), so the
     kept set is pairwise farther apart than ``MERGE_TOL * bandwidth`` and
-    re-merging it is a no-op.
+    re-merging it is a no-op. A mode with the bytes of one met earlier in
+    that order lies within the radius of what kept or merged that one, so it
+    is not visited.
     """
     order = np.lexsort((np.arange(len(modes)), -support))
+    order = order[_distinct(modes[order])[0]]
     radius = MERGE_TOL * bandwidth
     kept = np.empty_like(modes)
     diff = np.empty_like(modes)

@@ -1,17 +1,16 @@
-"""Bit-exactness of mean shift's neighbourhood kernel against the loop it replaced.
+"""Bit-exactness of mean shift's neighbourhood kernel against a reference loop.
 
-``meanshift_fit`` finds each seed's neighbourhood in reused buffers and takes
-each distinct seed once per product shape. The reference below is the loop
-it replaced, kept verbatim: fresh gram-identity distances and a 0/1 weight
-matrix per chunk of 256 seeds, every moving seed shifted and every mode's
-support counted. Their results must agree byte for byte.
+``meanshift_fit`` finds each seed's neighbourhood in reused buffers. The
+reference below takes the distinct seeds (by their bytes, in order of first
+occurrence) 256 at a time, forms fresh gram-identity distances and a 0/1
+weight matrix per chunk, and sums every row of it; every moving seed is
+shifted and every mode's support counted that way. Their results must agree
+byte for byte.
 
-Identical seeds share one row of a product instead of each taking its own,
-so these tests also check that a row of a matrix product does not depend on
-its place or its mates among rows of the same count, for the BLAS in use.
-That holds only in the large: OpenBLAS can set the last bit of a product's
-last few rows otherwise, which changes a fit only where that bit decides
-whether a point lies within the bandwidth.
+A row's result can depend on how many rows its product has, and OpenBLAS can
+set the last bit of a product's last few rows by their place, so the
+reference forms the same products as the fit, each seed in the same place.
+These tests check that the fit does so, for the BLAS in use.
 
 The products of one ``count`` call run on the calling thread and the block
 worker (``blocks._share_blocks``), each thread in buffers of its own. The
@@ -64,17 +63,13 @@ def reference_meanshift_fit(X, cfg):
         if not active.any():
             break
         moving = np.flatnonzero(active)
-        for start in range(0, len(moving), 256):
-            sel = moving[start:start + 256]
-            d2 = reference_sq_dists_to(seeds[sel], X)
-            within = d2 <= bandwidth * bandwidth
-            hits = within.sum(axis=1)
-            means = seeds[sel].copy()
-            nz = hits > 0
-            means[nz] = (within[nz].astype(np.float64) @ X) / hits[nz, None]
-            moved = np.sqrt(((means - seeds[sel]) ** 2).sum(-1))
-            seeds[sel] = means
-            active[sel] = moved >= stop
+        hits, sums = reference_counts(seeds[moving], X, bandwidth)
+        means = seeds[moving].copy()
+        nz = hits > 0
+        means[nz] = sums[nz] / hits[nz, None]
+        moved = np.sqrt(((means - seeds[moving]) ** 2).sum(-1))
+        seeds[moving] = means
+        active[moving] = moved >= stop
 
     centroids = reference_merge_modes(seeds, X, bandwidth)
     assignments, distances = _nearest(_Rows(X), centroids)
@@ -103,10 +98,7 @@ def reference_estimate_bandwidth(X, quantile, subsample, seed):
 
 
 def reference_merge_modes(modes, X, bandwidth):
-    support = np.empty(len(modes), dtype=np.int64)
-    for start in range(0, len(modes), 256):
-        d2 = reference_sq_dists_to(modes[start:start + 256], X)
-        support[start:start + 256] = (d2 <= bandwidth * bandwidth).sum(axis=1)
+    support, _ = reference_counts(modes, X, bandwidth)
     order = np.lexsort((np.arange(len(modes)), -support))
     radius = MERGE_TOL * bandwidth
     kept = []
@@ -117,17 +109,26 @@ def reference_merge_modes(modes, X, bandwidth):
     return np.asarray(kept)
 
 
+def reference_distinct(rows):
+    """Index of each distinct row's first occurrence, told apart by bytes, and
+    each row's index into them."""
+    seen = {}
+    inverse = np.array([seen.setdefault(row.tobytes(), len(seen)) for row in rows])
+    return np.unique(inverse, return_index=True)[1], inverse
+
+
 def reference_counts(seeds, X, bandwidth):
-    """Per-chunk neighbour counts and sums, as the reference loop forms them."""
-    hits = np.empty(len(seeds), dtype=np.int64)
-    sums = np.zeros(seeds.shape)
-    for start in range(0, len(seeds), 256):
-        within = reference_sq_dists_to(seeds[start:start + 256], X) <= bandwidth * bandwidth
-        h = within.sum(axis=1)
-        nz = h > 0
-        hits[start:start + 256] = h
-        sums[start + np.flatnonzero(nz)] = within[nz].astype(np.float64) @ X
-    return hits, sums
+    """Neighbour counts and sums of the distinct seeds, 256 at a time, every
+    row of a chunk summed."""
+    first, inverse = reference_distinct(seeds)
+    hits = np.empty(len(first), dtype=np.int64)
+    sums = np.empty((len(first), seeds.shape[1]))
+    for start in range(0, len(first), 256):
+        chunk = seeds[first[start:start + 256]]
+        within = reference_sq_dists_to(chunk, X) <= bandwidth * bandwidth
+        hits[start:start + 256] = within.sum(axis=1)
+        sums[start:start + 256] = within.astype(np.float64) @ X
+    return hits[inverse], sums[inverse]
 
 
 def assert_same_fit(X, bandwidth, seed=0):
@@ -150,7 +151,8 @@ def repeated_rows(n, d, distinct, seed):
 @pytest.mark.parametrize("n", [1, 2, 255, 256, 257, 513, SHIFT_SUBSAMPLE])
 @pytest.mark.parametrize("d", [2, 5, 50])
 def test_duplicated_rows_collapse_at_pass_one(n, d):
-    # chunk counts on both sides of a multiple of 256, and a chunk of one row
+    # seed counts on both sides of a multiple of 256, and one seed; about a
+    # seventh of them distinct, so every pass forms a single product
     X = repeated_rows(n, d, max(1, n // 7), seed=n + d)
     for bandwidth in (0.5, 3.0):
         assert_same_fit(X, bandwidth)
@@ -185,14 +187,15 @@ def test_rows_that_differ_only_in_the_sign_of_a_zero():
 def rows_without_a_neighbour():
     # Near 1e7 per column the gram identity's round-off dwarfs a bandwidth of
     # 0.5, so a far row misses even itself unless that rounds to <= 0; far
-    # rows that do not miss are drawn again. The first chunk's one near row,
-    # c, is then its only seed with neighbours, which the reference sums by a
-    # matrix-vector product, and the second chunk sums 8 of its 99 seeds.
-    # The near rows are c and c +- four offsets, so c's first mean is within
-    # the stop of c and is its mode; the others reach it a pass later.
-    # Each far row's neighbourhood turns on its last bit, which a BLAS may
-    # set by the row's place in a product, so the near rows that collapse
-    # come after every far row of their chunk and move no far row's place.
+    # rows that do not miss are drawn again. The first product's one near
+    # row, c, is then its only seed with neighbours, and the second product
+    # has neighbours for 8 of its 99 seeds; both sum every row, so a far
+    # seed's sum is zero. The near rows are c and c +- four offsets, so c's
+    # first mean is within the stop of c and is its mode; the others reach
+    # it a pass later. Each far row's neighbourhood turns on its last bit,
+    # which a BLAS may set by the row's place in a product, so the near rows
+    # that collapse come after every far row of their product and move no
+    # far row's place.
     rng = np.random.default_rng(3)
 
     def far(k):
@@ -218,10 +221,11 @@ def test_seeds_without_a_neighbour_stay_where_they_are():
     assert model.k == far + 1
 
 
-@pytest.mark.parametrize("n", [3, 256, 257, 700])
+@pytest.mark.parametrize("n", [3, 256, 257, 504, 700])
 def test_counts_and_sums_match_the_chunked_products(n):
-    # copies of 5 rows, then distinct ones, so that at 257 the last row is
-    # alone in its chunk and taken by matrix-vector products
+    # copies of 5 rows, then n // 2 distinct ones: at most 3 distinct seeds,
+    # 133 in one product, 257 whose last is alone in its product and taken
+    # by matrix-vector products, and a full product beside a short one
     rng = np.random.default_rng(n)
     X = rng.normal(size=(400, 20)) * 3.0
     seeds = np.vstack([repeated_rows(n - n // 2, 20, 5, seed=n),
@@ -231,8 +235,7 @@ def test_counts_and_sums_match_the_chunked_products(n):
     hoods = clustering._Neighbourhoods(X, 18.0, len(seeds))
     hits, sums = hoods.count(seeds, sums=True)
     assert np.array_equal(hits, want_hits)
-    hit = hits > 0
-    assert sums[hit].tobytes() == want_sums[hit].tobytes()
+    assert sums.tobytes() == want_sums.tobytes()
     assert np.array_equal(hoods.count(seeds), want_hits)
 
 
@@ -267,6 +270,22 @@ def test_merge_decides_modes_at_the_radius_as_the_loop_did(d):
     got = clustering._merge_modes(modes, np.ones(len(modes), dtype=np.int64), bandwidth)
     assert got.tobytes() == want.tobytes()
     assert 1 < len(got) < len(modes)  # some merged, some kept
+
+
+@pytest.mark.parametrize("bandwidth", [0.5, 2.0, 6.0])
+def test_merge_of_repeated_modes_matches_the_walk_over_every_mode(bandwidth):
+    # 1,000 modes drawn from 8, two of which differ only in the sign of a
+    # zero: told apart by their bytes, each is visited, and the later one
+    # met merges into the earlier, as the reference's walk over every mode
+    # merges it
+    rng = np.random.default_rng(11)
+    base = np.vstack([[-0.0, 1.0, 2.0], [0.0, 1.0, 2.0], rng.normal(size=(6, 3)) * 3.0])
+    modes = base[rng.integers(len(base), size=1000)]
+    assert len(clustering._distinct(modes)[0]) == len(base)
+    X = rng.normal(size=(300, 3)) * 3.0
+    support = clustering._Neighbourhoods(X, bandwidth, len(modes)).count(modes)
+    got = clustering._merge_modes(modes, support, bandwidth)
+    assert got.tobytes() == reference_merge_modes(modes, X, bandwidth).tobytes()
 
 
 @pytest.fixture(params=["inline", "shared"])
@@ -321,6 +340,7 @@ def test_seeds_without_a_neighbour_on_both_paths(path):
 
 @pytest.mark.parametrize("n", [257, 700])
 def test_counts_and_sums_on_both_paths(path, n):
+    # 133 distinct seeds, one product, at 257; 355, two products, at 700
     rng = np.random.default_rng(n)
     X = rng.normal(size=(400, 20)) * 3.0
     seeds = np.vstack([repeated_rows(n - n // 2, 20, 5, seed=n),
@@ -329,8 +349,37 @@ def test_counts_and_sums_on_both_paths(path, n):
     hoods = clustering._Neighbourhoods(X, 18.0, len(seeds))
     hits, sums = hoods.count(seeds, sums=True)
     assert np.array_equal(hits, want_hits)
-    assert sums[hits > 0].tobytes() == want_sums[hits > 0].tobytes()
-    assert len(hoods.sets) == (2 if path == "shared" else 1)
+    assert sums.tobytes() == want_sums.tobytes()
+    # a second set only for a second product, run on the worker
+    products = -(-len(reference_distinct(seeds)[0]) // 256)
+    assert len(hoods.sets) == min(products, 2 if path == "shared" else 1)
+
+
+@pytest.mark.parametrize("n", [1, 256, 700, SHIFT_SUBSAMPLE])
+def test_products_form_no_row_beyond_the_distinct_seeds(monkeypatch, path, n):
+    rng = np.random.default_rng(n)
+    X = rng.normal(size=(400, 6)) * 3.0
+    # copies of 40 rows, then up to 400 distinct ones: 1, 167, 390 and 440
+    # distinct seeds, so one product of one row, one product, and a full
+    # product beside a short one
+    seeds = np.vstack([repeated_rows(n - n // 2, 6, 40, seed=n),
+                       X[rng.choice(400, size=min(n // 2, 400), replace=False)]])
+    seeds = seeds[rng.permutation(len(seeds))]
+    rows = []
+    within = clustering._Neighbourhoods._within
+
+    def patched(self, buf, m):
+        rows.append(m)  # list.append is atomic, so both threads may record
+        return within(self, buf, m)
+
+    monkeypatch.setattr(clustering._Neighbourhoods, "_within", patched)
+    hoods = clustering._Neighbourhoods(X, 9.0, len(seeds))
+    distinct = len(reference_distinct(seeds)[0])
+    for sums in (False, True):
+        rows.clear()
+        hoods.count(seeds, sums=sums)
+        assert sum(rows) == distinct
+        assert max(rows) <= 256
 
 
 def on_the_worker(monkeypatch, product):
@@ -339,14 +388,14 @@ def on_the_worker(monkeypatch, product):
     caller, ran = threading.get_ident(), threading.Event()
     within = clustering._Neighbourhoods._within
 
-    def patched(self, buf, m, size):
+    def patched(self, buf, m):
         on_worker = threading.get_ident() != caller
         if on_worker:
             ran.set()
         else:
             ran.wait(10)
         product(on_worker)
-        return within(self, buf, m, size)
+        return within(self, buf, m)
 
     monkeypatch.setattr(clustering._Neighbourhoods, "_within", patched)
 
