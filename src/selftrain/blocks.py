@@ -3,23 +3,15 @@
 A process has at most one worker thread, started on first use and only where
 the process may run on 2 or more CPUs and was not started by a process pool.
 ``_share_blocks`` runs blocks ``0..count-1`` on the calling thread and on the
-worker, each thread taking the next block no thread has claimed.
-``_start_blocks`` starts the same blocks on the worker alone and returns a
-join, which has the caller take the blocks still left and then wait for the
-worker, so the caller can do other work meanwhile. A block
+worker, each thread taking the next block no thread has claimed. A block
 writes only its own part of the output and runs the same operations
 whichever thread runs it, so no output depends on which thread ran a block
 or on whether a worker exists. The ridge's embedding and scoring blocks
-(``classifiers``) and mean shift's neighbourhood products (``clustering``)
-run here, and IST starts the ridge's embedding while it fits k-means on the
-calling thread (``training``).
+(``classifiers``) are the only blocks run here.
 
-A caller that gets too little time on a CPU from a call's start to the end
-of its own blocks rests the worker for the next calls (``MIN_CPU_SHARE``),
-and for twice as many each time the first call after a rest is starved
-again. For a started call that span holds the caller's own work before the
-join, such as IST's k-means fit, so a worker that starves that work rests
-too.
+A caller that gets too little time on a CPU while it runs its own blocks
+rests the worker for the next calls (``MIN_CPU_SHARE``), and for twice as
+many each time the first call after a rest is starved again.
 """
 
 from __future__ import annotations
@@ -30,9 +22,8 @@ import os
 import threading
 import time
 
-# When the caller spends less than this share of the wall time from a call's
-# start to the end of its own blocks on a CPU, the worker has cost it more
-# than it gave back. With another process
+# When the caller spends less than this share of its own blocks' wall time on
+# a CPU, the worker has cost it more than it gave back. With another process
 # busy on one of 2 vCPUs, three threads share two CPUs, and a thread waits for
 # the interpreter lock while the one holding it is off its CPU: shared calls
 # in `pool-2d` cells then took longer than calls on the caller alone, and the
@@ -41,9 +32,9 @@ import time
 # run on the caller alone, and twice as many after each further such call
 # that ends a rest, so under a steady load the rest stays shorter than the
 # calls the load has lasted but a call pays for the load ever more rarely. A
-# call whose caller ends its blocks less than MIN_JUDGED_SECONDS after the
-# start is not judged: one hand-over of the interpreter lock is a large part
-# of so short a call, and such calls tripped the rest on idle vCPUs.
+# caller that drains for less than MIN_JUDGED_SECONDS is not judged: one
+# hand-over of the interpreter lock is a large part of so short a call, and
+# such calls tripped the rest on idle vCPUs.
 MIN_CPU_SHARE = 0.75
 REST_CALLS = 8
 MIN_JUDGED_SECONDS = 1e-3
@@ -89,26 +80,19 @@ def _block_worker() -> _Worker | None:
         return _worker
 
 
-def _start_blocks(count: int, runner):
-    """Start blocks ``0..count-1`` on the process's worker, and return their join.
+def _share_blocks(count: int, runner) -> None:
+    """Run blocks ``0..count-1`` on the calling thread and the process's worker.
 
     ``runner()`` returns one thread's function of a block index, which may
-    own buffers. It is called on the calling thread, once for each thread
-    that takes part, here for the worker and in the join for the caller, so
-    the buffers come from the caller's malloc arena rather than one the
-    worker would keep for itself. The worker starts taking blocks at once,
-    each the next block no thread has claimed, and the caller is free until
-    it calls ``join()``. The join runs on the calling thread every block
-    still unclaimed, waits for the worker and raises the first exception
-    either thread met; the first exception also stops the claiming.
-    ``join(cancel=True)`` instead claims the blocks left without running
-    them, waits for the worker and raises nothing, so that a caller that
-    failed between start and join leaves no block running. Without a
-    worker, for a single block, or while the worker rests (see
-    ``MIN_CPU_SHARE``), nothing starts and the join runs every block. The
-    join judges the caller's time on a CPU from the start, so it must run
-    on the thread that started the call. A block must not share blocks
-    itself: the worker would wait on its own queue.
+    own buffers. It is called here, on the calling thread, once for each
+    thread that takes part, so the buffers come from the caller's malloc
+    arena rather than one the worker would keep for itself. Each thread
+    runs the next block no thread has claimed until none is left. The first
+    exception stops the claiming and is raised here once both threads are
+    done. Without a worker, for a single block, or while the worker rests
+    (see ``MIN_CPU_SHARE``), the same loop runs on the calling thread alone.
+    A block must not share blocks itself: the worker would wait on its own
+    queue.
     """
     # under the GIL, each next() of a range iterator hands out a distinct index
     claims = iter(range(count))
@@ -118,7 +102,7 @@ def _start_blocks(count: int, runner):
         try:
             for i in claims:
                 run(i)
-        except BaseException as exc:  # noqa: BLE001 - raised again in the join below
+        except BaseException as exc:  # noqa: BLE001 - raised again in the caller below
             errors.append(exc)
             for _ in claims:  # leave the other thread nothing to claim
                 pass
@@ -130,35 +114,23 @@ def _start_blocks(count: int, runner):
             worker.rest -= resting
         if resting:
             worker = None
-    wall0, cpu0 = time.perf_counter(), time.thread_time()
-    done = None if worker is None else worker.executor.submit(drain, runner())
-
-    def join(cancel: bool = False) -> None:
-        if cancel:
-            for _ in claims:
-                pass
-        else:
-            drain(runner())
-        if done is not None:
-            # the caller's span from the start, up to its wait for the worker
-            wall, cpu = time.perf_counter() - wall0, time.thread_time() - cpu0
-            # a worker that has not started finds nothing left to claim
-            if not done.cancel():
-                done.result()
-            if not cancel and wall >= MIN_JUDGED_SECONDS:
-                with _worker_lock:
-                    if cpu < MIN_CPU_SHARE * wall:
-                        worker.rest = worker.next_rest
-                        worker.next_rest *= 2
-                    else:
-                        worker.next_rest = REST_CALLS
-        if errors and not cancel:
-            raise errors[0]
-
-    return join
-
-
-def _share_blocks(count: int, runner) -> None:
-    """Run blocks ``0..count-1`` on the calling thread and the process's worker,
-    and return once all have run: ``_start_blocks`` joined at once."""
-    _start_blocks(count, runner)()
+    if worker is None:
+        drain(runner())
+    else:
+        done = worker.executor.submit(drain, runner())
+        run = runner()
+        wall, cpu = time.perf_counter(), time.thread_time()
+        drain(run)
+        wall, cpu = time.perf_counter() - wall, time.thread_time() - cpu
+        # a worker that has not started finds nothing left to claim
+        if not done.cancel():
+            done.result()
+        if wall >= MIN_JUDGED_SECONDS:
+            with _worker_lock:
+                if cpu < MIN_CPU_SHARE * wall:
+                    worker.rest = worker.next_rest
+                    worker.next_rest *= 2
+                else:
+                    worker.next_rest = REST_CALLS
+    if errors:
+        raise errors[0]

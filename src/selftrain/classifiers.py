@@ -6,7 +6,7 @@ row-stochastic probability matrices. Argmax ties resolve to the lowest class
 index. The ridge solves its fit in the dual, an n x n system, when it has
 fewer rows n than features, and in the primal from there up.
 
-Work along the class axis (the max and sum of ``softmax``, the top class of
+Work along the class axis (the max and sum of the softmax, the top class of
 a probability row) is done as whole-array passes over the classes, one or a
 few per class, rather than as a reduction per row: rows are many and classes
 few. The max and the top class give the row-wise reduction's result bit
@@ -17,16 +17,13 @@ transpose of that buffer, whose columns are contiguous.
 
 The ridge embeds and scores rows in blocks of ``SCORE_BLOCK`` bytes of
 embedded rows, and runs those blocks on the calling thread and on the
-process's one worker thread (``blocks._share_blocks``, which mean shift's
-products share too), each thread taking the next block left. A block's rows
-go through the same operations whichever thread runs it, and each block
-writes its own rows of the output, so no output depends on which thread ran
-a block or on whether a worker exists. Each thread that takes part in a
-scoring call has its own buffer of one block's scores and, on gathered
-rows, its own 512 KB gather buffer; the embedding's blocks write straight
-into H. ``start_embed`` starts an embedding's blocks on the worker alone
-and returns a join that gives H (``blocks._start_blocks``), so that the
-caller can work while the worker embeds. A process on one CPU, or started
+process's one worker thread (``blocks._share_blocks``), each thread taking
+the next block left. A block's rows go through the same operations whichever
+thread runs it, and each block writes its own rows of the output, so no
+output depends on which thread ran a block or on whether a worker exists.
+Each thread that takes part in a scoring call has its own buffer of one
+block's scores and, on gathered rows, its own 512 KB gather buffer; the
+embedding's blocks write straight into H. A process on one CPU, or started
 by a process pool, runs every block on the calling thread, and so does a
 caller that the worker cost more than it gave, for a while after a call in
 which it got too little time on a CPU (``blocks.MIN_CPU_SHARE``).
@@ -40,7 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .blocks import _share_blocks, _start_blocks
+from .blocks import _share_blocks
 from .clustering import _column_sum
 
 # Bytes of embedded rows one scoring product reads or one embedding product
@@ -71,18 +68,6 @@ def _softmax_into(z: np.ndarray) -> np.ndarray:
     z -= top
     np.exp(z, out=z)
     z /= _column_sum(z)
-    return z
-
-
-def softmax(logits: np.ndarray) -> np.ndarray:
-    """Row-wise softmax of ``logits``, which is left unchanged.
-
-    ``z = logits - logits.max(1)``, ``exp(z)``, then ``z`` over its row sum,
-    taken as a left fold over the classes; the row max and the row sum are
-    taken by passes over the class columns.
-    """
-    z = np.array(logits, dtype=np.float64)
-    _softmax_into(z.T)
     return z
 
 
@@ -134,8 +119,9 @@ class ClassifierModel(ABC):
     loops instead embed their rows once per run and then work on the cached
     matrix through three methods:
 
-    - ``embed(X)``: the backbone's frozen per-row features. The default is
-      the identity (as float64).
+    - ``embed(*parts)``: the backbone's frozen per-row features of the rows
+      of ``parts`` stacked. The default is the stacked rows themselves (as
+      float64).
     - ``fit_embedded(H, y, w, rows)``: fit on rows ``rows`` of an embedded
       matrix (all rows when ``rows`` is None). The default gathers
       ``H[rows]`` and calls ``fit``.
@@ -157,19 +143,9 @@ class ClassifierModel(ABC):
     def predict_proba(self, X: np.ndarray) -> np.ndarray:
         ...
 
-    def embed(self, X: np.ndarray) -> np.ndarray:
-        return np.asarray(X, dtype=np.float64)
-
-    def start_embed(self, *parts: np.ndarray):
-        """Start ``embed`` of the rows of ``parts`` stacked, and return its join.
-
-        ``join()`` returns the embedding H and raises any error of it;
-        ``join(cancel=True)`` abandons it and returns None. The default
-        starts nothing: its join embeds the stacked rows.
-        """
-        def join(cancel: bool = False):
-            return None if cancel else self.embed(np.vstack(parts))
-        return join
+    def embed(self, *parts: np.ndarray) -> np.ndarray:
+        return np.asarray(parts[0] if len(parts) == 1 else np.vstack(parts),
+                          dtype=np.float64)
 
     def fit_embedded(self, H: np.ndarray, y: np.ndarray,
                      sample_weight: np.ndarray | None = None,
@@ -179,9 +155,6 @@ class ClassifierModel(ABC):
     def predict_proba_embedded(self, H: np.ndarray,
                                rows: np.ndarray | None = None) -> np.ndarray:
         return self.predict_proba(H if rows is None else H[rows])
-
-    def predict(self, X: np.ndarray) -> np.ndarray:
-        return top_class(self.predict_proba(X))[1]
 
 
 @dataclass
@@ -208,13 +181,13 @@ class RandomFeatureRidge(ClassifierModel):
     ``embed`` is the map ``tanh(X @ projection + bias)``; it never changes
     after construction, so callers embed their rows once and refit on the
     cached features. It computes the map block by block, ``SCORE_BLOCK``
-    bytes of output rows at a time, the last block taking the rest;
-    ``start_embed`` takes the same blocks over several parts of rows as if
-    they were stacked. The result equals one product over all rows bit for
-    bit wherever measured (OpenBLAS 0.3.31, input widths 2-784, one and two
-    BLAS threads). A short block after long ones would not: OpenBLAS gives
-    a short product, a one-row product above all, another kernel than the
-    same rows inside a longer one.
+    bytes of output rows at a time, the last block taking the rest, and takes
+    the same blocks over several parts of rows as if they were stacked. The
+    result equals one product over all rows bit for bit wherever measured
+    (OpenBLAS 0.3.31, input widths 2-784, one and two BLAS threads). A short
+    block after long ones would not: OpenBLAS gives a short product, a
+    one-row product above all, another kernel than the same rows inside a
+    longer one.
 
     A fit on fewer rows than ``hidden_width`` (counting repeats) solves the
     ridge's n x n dual system over the gathered rows (Saunders, Gammerman &
@@ -272,11 +245,8 @@ class RandomFeatureRidge(ClassifierModel):
         # the held sums belong to one matrix in this process; a copy refits afresh
         return {**self.__dict__, "_held": None}
 
-    def embed(self, X: np.ndarray) -> np.ndarray:
-        return self.start_embed(X)()
-
-    def start_embed(self, *parts):
-        """The map of the rows of ``parts`` stacked, started on the block worker.
+    def embed(self, *parts):
+        """The map of the rows of ``parts`` stacked.
 
         The blocks are those of the stacked rows, the last taking the rest,
         and a block's rows are a view of one part; only a block that spans
@@ -306,12 +276,8 @@ class RandomFeatureRidge(ClassifierModel):
             Hb += self.bias
             np.tanh(Hb, out=Hb)
 
-        join_blocks = _start_blocks(count, lambda: embed_block)
-
-        def join(cancel: bool = False):
-            join_blocks(cancel)
-            return None if cancel else H
-        return join
+        _share_blocks(count, lambda: embed_block)
+        return H
 
     def _checked(self, H: np.ndarray, rows: np.ndarray | None):
         """``H`` as float64 and ``rows`` as indices, after checking both."""

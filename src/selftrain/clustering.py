@@ -22,23 +22,18 @@ holds no ``(d, n)`` buffer.
 Mean shift finds neighbourhoods by one product per 256 distinct seeds, taken
 in order of first occurrence. A row's result can depend on how many rows its
 product has, so these shapes are part of the fit's order, and a reference
-must form the same products (``_Neighbourhoods``). The products run on the
-calling thread and the block worker (``blocks._share_blocks``), each thread
-in its own set of buffers (``_Products``). A set costs ``256 * n * 8``
-bytes for n rows, 36.8 MB on 17,960 rows; a fit holds at most two, one per
-thread, and frees them when it returns. Each product writes only its own
-seeds' results, so the fit's outputs do not depend on which thread ran it.
+must form the same products (``_Neighbourhoods``). The products run one
+after another on the calling thread, in one set of buffers (``_Products``),
+which costs ``256 * n * 8`` bytes for n rows, 36.8 MB on 17,960 rows; a fit
+holds that one set and frees it when it returns.
 """
 
 from __future__ import annotations
 
-import itertools
 import time
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-
-from .blocks import _share_blocks
 
 _FIT_CALLS = 0  # counts top-level fit_cluster dispatches, for instrumentation
 
@@ -554,7 +549,7 @@ def _distinct(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 class _Products:
-    """One thread's buffers for mean shift's neighbourhood products: seed rows,
+    """The buffers of mean shift's neighbourhood products: seed rows,
     the product G, whose rows then hold the 0/1 weights of the sums, and a
     few in-cache rows of S with a bool mask of their shape."""
 
@@ -576,7 +571,7 @@ class _Neighbourhoods:
     each such chunk and forms ``within = _sq_dists_to(chunk, X) <=
     bandwidth ** 2``, its row counts and ``within.astype(float) @ X`` over
     every row, so a seed without a neighbour gets a zero sum. Here ``|x|^2``
-    is computed once, and each product runs in a set of buffers reused
+    is computed once, and each product runs in one set of buffers reused
     across products (``_Products``): ``G = chunk @ X.T``, then, a few rows at
     a time, ``G *= 2``, ``S = |s|^2 + |x|^2``, ``S -= G`` and ``S <=
     bandwidth ** 2`` are the reference's operations on the same operands in
@@ -596,33 +591,22 @@ class _Neighbourhoods:
     that moves a fit only where such a bit decides whether a point lies
     within the bandwidth.
 
-    The products of one ``count`` call write disjoint rows of its results, so
-    they run on the calling thread and the block worker
-    (``blocks._share_blocks``), each thread taking the next product left in
-    a set of buffers of its own. A set holds ``SHIFT_CHUNK`` rows of
-    float64 for G, so each costs ``256 * len(X) * 8`` bytes (36.8 MB on
-    17,960 rows) plus the seeds, ``256 * d * 8``; at most two sets exist,
-    made on the calling thread and freed with the fit.
+    The products run one after another on the calling thread, in one set of
+    buffers. It holds ``SHIFT_CHUNK`` rows of float64 for G, so it costs
+    ``256 * len(X) * 8`` bytes (36.8 MB on 17,960 rows) plus the seeds,
+    ``256 * d * 8``, and is freed with the fit.
     """
 
     def __init__(self, X: np.ndarray, bandwidth: float, seeds: int):
         self.X = X
         self.x_sq = (X * X).sum(1)
         self.bw_sq = bandwidth * bandwidth
-        self.rows = min(SHIFT_CHUNK, seeds)
-        self.sets: list[_Products] = []
+        self.buf = _Products(min(SHIFT_CHUNK, seeds), X)
 
-    def _sets(self):
-        """The buffer sets, one for each thread that takes part in a call, each
-        made when first asked for."""
-        for i in itertools.count():
-            if i == len(self.sets):
-                self.sets.append(_Products(self.rows, self.X))
-            yield self.sets[i]
-
-    def _within(self, buf: _Products, m: int) -> np.ndarray:
-        """The neighbour counts of the ``m`` seeds in ``buf.a``; ``buf.g`` then
-        holds their masks as 0/1 weights in its first ``m`` rows."""
+    def _within(self, m: int) -> np.ndarray:
+        """The neighbour counts of the ``m`` seeds in ``self.buf.a``; its ``g``
+        then holds their masks as 0/1 weights in its first ``m`` rows."""
+        buf = self.buf
         seeds = buf.a[:m]
         np.matmul(seeds, self.X.T, out=buf.g[:m])
         s_sq = (seeds * seeds).sum(1)
@@ -647,22 +631,15 @@ class _Neighbourhoods:
         first, inverse = _distinct(seeds)
         hits = np.empty(len(first), dtype=np.int64)
         total = np.empty((len(first), seeds.shape[1])) if sums else None
-
-        def runner():
-            buf = next(sets)
-
-            def product(i):
-                rows = slice(i * SHIFT_CHUNK, (i + 1) * SHIFT_CHUNK)
-                take = first[rows]
-                # mode="clip" writes straight into buf.a; "raise" would buffer a copy
-                np.take(seeds, take, axis=0, out=buf.a[:len(take)], mode="clip")
-                hits[rows] = self._within(buf, len(take))
-                if sums:
-                    np.matmul(buf.g[:len(take)], self.X, out=total[rows])
-            return product
-
-        sets = self._sets()
-        _share_blocks(-(-len(first) // SHIFT_CHUNK), runner)
+        buf = self.buf
+        for lo in range(0, len(first), SHIFT_CHUNK):
+            rows = slice(lo, lo + SHIFT_CHUNK)
+            take = first[rows]
+            # mode="clip" writes straight into buf.a; "raise" would buffer a copy
+            np.take(seeds, take, axis=0, out=buf.a[:len(take)], mode="clip")
+            hits[rows] = self._within(len(take))
+            if sums:
+                np.matmul(buf.g[:len(take)], self.X, out=total[rows])
         return (hits[inverse], total[inverse]) if sums else hits[inverse]
 
 

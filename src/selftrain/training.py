@@ -5,17 +5,15 @@ Both loops share one round structure. Round 0 fits on the labeled data only;
 every later round predicts over the current pool, keeps members whose
 confidence clears the threshold, refits on labeled + selected pseudo-labeled
 rows, and evaluates. The backbone embeds the labeled and unlabeled rows, and
-the test rows, once, at the start of the timed loop; where IST's cluster fit
-runs on the calling thread alone (k-means, mini-batch k-means), a backbone
-that embeds on the block worker (the ridge) embeds the labeled and
-unlabeled rows during that fit instead, and the loop starts by joining that
-embedding. Rounds fit, score and evaluate on those caches, so a backbone that updates its fit from the last
-one (the ridge) pays per round for the rows that changed. Once every
-unlabeled row is in the pool, the pool is scored as a whole rather than
-gathered. Inside a run an unlabeled sample is known by its row alone: the
-pool, the query list's batches and the selection all hold rows. The
-incremental loop clusters the unlabeled data exactly once up front to build
-its query list. Every fitted row, labeled or pseudo-labeled, has unit weight.
+the test rows, once, at the start of the timed loop, after IST's cluster
+fit. Rounds fit, score and evaluate on those caches, so a backbone that
+updates its fit from the last one (the ridge) pays per round for the rows
+that changed. Once every unlabeled row is in the pool, the pool is scored as
+a whole rather than gathered. Inside a run an unlabeled sample is known by
+its row alone: the pool, the query list's batches and the selection all hold
+rows. The incremental loop clusters the unlabeled data exactly once up front
+to build its query list. Every fitted row, labeled or pseudo-labeled, has
+unit weight.
 """
 
 from __future__ import annotations
@@ -137,11 +135,7 @@ class TrainingTrajectory:
     round's loop time is split into four stages, which together cover it:
 
     - ``fit_s``: refitting the backbone (in round 0 also embedding the
-      labeled, unlabeled and test rows; where IST's cluster fit runs on the
-      calling thread and the backbone embeds on the block worker, the
-      embedding of the labeled and unlabeled rows starts before that fit
-      and round 0 holds only its join, the blocks the worker had not
-      finished);
+      labeled, unlabeled and test rows);
     - ``predict_s``: scoring the pool and refreshing its pseudo-labels;
     - ``select_s``: admitting the round's batch and gathering the selected
       rows and labels;
@@ -308,16 +302,13 @@ def _config_echo(cfg: SelfTrainConfig) -> dict:
 
 def _run_rounds(labeled: LabeledSet, unlabeled: UnlabeledSet, test: Dataset,
                 backbone: ClassifierModel, cfg: SelfTrainConfig, batches: list[np.ndarray],
-                cluster_seconds: float = 0.0, cluster: dict | None = None,
-                embedding=None) -> tuple[ClassifierModel, TrainingTrajectory]:
+                cluster_seconds: float = 0.0,
+                cluster: dict | None = None) -> tuple[ClassifierModel, TrainingTrajectory]:
     """Train over a pool that admits the unlabeled rows of ``batches[t]`` at round t.
 
     ``cluster_seconds`` and ``cluster`` are the time and the diagnostics
     (:meth:`ClusterModel.diagnostics`) of IST's clustering, which the
-    trajectory records; 0 and None for ST. ``embedding`` is the join of
-    the embedding of the labeled and unlabeled rows where the caller has
-    started it (:meth:`ClassifierModel.start_embed`); round 0 starts it
-    otherwise, and joins it either way.
+    trajectory records; 0 and None for ST.
     """
     traj = TrainingTrajectory(mode=cfg.mode, seed=cfg.seed)
     traj.cluster_seconds, traj.cluster = cluster_seconds, cluster
@@ -350,7 +341,7 @@ def _run_rounds(labeled: LabeledSet, unlabeled: UnlabeledSet, test: Dataset,
 
     try:
         # the frozen per-row features, once per run: rounds index into them
-        H = (embedding or backbone.start_embed(labeled.features, unlabeled.features))()
+        H = backbone.embed(labeled.features, unlabeled.features)
         H_test = backbone.embed(test.features)
         backbone.fit(labeled.features, labeled.labels)
     except ValueError as exc:
@@ -389,10 +380,6 @@ def st_train(labeled: LabeledSet, unlabeled: UnlabeledSet, test: Dataset,
     return _run_rounds(labeled, unlabeled, test, backbone, cfg, [np.arange(unlabeled.n_u)])
 
 
-# The clustering methods whose fits run on the calling thread alone.
-CALLER_FITS = ("kmeans", "minibatch_kmeans")
-
-
 def ist_train(labeled: LabeledSet, unlabeled: UnlabeledSet, test: Dataset,
               backbone: ClassifierModel,
               cfg: SelfTrainConfig) -> tuple[ClassifierModel, TrainingTrajectory]:
@@ -403,30 +390,13 @@ def ist_train(labeled: LabeledSet, unlabeled: UnlabeledSet, test: Dataset,
     batch 0 seeds the pool. Batch t is admitted at round t until the schedule
     is exhausted, after which the pool stays complete and training continues.
     The pool admits the query list's rows, cut where the id batches are.
-
-    A fit that runs on the calling thread alone (``CALLER_FITS``) runs
-    after ``backbone.start_embed`` of the labeled and unlabeled rows, which
-    round 0 then joins: the ridge's block worker embeds during the fit,
-    while a backbone that starts nothing embeds in round 0. A fit that
-    fails abandons that embedding before its exception leaves. Mean shift
-    shares its products with the worker, so its cells embed after the fit,
-    and do not hold the embedding beside the fit's product buffers.
+    The fit runs before round 0 embeds any row, so the embedding is never
+    held beside the fit's buffers.
     """
     if cfg.mode != "ist":
         raise ValueError("ist_train requires cfg.mode == 'ist'")
-    embedding = None
-    if cfg.cluster_method in CALLER_FITS:
-        try:
-            embedding = backbone.start_embed(labeled.features, unlabeled.features)
-        except ValueError:  # round 0 starts it again and records the error
-            pass
-    try:
-        return _run_rounds(labeled, unlabeled, test, backbone, cfg,
-                           *_query_batches(labeled.class_count, unlabeled, cfg), embedding)
-    except BaseException:
-        if embedding is not None:  # a joined embedding has nothing left to cancel
-            embedding(cancel=True)
-        raise
+    return _run_rounds(labeled, unlabeled, test, backbone, cfg,
+                       *_query_batches(labeled.class_count, unlabeled, cfg))
 
 
 def _query_batches(class_count: int, unlabeled: UnlabeledSet, cfg: SelfTrainConfig):

@@ -12,27 +12,25 @@ set the last bit of a product's last few rows by their place, so the
 reference forms the same products as the fit, each seed in the same place.
 These tests check that the fit does so, for the BLAS in use.
 
-The products of one ``count`` call run on the calling thread and the block
-worker (``blocks._share_blocks``), each thread in buffers of its own. The
-tests that take the ``path`` fixture run once with every product on the
-calling thread and once shared, forced by patching the CPU count the worker
-checks.
+Every product runs on the calling thread, in the fit's one set of buffers.
+The tests that take the ``path`` fixture run once in a process without a
+block worker and once beside a live one, forced by patching the CPU count
+the worker checks, and the fit must leave that worker idle.
 """
 
-import threading
 import time
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from selftrain import clustering
+from selftrain import blocks, clustering
 from selftrain.clustering import (MAX_ITER, MERGE_TOL, SHIFT_SUBSAMPLE, SUBSAMPLE,
                                   ClusterModel, MeanShiftConfig, _nearest, _Rows,
                                   estimate_bandwidth, meanshift_fit)
 from selftrain.data import make_blobs
 
-from test_shared_blocks import cpus  # forces the shared path, or the inline one
+from test_shared_blocks import cpus  # starts the block worker, or keeps it off
 
 
 def reference_sq_dists_to(rows, X):
@@ -290,10 +288,20 @@ def test_merge_of_repeated_modes_matches_the_walk_over_every_mode(bandwidth):
 
 @pytest.fixture(params=["inline", "shared"])
 def path(request, monkeypatch):
-    """Every product on the calling thread, or shared with the block worker,
-    which then never rests however little CPU a call gets."""
+    """A process without a block worker, or with a live one that never rests;
+    the test must hand that worker nothing."""
     cpus(monkeypatch, 2 if request.param == "shared" else 1)
-    return request.param
+    worker, handed = blocks._block_worker(), []
+    if worker is not None:
+        submit = worker.executor.submit
+
+        def recorded(*args, **kwargs):
+            handed.append(args)
+            return submit(*args, **kwargs)
+
+        monkeypatch.setattr(worker.executor, "submit", recorded)
+    yield request.param
+    assert handed == []
 
 
 def clustered_rows(n, seed):
@@ -350,9 +358,6 @@ def test_counts_and_sums_on_both_paths(path, n):
     hits, sums = hoods.count(seeds, sums=True)
     assert np.array_equal(hits, want_hits)
     assert sums.tobytes() == want_sums.tobytes()
-    # a second set only for a second product, run on the worker
-    products = -(-len(reference_distinct(seeds)[0]) // 256)
-    assert len(hoods.sets) == min(products, 2 if path == "shared" else 1)
 
 
 @pytest.mark.parametrize("n", [1, 256, 700, SHIFT_SUBSAMPLE])
@@ -368,9 +373,9 @@ def test_products_form_no_row_beyond_the_distinct_seeds(monkeypatch, path, n):
     rows = []
     within = clustering._Neighbourhoods._within
 
-    def patched(self, buf, m):
-        rows.append(m)  # list.append is atomic, so both threads may record
-        return within(self, buf, m)
+    def patched(self, m):
+        rows.append(m)
+        return within(self, m)
 
     monkeypatch.setattr(clustering._Neighbourhoods, "_within", patched)
     hoods = clustering._Neighbourhoods(X, 9.0, len(seeds))
@@ -382,56 +387,25 @@ def test_products_form_no_row_beyond_the_distinct_seeds(monkeypatch, path, n):
         assert max(rows) <= 256
 
 
-def on_the_worker(monkeypatch, product):
-    """Patch each neighbourhood product to call ``product(on_worker)`` first;
-    the caller's products wait until the worker has run one."""
-    caller, ran = threading.get_ident(), threading.Event()
-    within = clustering._Neighbourhoods._within
+def test_a_fit_makes_one_product_set(monkeypatch, path, wide_rows):
+    made = []
+    init = clustering._Products.__init__
 
-    def patched(self, buf, m):
-        on_worker = threading.get_ident() != caller
-        if on_worker:
-            ran.set()
-        else:
-            ran.wait(10)
-        product(on_worker)
-        return within(self, buf, m)
+    def recorded(self, *args):
+        made.append(self)
+        init(self, *args)
 
-    monkeypatch.setattr(clustering._Neighbourhoods, "_within", patched)
-
-
-def test_both_threads_run_products_of_one_call(monkeypatch, wide_rows):
-    cpus(monkeypatch, 2)
-    threads = set()
-    with monkeypatch.context() as mp:
-        on_the_worker(mp, lambda on_worker: threads.add(on_worker))
-        hoods = clustering._Neighbourhoods(wide_rows, 6.0, SHIFT_SUBSAMPLE)
-        hoods.count(wide_rows[:SHIFT_SUBSAMPLE], sums=True)
-    assert threads == {False, True}
-
-
-def test_an_exception_on_the_worker_reaches_the_caller(monkeypatch, wide_rows):
-    cpus(monkeypatch, 2)
-
-    def product(on_worker):
-        if on_worker:
-            raise FloatingPointError("worker")
-
-    with monkeypatch.context() as mp:
-        on_the_worker(mp, product)
-        with pytest.raises(FloatingPointError, match="worker"):
-            meanshift_fit(wide_rows, MeanShiftConfig(bandwidth=6.0, seed=1))
-    # the next fit runs every product again
-    assert assert_same_fit(wide_rows, 6.0, seed=1).k > 1
+    monkeypatch.setattr(clustering._Products, "__init__", recorded)
+    assert meanshift_fit(wide_rows, MeanShiftConfig(bandwidth=6.0, seed=1)).k > 1
+    assert len(made) == 1
 
 
 def test_the_fit_allocates_no_bool_matrix_of_the_products_shape(path):
-    # Each thread's set holds a float64 (256, n) product; a (256, n) bool
+    # The fit's one set holds a float64 (256, n) product; a (256, n) bool
     # matrix beside it would add an eighth. Everything else the fit allocates
     # on rows this narrow stays well under that eighth.
     n = 20_000
     X = clustered_rows(n, seed=5)
-    sets = 2 if path == "shared" else 1
     product = 256 * n * 8
     tracemalloc.start()
     try:
@@ -440,4 +414,4 @@ def test_the_fit_allocates_no_bool_matrix_of_the_products_shape(path):
     finally:
         tracemalloc.stop()
     assert model.k == 1
-    assert sets * product <= peak < sets * product + 256 * n
+    assert product <= peak < product + 256 * n

@@ -20,7 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from selftrain import classifiers
-from selftrain.classifiers import RandomFeatureRidge, one_hot, softmax
+from selftrain.classifiers import RandomFeatureRidge, one_hot
 from selftrain.data import make_blobs, split_ssl
 from selftrain.training import SelfTrainConfig, st_train
 
@@ -334,15 +334,10 @@ def test_fitted_model_does_not_keep_the_run_embedding_alive():
     embedded = []
 
     class Ridge(RandomFeatureRidge):
-        # every embedding of the ridge, embed's included, starts here
-        def start_embed(self, *parts):
-            join = super().start_embed(*parts)
-
-            def recorded_join(cancel=False):
-                H = join(cancel)
-                embedded.append(weakref.ref(H))
-                return H
-            return recorded_join
+        def embed(self, *parts):
+            H = super().embed(*parts)
+            embedded.append(weakref.ref(H))
+            return H
 
     labeled, unlabeled, test = split_ssl(make_blobs(4, 60, 2, 0.5, 3), 4, 0.25, 3)
     model, _ = st_train(labeled, unlabeled, test, Ridge(4, 2, hidden_width=16, seed=3),
@@ -392,7 +387,8 @@ def test_blocked_scores_match_single_gemm(case):
         mp.setattr(classifiers, "SCORE_BLOCK", case["block"] * 8 * width)
         for rows in (None, members):  # the whole matrix, then gathered rows
             Hs = H if rows is None else H[rows]
-            ref = softmax(Hs @ model.weights / model.temperature)
+            ref = Hs @ model.weights / model.temperature
+            classifiers._softmax_into(ref.T)  # over the classes of each row
             got = model.predict_proba_embedded(H, rows)
             assert got.shape == ref.shape
             assert (np.abs(got - ref) <= 1e-12 * ref.max(axis=1, keepdims=True)).all()

@@ -14,7 +14,8 @@ import pytest
 
 import selftrain
 from selftrain import bench, clustering, training
-from selftrain.classifiers import ClassifierModel, RandomFeatureRidge, SoftmaxSGD, softmax
+from selftrain.classifiers import (ClassifierModel, RandomFeatureRidge, SoftmaxSGD,
+                                   _softmax_into, top_class)
 from selftrain.data import Dataset, UnlabeledSet, make_blobs, split_ssl
 from selftrain.querylist import BatchSchedule
 from selftrain.training import (PseudoPool, SelfTrainConfig, TrainingRoundError,
@@ -274,7 +275,7 @@ class TestEvaluate:
         labeled, _, test = blob_problem(seed=4, spread=1.5)
         model = RandomFeatureRidge(4, 2, hidden_width=16, seed=4).fit(
             labeled.features, labeled.labels)
-        acc = float(np.mean(model.predict(test.features) == test.labels))
+        acc = float(np.mean(top_class(model.predict_proba(test.features))[1] == test.labels))
         assert acc < 1.0
         assert evaluate(model, test) == acc
         assert evaluate(model, test, model.embed(test.features)) == acc
@@ -428,9 +429,9 @@ class TestIstTrain:
             return qlist
 
         class Ridge(RandomFeatureRidge):
-            def embed(self, X):
+            def embed(self, *parts):
                 alive.append([ref() is not None for ref in made])
-                return super().embed(X)
+                return super().embed(*parts)
 
         monkeypatch.setattr(training, "build_query_list", recorded)
         labeled, unlabeled, test = blob_problem(seed=2)
@@ -606,10 +607,10 @@ class CountingBackbone(ClassifierModel):
         self.embed_calls = []
         self.fits = 0
 
-    def embed(self, X):
+    def embed(self, *parts):
         time.sleep(self.delay)
-        self.embed_calls.append((len(X), self.fits))
-        return super().embed(X)
+        self.embed_calls.append((sum(len(X) for X in parts), self.fits))
+        return super().embed(*parts)
 
     def fit(self, X, y, sample_weight=None):
         self.fits += 1
@@ -648,7 +649,9 @@ class SelectionCheckingBackbone(ClassifierModel):
     def predict_proba(self, X):
         X = np.asarray(X, dtype=np.float64)
         scores = np.column_stack([X[:, 0], X[:, 1], -X[:, 0], -X[:, 1]])
-        return softmax(scores * (0.5 + self.fits))
+        z = scores * (0.5 + self.fits)
+        _softmax_into(z.T)
+        return z
 
     def fit_embedded(self, H, y, sample_weight=None, rows=None):
         selected, labels = pseudo_label_pool(self, self.pool, self.unlabeled,
@@ -715,10 +718,9 @@ class TestEmbedOncePerRun:
         calls = []
 
         class Ridge(RandomFeatureRidge):
-            # every embedding of the ridge, embed's included, starts here
-            def start_embed(self, *parts):
+            def embed(self, *parts):
                 calls.append([len(X) for X in parts])
-                return super().start_embed(*parts)
+                return super().embed(*parts)
 
         labeled, unlabeled, test, traj = self.run(mode, Ridge(4, 2, hidden_width=16))
         assert traj.rounds_completed == 5
@@ -733,9 +735,9 @@ class TestEmbedOncePerRun:
 
     @pytest.mark.parametrize("method", ["kmeans", "minibatch_kmeans"])
     def test_an_embedding_that_starts_nothing_lands_in_round_zero(self, monkeypatch, method):
-        """Beside a cluster fit on the calling thread, a backbone whose
-        ``start_embed`` starts nothing still embeds after the fit, in round
-        0's timed ``fit_s``, as ST does."""
+        """A backbone with the base class's embedding, which hands the block
+        worker nothing, embeds after the cluster fit, in round 0's timed
+        ``fit_s``, as ST does."""
         log = []
         fit = training.fit_cluster
 
@@ -744,9 +746,9 @@ class TestEmbedOncePerRun:
             return fit(*args, **kwargs)
 
         class Backbone(CountingBackbone):
-            def embed(self, X):
+            def embed(self, *parts):
                 log.append("embed")
-                return super().embed(X)
+                return super().embed(*parts)
 
         monkeypatch.setattr(training, "fit_cluster", logged_fit)
         labeled, unlabeled, test = blob_problem(seed=0)
@@ -786,108 +788,70 @@ def load_spans():
 
 
 class TestEmbeddingBesideTheClusterFit:
-    """IST starts embedding the labeled and unlabeled rows on the block worker
-    before a cluster fit that runs on the calling thread alone, and round 0
-    joins it."""
+    """IST fits its clusters first; round 0 then embeds the labeled and
+    unlabeled rows, and the test rows, as ST's round 0 does."""
 
-    def logged_run(self, method, input_dim=2):
-        """A cell's inputs and a ridge that logs each start and join of an
-        embedding into ``log``."""
-        log = []
-
-        class Ridge(RandomFeatureRidge):
-            def start_embed(self, *parts):
-                log.append(("embed", [len(X) for X in parts]))
-                join = super().start_embed(*parts)
-
-                def logged_join(cancel=False):
-                    log.append(("join", cancel))
-                    return join(cancel)
-                return logged_join
-
+    def run(self, backbone, method="kmeans"):
         labeled, unlabeled, test = blob_problem(seed=2)
         cfg = SelfTrainConfig(mode="ist", rounds=5, schedule=BatchSchedule(0.25, 3),
                               cluster_method=method, seed=2)
-        backbone = Ridge(4, input_dim, hidden_width=64, seed=2)
-        return labeled, unlabeled, test, backbone, cfg, log
+        return labeled, unlabeled, test, ist_train(labeled, unlabeled, test, backbone, cfg)
 
+    @pytest.mark.parametrize("kind", ["ridge", "sgd"])
     @pytest.mark.parametrize("method", clustering.METHODS)
-    def test_caller_fits_run_beside_the_embedding(self, monkeypatch, method):
-        labeled, unlabeled, test, backbone, cfg, log = self.logged_run(method)
+    def test_caller_fits_run_beside_the_embedding(self, monkeypatch, method, kind):
+        """Every method fits its clusters on the calling thread before both
+        embeddings, and round 0's timed ``fit_s`` holds them, for both
+        backbones."""
+        log = []
         fit = training.fit_cluster
 
         def logged_fit(*args, **kwargs):
-            log.append(("fit", args[0]))
+            log.append("fit")
             return fit(*args, **kwargs)
 
-        monkeypatch.setattr(training, "fit_cluster", logged_fit)
-        _, traj = ist_train(labeled, unlabeled, test, backbone, cfg)
-        assert traj.rounds_completed == 5
-        training_rows = ("embed", [labeled.n_l, unlabeled.n_u])
-        if method in training.CALLER_FITS:
-            want = [training_rows, ("fit", method), ("join", False)]
-        else:  # mean shift shares its products with the worker: it embeds after
-            want = [("fit", method), training_rows, ("join", False)]
-        assert log[:3] == want
-        assert [entry[0] for entry in log[3:]] == ["embed", "join"] * 2  # test and round 0's rows
+        base = RandomFeatureRidge if kind == "ridge" else SoftmaxSGD
 
-    @pytest.mark.parametrize("method", training.CALLER_FITS)
-    def test_overlapped_runs_equal_runs_that_embed_after_the_fit(self, monkeypatch, method):
-        cpus(monkeypatch, 2)
-        runs = []
-        for caller_fits in (training.CALLER_FITS, ()):
-            monkeypatch.setattr(training, "CALLER_FITS", caller_fits)
-            labeled, unlabeled, test = blob_problem(seed=6, per_class=400)
-            cfg = SelfTrainConfig(mode="ist", rounds=5, schedule=BatchSchedule(0.25, 3),
-                                  cluster_method=method, seed=6)
-            runs.append(ist_train(labeled, unlabeled, test,
-                                  RandomFeatureRidge(4, 2, hidden_width=512, seed=6), cfg))
-        (model_a, traj_a), (model_b, traj_b) = runs
-        assert traj_a.deterministic_fields() == traj_b.deterministic_fields()
-        assert model_a.weights.tobytes() == model_b.weights.tobytes()
+        class Backbone(base):
+            def embed(self, *parts):
+                log.append([len(X) for X in parts])
+                time.sleep(0.1)
+                return super().embed(*parts)
+
+        monkeypatch.setattr(training, "fit_cluster", logged_fit)
+        labeled, unlabeled, test, (_, traj) = self.run(Backbone(4, 2, seed=2), method)
+        assert traj.rounds_completed == 5
+        # the training rows, as two parts, then the test rows
+        assert log[:3] == ["fit", [labeled.n_l, unlabeled.n_u], [test.n]]
+        assert traj.fit_s[0] >= 0.2  # both embeddings, 0.1 s each
 
     @pytest.mark.parametrize("where", ["start", "join"])
     def test_a_failing_embedding_fails_round_zero(self, where):
-        labeled, unlabeled, test, backbone, cfg, log = self.logged_run(
-            "kmeans", input_dim=3 if where == "start" else 2)
+        """An embedding that fails in its input check (``start``), or after
+        its blocks have run (``join``), fails round 0 after the fit."""
+        backbone = RandomFeatureRidge(4, 3 if where == "start" else 2, hidden_width=64, seed=2)
         if where == "join":
-            start = backbone.start_embed
+            embed = backbone.embed
 
-            def failing_start(*parts):
-                join = start(*parts)
+            def failing_embed(*parts):
+                embed(*parts)
+                raise ValueError("the embedding failed")
 
-                def failing_join(cancel=False):
-                    join(cancel)
-                    if not cancel:
-                        raise ValueError("the embedding failed")
-                return failing_join
-
-            backbone.start_embed = failing_start
+            backbone.embed = failing_embed
         with pytest.raises(TrainingRoundError) as err:
-            ist_train(labeled, unlabeled, test, backbone, cfg)
+            self.run(backbone)
         traj = err.value.trajectory
         assert err.value.round_index == traj.failed_round == 0
         assert traj.rounds_completed == 0
-        # the partial trajectory holds the cluster fit that ran beside the embedding
+        # the partial trajectory holds the cluster fit that ran before the embedding
         assert traj.cluster["method"] == "kmeans" and traj.cluster_seconds > 0
         want = "expected 3 input features" if where == "start" else "the embedding failed"
         assert want in traj.failure_message
 
-    def test_a_failing_cluster_fit_cancels_the_embedding(self, monkeypatch):
-        cpus(monkeypatch, 2)
-        labeled, unlabeled, test, backbone, cfg, log = self.logged_run("kmeans")
-
-        def failing_fit(*args, **kwargs):
-            raise RuntimeError("the fit failed")
-
-        monkeypatch.setattr(training, "fit_cluster", failing_fit)
-        with pytest.raises(RuntimeError, match="the fit failed"):
-            ist_train(labeled, unlabeled, test, backbone, cfg)
-        assert log == [("embed", [labeled.n_l, unlabeled.n_u]), ("join", True)]
-
     def test_no_traced_function_runs_on_the_worker(self, monkeypatch):
         """The benchmark's tracer assumes one thread: every function it wraps
-        runs on the calling thread, also while the worker embeds."""
+        runs on the calling thread, also where the ridge shares its blocks
+        with the worker."""
         cpus(monkeypatch, 2)
         spans = load_spans()
         threads = set()
